@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import Sequence
 
 from .linalg import frac_mod
@@ -52,6 +52,17 @@ def _lin_pow_series(a: Fraction, c: Fraction, e: int, mlen: int) -> list[Fractio
     return out
 
 
+def _check_monoid(gamma: Mat2, p: int | None) -> None:
+    a, b, c, d = gamma
+    if a * d - b * c == 0:
+        raise ValueError("singular matrix")
+    if p is not None:
+        if a % p == 0:
+            raise ValueError("upper-left entry must be a p-adic unit")
+        if c % p != 0:
+            raise ValueError("lower-left entry must be divisible by p")
+
+
 @lru_cache(maxsize=None)
 def moment_matrix(
     gamma: Mat2, k: int, mlen: int, p: int | None = None
@@ -62,14 +73,8 @@ def moment_matrix(
     lie in the monoid with unit a and p | c, and the filtration bound is
     asserted.
     """
+    _check_monoid(gamma, p)
     a, b, c, d = gamma
-    if a * d - b * c == 0:
-        raise ValueError("singular matrix")
-    if p is not None:
-        if a % p == 0:
-            raise ValueError("upper-left entry must be a p-adic unit")
-        if c % p != 0:
-            raise ValueError("lower-left entry must be divisible by p")
     rows = []
     af, bf, cf, df = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
     for j in range(mlen):
@@ -89,6 +94,46 @@ def moment_matrix(
                 v = padic_val(rows[j][i], p)
                 assert v is None or v >= i - j, "filtration bound violated"
     return tuple(rows)
+
+
+def moment_matrix_mod(
+    gamma: Mat2, k: int, mlen: int, p: int, mod: int
+) -> list[list[int]]:
+    """moment_matrix(gamma, k, mlen, p) reduced modulo mod, a power of p.
+
+    Row 0 is (a + c z)^k and row j+1 = row j * (b + d z) / (a + c z) in
+    (Z/mod)[z]/(z^mlen): O(mlen) work per row. Division by a + c z needs a
+    invertible mod p, which the monoid condition gives. The filtration bound
+    v_p(E[j][i]) >= i - j is checked on the residues, as divisibility by
+    gcd(p^(i-j), mod).
+    """
+    _check_monoid(gamma, p)
+    a, b, c, d = gamma
+    ainv = pow(a, -1, mod)
+
+    def div_lin(row: list[int]) -> list[int]:
+        out, prev = [], 0
+        for x in row:
+            prev = (x - c * prev) * ainv % mod
+            out.append(prev)
+        return out
+
+    if k >= 0:
+        row = [comb(k, t) * pow(a, k - t, mod) * pow(c, t, mod) % mod if t <= k else 0
+               for t in range(mlen)]
+    else:
+        row = [1] + [0] * (mlen - 1)
+        for _ in range(-k):
+            row = div_lin(row)
+    rows = [row]
+    for _ in range(1, mlen):
+        row = div_lin([b * x + d * y for x, y in zip(row, [0] + row)])
+        rows.append(row)
+    for j in range(mlen):
+        for i in range(j + 1, mlen):
+            if rows[j][i] % gcd(p ** (i - j), mod):
+                raise ArithmeticError("filtration bound violated")
+    return rows
 
 
 def apply_moments(
@@ -206,17 +251,6 @@ def _vint(n: int, p: int) -> int:
     return v
 
 
-def _wseries_conv(u: Sequence[int], v: Sequence[int], mod: int) -> list[int]:
-    n = len(u)
-    out = [0] * n
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        for j in range(n - i):
-            out[i + j] = (out[i + j] + ui * v[j]) % mod
-    return out
-
-
 def _zconv(u: Sequence[int], v: Sequence[int], mlen: int, mod: int) -> list[int]:
     out = [0] * mlen
     for i, ui in enumerate(u):
@@ -271,8 +305,7 @@ def family_moment_matrix(
         Gs.append(cur)
     mK = p**K
     rows = []
-    for j in range(mlen):
-        Pj = [frac_mod(x, mw) for x in _series_product(a, b, c, d, k0, j, mlen)]
+    for Pj in moment_matrix_mod(gamma, k0, mlen, p, mw):
         row = []
         for i in range(mlen):
             wco = []
@@ -286,34 +319,3 @@ def family_moment_matrix(
         rows.append(tuple(row))
     return tuple(rows)
 
-
-def _series_product(
-    a: int, b: int, c: int, d: int, k0: int, j: int, mlen: int
-) -> list[Fraction]:
-    A = _lin_pow_series(Fraction(a), Fraction(c), k0 - j, mlen)
-    out = [Fraction(0)] * mlen
-    for s in range(min(j, mlen - 1) + 1):
-        B = comb(j, s) * Fraction(b) ** (j - s) * Fraction(d) ** s
-        if B == 0:
-            continue
-        for i in range(s, mlen):
-            if A[i - s] != 0:
-                out[i] += B * A[i - s]
-    return out
-
-
-def apply_family_moments(
-    E: Sequence[Sequence[Sequence[int]]],
-    vec: Sequence[Sequence[int]],
-    T: int,
-    mod: int,
-) -> list[list[int]]:
-    out = []
-    for row in E:
-        acc = [0] * T
-        for i, m in enumerate(vec):
-            if any(m):
-                prod = _wseries_conv(row[i], m, mod)
-                acc = [(x + y) % mod for x, y in zip(acc, prod)]
-        out.append(acc)
-    return out

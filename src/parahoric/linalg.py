@@ -5,6 +5,9 @@ want p-adic truncation reduce afterwards.
 """
 from __future__ import annotations
 
+import math
+import operator
+from itertools import chain
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,13 +25,6 @@ def identity(n: int) -> Matrix:
 
 def zeros(r: int, c: int) -> Matrix:
     return [[Fraction(0)] * c for _ in range(r)]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def matvec(a: Matrix, v: Sequence[Fraction]) -> Row:
@@ -175,18 +171,78 @@ def frac_mod(x: Fraction, mod: int) -> int:
     return (num * inv_mod(den, mod)) % mod
 
 
-def matmul_mod(a: list[list[int]], b: list[list[int]], mod: int) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % mod for col in bt] for row in a]
+def power_traces_mod(a: list[list], count: int, mod: int) -> list:
+    """Traces of a^1 .. a^count over R_T = (Z/mod)[w]/(w^T).
 
+    Cells of a are ints (T = 1) or T-tuples of w-coefficients, and the traces
+    come back in the same form. Baby steps a^1 .. a^s and giant steps a^(js),
+    with s = isqrt(count), cost about 2*sqrt(count) matrix products; every
+    other trace is a Frobenius product tr(a^(js) a^i), the sum over r, l of
+    a^(js)[r][l] a^i[l][r], read as exact integer dot products.
 
-def power_traces_mod(a: list[list[int]], count: int, mod: int) -> list[int]:
-    """Traces of a^1 .. a^count modulo mod."""
+    A matrix is held as T coefficient planes x_0 .. x_(T-1), residues mod
+    mod. Products use Kronecker substitution: row l of the right factor y is
+    one Python int, with coefficient b of cell j at slot T*j + b of W bits.
+    Row i of x*y is the sum over u < T of (sum_l x_u[i][l] * row_l) << W*u,
+    each inner sum keeping only its slots b < T - u, so the shifted slot
+    u + b stays inside block j and no w^T term survives. Slot (j, t) then
+    holds the exact w^t coefficient of (x*y)[i][j]: a sum of at most n*T
+    products of residues, below n*T*(mod - 1)^2. W is that bound's bit length
+    rounded up to whole bytes, so no slot carries into the next (nor does an
+    inner sum, which is smaller), and unpacking a row is one to_bytes and a
+    from_bytes per slot.
+    """
+    n = len(a)
+    scalar = n == 0 or isinstance(a[0][0], int)
+    T = 1 if scalar else len(a[0][0])
+    if count <= 0:
+        return []
+    sb = max(1, (n * T * (mod - 1) ** 2).bit_length() + 7 >> 3)   # slot bytes
+    W = 8 * sb
+    # keep[u]: the slots b < T - u of every block
+    keep = [int.from_bytes((b"\xff" * sb * (T - u) + bytes(sb * u)) * n, "little")
+            for u in range(T)]
+
+    def matmul(x: list, y: list) -> list:
+        rows = [int.from_bytes(b"".join(c.to_bytes(sb, "little")
+                                        for cells in zip(*(yt[l] for yt in y))
+                                        for c in cells), "little")
+                for l in range(n)]
+        out: list = [[] for _ in range(T)]
+        for i in range(n):
+            acc = 0
+            for u in range(T):
+                acc += (sum(map(operator.mul, x[u][i], rows)) & keep[u]) << (W * u)
+            buf = acc.to_bytes(n * T * sb, "little")
+            for t in range(T):
+                out[t].append([int.from_bytes(buf[o:o + sb], "little") % mod
+                               for o in range(t * sb, n * T * sb, T * sb)])
+        return out
+
+    def residue(c: int) -> int:
+        # reduced cells keep the caller's int objects instead of a copy
+        return c if 0 <= c < mod else c % mod
+
+    if scalar:
+        planes = [[[residue(c) for c in row] for row in a]]
+    else:
+        planes = [[[residue(c[t]) for c in row] for row in a] for t in range(T)]
+    baby = [planes]
+    while len(baby) < math.isqrt(count):
+        baby.append(matmul(baby[-1], baby[0]))
+    s = len(baby)
     traces = []
-    cur = [row[:] for row in a]
-    for _ in range(count):
-        traces.append(sum(cur[i][i] for i in range(len(cur))) % mod)
-        if len(traces) == count:
-            break
-        cur = matmul_mod(cur, a, mod)
+    for m in range(1, count + 1):
+        j, i = divmod(m - 1, s)             # a^m = a^(js) a^(i+1)
+        if j == 0:
+            tr = [sum(pl[r][r] for r in range(n)) for pl in baby[i]]
+        else:
+            if i == 0:
+                giant = baby[-1] if j == 1 else matmul(giant, baby[-1])
+                # row l of the transpose pairs a^(js)[r][l] with a^(i+1)[l][r]
+                giant_t = [list(zip(*pl)) for pl in giant]
+            tr = [sum(sum(map(operator.mul, chain.from_iterable(baby[i][t - u]),
+                              chain.from_iterable(giant_t[u]))) for u in range(t + 1))
+                  for t in range(T)]
+        traces.append(tr[0] % mod if scalar else tuple(c % mod for c in tr))
     return traces

@@ -4,7 +4,7 @@ A symbol assigns a distribution to every coset; relations from the Manin
 presentation carry Gamma_0(M) twists. Overconvergent values keep mlen moments
 with the filtration contract that moment j is meaningful mod p^(P-j). U_p
 improves the filtration: its composite matrices satisfy v_p(E[j][i]) >= i,
-which is asserted on every matrix built here.
+which is checked on every matrix built here.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .linalg import (
     charpoly_berkowitz,
     frac_mod,
     inv_mod,
-    matmul_mod,
     nullspace,
     power_traces_mod,
     solve,
@@ -28,10 +27,10 @@ from .distributions import (
     apply_moments,
     family_moment_matrix,
     moment_matrix,
+    moment_matrix_mod,
     padic_val,
     solve_error_profile,
     tail_solve_matrix,
-    _wseries_conv,
 )
 
 INF = 10**9
@@ -397,25 +396,25 @@ def oc_context(N: int, p: int, k: int, mlen: int) -> OCContext:
     )
 
 
+def _check_up_monoid(m: Mat2, p: int) -> None:
+    if m[0] % p == 0 or m[2] % p or m[3] % p:
+        raise ValueError(f"U_p plan matrix {m} needs a unit upper-left entry and p | c, p | d")
+
+
 def _up_matrix_mod(ctx: OCContext, m: Mat2, mod: int) -> list[list[int]]:
     """Moment matrix of a U_p plan composite, reduced mod p^K.
 
-    Asserts the compactness bound v_p(E[j][i]) >= i: moments below the
-    filtration floor cannot influence stored output digits.
+    Checks the compactness bound v_p(E[j][i]) >= i on the residues: moments
+    below the filtration floor cannot influence stored output digits.
     """
     p = ctx.p
-    assert m[3] % p == 0 and m[2] % p == 0 and m[0] % p != 0
-    E = moment_matrix(m, ctx.k, ctx.mlen, p)
-    for j in range(ctx.mlen):
-        for i in range(ctx.mlen):
-            v = padic_val(E[j][i], p)
-            assert v is None or v >= i, "U_p column divisibility failed"
-    return [[frac_mod(E[j][i], mod) for i in range(ctx.mlen)] for j in range(ctx.mlen)]
-
-
-def _gamma_matrix_mod(ctx: OCContext, m: Mat2, mod: int) -> list[list[int]]:
-    E = moment_matrix(m, ctx.k, ctx.mlen, ctx.p)
-    return [[frac_mod(E[j][i], mod) for i in range(ctx.mlen)] for j in range(ctx.mlen)]
+    _check_up_monoid(m, p)
+    E = moment_matrix_mod(m, ctx.k, ctx.mlen, p, mod)
+    for row in E:
+        for i, x in enumerate(row):
+            if x % math.gcd(p**i, mod):
+                raise ArithmeticError("U_p column divisibility failed")
+    return E
 
 
 class ModCache:
@@ -432,7 +431,7 @@ class ModCache:
 
     def gamma(self, m: Mat2) -> list[list[int]]:
         if m not in self._gm:
-            self._gm[m] = _gamma_matrix_mod(self.ctx, m, self.mod)
+            self._gm[m] = moment_matrix_mod(m, self.ctx.k, self.ctx.mlen, self.ctx.p, self.mod)
         return self._gm[m]
 
 
@@ -519,11 +518,6 @@ def build_tables_mod(
             img = _matvec_mod(cache.gamma(tw), vals[ld], mod)
             tables[x] = [(-c) % mod for c in img] if sgn == -1 else img
     return tables
-
-
-def _clamp_pow(p: int, e: int, mod: int) -> int:
-    v = p**e
-    return v if v < mod else mod
 
 
 def up_apply_mod(
@@ -997,6 +991,12 @@ def _elementary_from_traces(
     return e[1:], nloss[1:]
 
 
+def _check_positive(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def charpoly_up(
     N: int, p: int, k: int, M: int, xdeg: int = 14, pad: int = 4
 ) -> UpSpectralData:
@@ -1008,6 +1008,7 @@ def charpoly_up(
     """
     from .padics import NewtonPolygon, PolygonPoint
 
+    _check_positive(M=M, xdeg=xdeg)
     t0 = time.monotonic()
     mlen = M + pad
     ctx = oc_context(N, p, k, mlen)
@@ -1088,8 +1089,7 @@ class FamCache:
         return self._get(m)
 
     def up(self, m: Mat2) -> list[list[tuple[int, ...]]]:
-        p = self.ctx.p
-        assert m[3] % p == 0 and m[2] % p == 0 and m[0] % p != 0
+        _check_up_monoid(m, self.ctx.p)
         return self._get(m)
 
 
@@ -1110,10 +1110,6 @@ def _fam_matvec(
                         acc[s + t] += cs * x[t]
         out.append(tuple(a % mod for a in acc))
     return out
-
-
-def _fam_scale(vec: Sequence[tuple[int, ...]], c: int, mod: int) -> list[tuple[int, ...]]:
-    return [tuple(x * c % mod for x in cell) for cell in vec]
 
 
 def _fam_add(a, b, mod, sign=1):
@@ -1231,49 +1227,8 @@ def family_model_matrix(
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _fam_power_traces(
-    A: list[list[tuple[int, ...]]], count: int, T: int, mod: int
-) -> list[list[int]]:
-    """Traces of A^1..A^count as w-tuples."""
-    n = len(A)
-    zero = (0,) * T
-    traces = []
-    B = [row[:] for row in A]
-    for step in range(count):
-        tr = [0] * T
-        for i in range(n):
-            for t in range(T):
-                tr[t] += B[i][i][t]
-        traces.append([t % mod for t in tr])
-        if step == count - 1:
-            break
-        # B <- B A
-        C: list[list[tuple[int, ...]]] = []
-        for i in range(n):
-            Bi = B[i]
-            Crow: list[tuple[int, ...]] = []
-            for j in range(n):
-                acc = [0] * T
-                for l in range(n):
-                    x = Bi[l]
-                    if x == zero:
-                        continue
-                    y = A[l][j]
-                    if y == zero:
-                        continue
-                    for s in range(T):
-                        xs = x[s]
-                        if xs:
-                            for t in range(T - s):
-                                acc[s + t] += xs * y[t]
-                Crow.append(tuple(a % mod for a in acc))
-            C.append(Crow)
-        B = C
-    return traces
-
-
 def _fam_elementary_from_traces(
-    traces: list[list[int]], xdeg: int, T: int, p: int, mod: int
+    traces: list[tuple[int, ...]], xdeg: int, T: int, p: int, mod: int
 ) -> tuple[list[list[int]], list[int]]:
     """Newton's identities in the truncated ring, tracking division losses."""
     one = [1] + [0] * (T - 1)
@@ -1473,6 +1428,7 @@ def family_charpoly(
     Z_p[w]/(w^T) with per-coefficient certified precision."""
     from .padics import NewtonPolygon, PolygonPoint
 
+    _check_positive(M=M, T=T, xdeg=xdeg)
     t0 = time.monotonic()
     mlen = M + pad
     ctx = oc_context(N, p, k0, mlen)
@@ -1494,7 +1450,7 @@ def family_charpoly(
         floors.append(min(v - D, mlen - S))
     floors.sort()
 
-    traces = _fam_power_traces(Ufam, xdeg, T, mod)
+    traces = power_traces_mod(Ufam, xdeg, mod)
     elem, nloss = _fam_elementary_from_traces(traces, xdeg, T, p, mod)
 
     coefficients: list[list[CoefficientReading]] = [

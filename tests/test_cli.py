@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -125,6 +126,39 @@ def test_charpoly_family_layers(capsys):
     )
     assert code == 0
     assert "1.1" in out  # w-layer coefficient rows present
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("--k", "0", "--xdeg", "-3"), "xdeg"),
+    (("--k", "0", "--xdeg", "0"), "xdeg"),
+    (("--disc-center", "0", "--T", "0"), "T"),
+    (("--k", "0", "--M", "0"), "M"),
+])
+def test_charpoly_nonpositive_size_is_usage_error(capsys, argv, name):
+    code, out, err = run(capsys, "charpoly", "--N", "11", "--p", "3", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be at least 1")
+
+
+# sha256 of stdout, recorded from the exact Fraction-based kernels: a change
+# that only makes the engine faster must leave these bytes unchanged
+GOLDEN_JSON = [
+    (("charpoly", "--N", "11", "--p", "3", "--k", "0", "--M", "6", "--xdeg", "6"),
+     "04d104652e5f2c8a0b8e47ab12db7770f561fa2f2811d5a97451cb4772c54c97"),
+    (("charpoly", "--N", "11", "--p", "3", "--disc-center", "0", "--M", "6", "--T", "2",
+      "--xdeg", "4"),
+     "83f9b9b7f6f7f4d2b164168f5a244945ca382b8b0041179c5e29b13c083a120d"),
+    (("lift", "--N", "11", "--p", "3", "--k", "0", "--M", "8"),
+     "9614e90c9cf434000cb910cef7f29353ae0ec6be54a49fcda375de7e20c39813"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_JSON)
+def test_cli_json_matches_golden_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_catalog_lists_builtins(capsys):

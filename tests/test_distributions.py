@@ -3,17 +3,21 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parahoric.distributions import (
     apply_moments,
     family_moment_matrix,
     iwasawa_log,
     moment_matrix,
+    moment_matrix_mod,
     padic_val,
     tail_solve,
     tail_solve_matrix,
     teichmuller,
 )
+from parahoric.linalg import frac_mod
 
 
 def oracle_row(gamma, k, j, mlen):
@@ -180,3 +184,41 @@ def test_family_matrix_w_layer_scales_like_log():
     # gamma diagonal: row j col j carries d^j; w-layer multiplies by kappa
     for j in range(mlen):
         assert fam[j][j][1] == fam[j][j][0] * kappa % mod
+
+
+def _outcome(build):
+    try:
+        return [list(row) for row in build()]
+    except (ValueError, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+@given(
+    st.sampled_from([2, 3, 5]), st.integers(1, 10), st.integers(-3, 6), st.integers(1, 12),
+    st.integers(-30, 30), st.integers(-30, 30), st.integers(-10, 10), st.integers(-30, 30),
+)
+def test_moment_matrix_mod_matches_exact_reduction(p, K, k, mlen, a, b, c, d):
+    """On the monoid the recurrence equals the reduced Fraction expansion."""
+    a = a * p + 1
+    c *= p
+    if a * d == b * c:
+        d += 1
+    mod = p**K
+    exact = moment_matrix((a, b, c, d), k, mlen, p)
+    want = [[frac_mod(x, mod) for x in row] for row in exact]
+    assert moment_matrix_mod((a, b, c, d), k, mlen, p, mod) == want
+
+
+@given(
+    st.sampled_from([2, 3, 5]), st.integers(-3, 6), st.integers(1, 8),
+    st.tuples(*[st.integers(-9, 9)] * 4),
+)
+def test_moment_matrix_mod_rejects_like_exact(p, k, mlen, gamma):
+    """Off the monoid both constructions raise the same error."""
+    mod = p**6
+    want = _outcome(lambda: moment_matrix(gamma, k, mlen, p))
+    got = _outcome(lambda: moment_matrix_mod(gamma, k, mlen, p, mod))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got == [[frac_mod(x, mod) for x in row] for row in want]

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import parahoric
 from parahoric.linalg import charpoly_berkowitz
 from parahoric.ocsymbols import (
     DivergenceError,
@@ -193,3 +198,23 @@ def test_family_csv_rows_carry_layers():
     idx = {r[1] for r in rows if r[0] == "coefficient"}
     assert "1.0" in idx and "1.1" in idx
     assert all(r[3] for r in rows if r[0] == "coefficient")
+
+
+def test_up_monoid_checks_survive_python_O():
+    """The U_p plan precondition raises under python -O, which strips assert."""
+    script = (
+        "from parahoric.ocsymbols import FamCache, ModCache, oc_context\n"
+        "ctx = oc_context(11, 3, 0, 4)\n"
+        "print('debug', __debug__)\n"
+        "for cache in (ModCache(ctx, 3**8), FamCache(ctx, 0, 2, 3**8, 8)):\n"
+        "    try:\n"
+        "        cache.up((1, 0, 3, 1))\n"
+        "    except ValueError:\n"
+        "        print('rejected')\n"
+    )
+    src = str(Path(parahoric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["debug False", "rejected", "rejected", ""]
