@@ -16,6 +16,19 @@ from typing import Sequence
 from .linalg import frac_mod
 from .manin import Mat2
 
+INF = 10**9     # valuation of 0 in integer-residue arithmetic
+
+
+def _vint(n: int, p: int) -> int:
+    """p-adic valuation of an integer; INF for 0."""
+    if n == 0:
+        return INF
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
 
 def padic_val(q: Fraction | int, p: int) -> int | None:
     """Valuation of a rational; None for zero."""
@@ -195,7 +208,7 @@ def solve_error_profile(
     list bounds the error on each solved moment (top moment exact).
     """
     mlen = len(in_prof)
-    out = [10**9] * mlen
+    out = [INF] * mlen
     for j in range(1, mlen):
         floor = in_prof[j]
         for i in range(j - 1):
@@ -205,7 +218,7 @@ def solve_error_profile(
         piv = padic_val(E[j][j - 1], p)
         assert piv is not None
         out[j - 1] = floor - piv
-    out[mlen - 1] = 10**9
+    out[mlen - 1] = INF
     return out
 
 
@@ -243,14 +256,6 @@ def iwasawa_log(a: int, p: int, K: int) -> int:
     return frac_mod(tot, p**K)
 
 
-def _vint(n: int, p: int) -> int:
-    v = 0
-    while n and n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _zconv(u: Sequence[int], v: Sequence[int], mlen: int, mod: int) -> list[int]:
     out = [0] * mlen
     for i, ui in enumerate(u):
@@ -261,7 +266,6 @@ def _zconv(u: Sequence[int], v: Sequence[int], mlen: int, mod: int) -> list[int]
     return out
 
 
-@lru_cache(maxsize=None)
 def family_moment_matrix(
     gamma: Mat2, k0: int, mlen: int, T: int, p: int, K: int
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -269,11 +273,16 @@ def family_moment_matrix(
 
     The action multiplies the weight-k0 row by exp(w log<a + c z>); the log of
     the 1-unit part splits as log<a> + log(1 + (c/a) z). Internal precision is
-    padded so the divisions by t! keep K true digits.
+    padded so the divisions by t! keep K true digits. At T = 1 only the w^0
+    layer survives: the weight-k0 matrix itself, which needs no logarithm and
+    so also serves p = 2.
     """
     a, b, c, d = gamma
     if a % p == 0 or c % p != 0:
         raise ValueError("matrix outside the p-adic monoid")
+    if T == 1:
+        return tuple(tuple((x,) for x in row)
+                     for row in moment_matrix_mod(gamma, k0, mlen, p, p**K))
     if p == 2:
         raise ValueError("family coefficients need p odd")
     vfact = _vint(factorial(max(T - 1, 1)), p)

@@ -264,15 +264,6 @@ def levi_weyl_dimension(n: int, levi: Iterable[int], lam: Sequence[int]) -> int:
     return dim
 
 
-def _principal_minor(m: list[list[Fraction]], k: int) -> Fraction:
-    sub = [row[:k] for row in m[:k]]
-    red, pivots = linalg.rref([r[:] for r in sub])
-    # determinant via elimination is overkill; use Berkowitz constant term
-    cp = linalg.charpoly_berkowitz(sub)
-    det = cp[0] * (-1) ** k
-    return det
-
-
 def _poly_principal_minor(m: list[list[Poly]], k: int) -> Poly:
     """Exact determinant of the leading k x k block, cofactor expansion."""
     ring = m[0][0].vars

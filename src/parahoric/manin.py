@@ -160,14 +160,6 @@ def lift_to_sl2(u: int, v: int, M: int) -> Mat2:
     return m
 
 
-# right action of 2x2 integer matrices on row classes (u, v)
-
-def act_right(uv: tuple[int, int], m: Mat2) -> tuple[int, int]:
-    u, v = uv
-    a, b, c, d = m
-    return (u * a + v * c, u * b + v * d)
-
-
 U_MAT: Mat2 = mat_mul(S_MAT, (1, 1, 0, 1))  # order three up to sign
 
 

@@ -5,11 +5,21 @@ presentation carry Gamma_0(M) twists. Overconvergent values keep mlen moments
 with the filtration contract that moment j is meaningful mod p^(P-j). U_p
 improves the filtration: its composite matrices satisfy v_p(E[j][i]) >= i,
 which is checked on every matrix built here.
+
+One engine serves a single weight and a disc in weight space: values lie in
+R_T = (Z/p^K)[w]/(w^T), and a single weight is the case T = 1. A value is
+stored as its T w-coefficient planes laid end to end (T * mlen residues, the
+w^t part of moment i at index t * mlen + i), and a moment matrix over R_T as
+the block lower-triangular Toeplitz integer matrix whose (t, u) block is the
+w^(t-u) layer of that matrix. Multiplying by w^s moves a plane s places down
+and w^T falls off the end, so an R_T matrix-vector product is an integer one:
+table builds, U_p and relation checks are the same integer code for every T,
+and only MomentCache knows the ring.
 """
 from __future__ import annotations
 
 import math
-import time
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -24,16 +34,16 @@ from .linalg import (
 )
 from .manin import IDENTITY, ManinSystem, Mat2, SolvedPresentation, mat_mul
 from .distributions import (
+    INF,
+    _vint,
     apply_moments,
     family_moment_matrix,
     moment_matrix,
-    moment_matrix_mod,
     padic_val,
     solve_error_profile,
     tail_solve_matrix,
 )
-
-INF = 10**9
+from .padics import AmbiguityError, NewtonPolygon, PolygonPoint, hensel_lift_root
 
 
 def up_deltas(p: int) -> list[Mat2]:
@@ -242,13 +252,8 @@ def ordinary_eigensymbol(
     mod = p**B
     if trace % p == 0:
         raise ValueError("no ordinary root: trace is divisible by p")
-    # Hensel for x^2 - trace x + norm from the unit residue trace mod p
-    r = trace % p
-    for _ in range(B + 2):
-        fr = (r * r - trace * r + norm) % mod
-        dfr = (2 * r - trace) % mod
-        r = (r - fr * inv_mod(dfr, mod)) % mod
-    assert (r * r - trace * r + norm) % mod == 0
+    # x^2 - trace x + norm has the simple root trace mod p (2r - trace is a unit)
+    r = hensel_lift_root([norm, -trace, 1], p, trace % p, B)
     if slope == 0:
         alpha = r
     elif slope == k + 1:
@@ -401,112 +406,115 @@ def _check_up_monoid(m: Mat2, p: int) -> None:
         raise ValueError(f"U_p plan matrix {m} needs a unit upper-left entry and p | c, p | d")
 
 
-def _up_matrix_mod(ctx: OCContext, m: Mat2, mod: int) -> list[list[int]]:
-    """Moment matrix of a U_p plan composite, reduced mod p^K.
+class MomentCache:
+    """Moment matrices over R_T = (Z/p^K)[w]/(w^T) for one model, built once per run.
 
-    Checks the compactness bound v_p(E[j][i]) >= i on the residues: moments
-    below the filtration floor cannot influence stored output digits.
+    gamma(m) is the integer matrix of m on the plane layout (module
+    docstring): block (t, u) holds the w^(t-u) layer of family_moment_matrix
+    for t >= u and is zero above the diagonal, so at T = 1 it is the weight-k
+    moment matrix mod p^K. The ring product is then an integer product on
+    the planes, so no code outside this class does ring arithmetic.
+
+    up(m) is the same matrix for a U_p plan composite, after the U_p monoid
+    check and the compactness bound v_p(E[j][i]) >= i on the w^0 plane:
+    moments below the filtration floor cannot influence stored output
+    digits. The higher w-planes do not satisfy that bound, so it is not
+    checked there. solve is the p^D-scaled tail-solve matrix mod p^K,
+    applied to each plane alike.
     """
-    p = ctx.p
-    _check_up_monoid(m, p)
-    E = moment_matrix_mod(m, ctx.k, ctx.mlen, p, mod)
-    for row in E:
-        for i, x in enumerate(row):
-            if x % math.gcd(p**i, mod):
-                raise ArithmeticError("U_p column divisibility failed")
-    return E
 
-
-class ModCache:
-    def __init__(self, ctx: OCContext, mod: int):
+    def __init__(self, ctx: OCContext, K: int, T: int = 1):
         self.ctx = ctx
-        self.mod = mod
-        self._up: dict[Mat2, list[list[int]]] = {}
+        self.K = K
+        self.T = T
+        self.mod = ctx.p**K
+        self.solve = [[frac_mod(c * ctx.p**ctx.D, self.mod) for c in row] for row in ctx.solve_mat]
         self._gm: dict[Mat2, list[list[int]]] = {}
-
-    def up(self, m: Mat2) -> list[list[int]]:
-        if m not in self._up:
-            self._up[m] = _up_matrix_mod(self.ctx, m, self.mod)
-        return self._up[m]
+        self._up: dict[Mat2, list[list[int]]] = {}
 
     def gamma(self, m: Mat2) -> list[list[int]]:
         if m not in self._gm:
-            self._gm[m] = moment_matrix_mod(m, self.ctx.k, self.ctx.mlen, self.ctx.p, self.mod)
+            ctx, T, mlen = self.ctx, self.T, self.ctx.mlen
+            E = family_moment_matrix(m, ctx.k, mlen, T, ctx.p, self.K)
+            self._gm[m] = [
+                [E[j][i][t - u] if u <= t else 0 for u in range(T) for i in range(mlen)]
+                for t in range(T) for j in range(mlen)
+            ]
         return self._gm[m]
+
+    def up(self, m: Mat2) -> list[list[int]]:
+        if m not in self._up:
+            p, mlen = self.ctx.p, self.ctx.mlen
+            _check_up_monoid(m, p)
+            E = self.gamma(m)
+            for row in E[:mlen]:
+                for i in range(mlen):
+                    if row[i] % math.gcd(p**i, self.mod):
+                        raise ArithmeticError("U_p column divisibility failed")
+            self._up[m] = E
+        return self._up[m]
 
 
 def _matvec_mod(E: list[list[int]], v: Sequence[int], mod: int) -> list[int]:
-    out = []
-    for row in E:
-        acc = 0
-        for c, x in zip(row, v):
-            if c and x:
-                acc += c * x
-        out.append(acc % mod)
-    return out
+    return [sum(map(operator.mul, row, v)) % mod for row in E]
+
+
+def _add_signed(acc: list[int], img: list[int], sgn: int, mod: int) -> list[int]:
+    if sgn == 1:
+        return [(a + b) % mod for a, b in zip(acc, img)]
+    return [(a - b) % mod for a, b in zip(acc, img)]
 
 
 def build_tables_mod(
     ctx: OCContext,
-    cache: ModCache,
+    cache: MomentCache,
     free_values: dict[int, Sequence[int]],
     tail_top: int,
     mod: int,
-    pinned_low: Sequence[int] | None = None,
     defect_out: list | None = None,
 ) -> list[list[int]]:
     """Value tables (scaled by p^D) from free data given in true (unscaled) units.
 
-    free_values maps each free edge to its mlen moments; the derived leaders
-    come from the elimination program, partners from the S twists, and the
-    tail coset from the scaled difference-equation solve. pinned_low overwrites
-    the first k+1 scaled moments of the tail value when given.
+    free_values maps each free edge to its T * mlen plane residues; the
+    derived leaders come from the elimination program, partners from the S
+    twists, and the tail coset from the scaled difference-equation solve,
+    with tail_top added to its top moment on the w^0 plane.
 
     At k = 0 the moment-0 row of every transport is trivial, so the tail
-    consistency nu_0 = 0 holds identically and is asserted. At k > 0 it is a
-    genuine linear condition on the free data (the free parameter count
-    exceeds the symbol-space dimension by one); model columns that feed
-    arbitrary deltas must pass defect_out to collect nu_0 instead.
+    consistency nu_0 = 0 holds identically on every plane and is checked. At
+    k > 0, or on the higher w-planes, it is a genuine linear condition on the
+    free data (at one weight the free parameter count exceeds the symbol-space
+    dimension by one); model columns that feed arbitrary deltas must pass
+    defect_out to collect nu_0 of each plane instead.
     """
     p, mlen, D = ctx.p, ctx.mlen, ctx.D
+    width = cache.T * mlen
     sD = p**D
     vals: dict[int, list[int]] = {}
     for e in ctx.sp.free_edges:
-        mv = list(free_values[e])
-        assert len(mv) == mlen
+        mv = free_values[e]
+        if len(mv) != width:
+            raise ValueError(f"free edge {e} needs {width} values, got {len(mv)}")
         vals[e] = [x * sD % mod for x in mv]
     for st in ctx.sp.steps:
-        acc = [0] * mlen
+        acc = [0] * width
         for (src, sgn, m) in st.terms:
-            img = _matvec_mod(cache.gamma(m), vals[src], mod)
-            if sgn == 1:
-                acc = [(a + b) % mod for a, b in zip(acc, img)]
-            else:
-                acc = [(a - b) % mod for a, b in zip(acc, img)]
+            acc = _add_signed(acc, _matvec_mod(cache.gamma(m), vals[src], mod), sgn, mod)
         vals[st.target] = acc
     # nu in true units (scaled values are p^D * true, so divide exactly),
     # then the difference-equation solve with the p^D-scaled solve matrix
     nu_scaled = _matvec_mod(cache.gamma(ctx.sp.tail.gamma_w_inv), vals[ctx.sp.tail.w_coset], mod)
-    nu = []
-    for x in nu_scaled:
-        assert x % sD == 0, "scaled nu lost p^D divisibility"
-        nu.append(x // sD)
+    if any(x % sD for x in nu_scaled):
+        raise ArithmeticError("scaled nu lost p^D divisibility")
+    nu = [x // sD for x in nu_scaled]
     if defect_out is not None:
-        defect_out.append(nu[0])
-    else:
-        assert nu[0] == 0, "tail consistency: nu_0 must vanish"
-    v0 = [0] * mlen
-    for j in range(mlen):
-        acc = 0
-        for l in range(1, mlen):
-            c = ctx.solve_mat[j][l]
-            if c and nu[l]:
-                acc += frac_mod(c * sD, mod) * nu[l]
-        v0[j] = acc % mod
+        defect_out.extend(nu[::mlen])
+    elif any(nu[::mlen]):
+        raise ArithmeticError("tail consistency: nu_0 must vanish")
+    v0: list[int] = []
+    for t in range(0, width, mlen):
+        v0.extend(_matvec_mod(cache.solve, nu[t:t + mlen], mod))
     v0[mlen - 1] = (v0[mlen - 1] + tail_top * sD) % mod
-    if pinned_low is not None:
-        for j, x in enumerate(pinned_low):
-            v0[j] = x * sD % mod
     vals[ctx.sp.tail.x0] = v0
     # partners
     tables: list[list[int]] = [None] * ctx.ms.index  # type: ignore[list-item]
@@ -522,26 +530,24 @@ def build_tables_mod(
 
 def up_apply_mod(
     ctx: OCContext,
-    cache: ModCache,
+    cache: MomentCache,
     plan: list[list[tuple[int, int, Mat2]]],
     tables: Sequence[Sequence[int]],
     mod: int,
+    cosets: Sequence[int] | None = None,
 ) -> list[list[int]]:
+    """U_p of a value table: one row per coset, or per listed coset."""
     out = []
-    for x in range(ctx.ms.index):
-        acc = [0] * ctx.mlen
+    for x in range(ctx.ms.index) if cosets is None else cosets:
+        acc = [0] * (cache.T * ctx.mlen)
         for (y, sgn, m) in plan[x]:
-            img = _matvec_mod(cache.up(m), tables[y], mod)
-            if sgn == 1:
-                acc = [(a + b) % mod for a, b in zip(acc, img)]
-            else:
-                acc = [(a - b) % mod for a, b in zip(acc, img)]
+            acc = _add_signed(acc, _matvec_mod(cache.up(m), tables[y], mod), sgn, mod)
         out.append(acc)
     return out
 
 
 def check_relations_mod(
-    ctx: OCContext, cache: ModCache, tables: Sequence[Sequence[int]], mod: int
+    ctx: OCContext, cache: MomentCache, tables: Sequence[Sequence[int]], mod: int
 ) -> int:
     """Minimum graded valuation v_p(residual_j) + j over all relations.
 
@@ -556,7 +562,7 @@ def check_relations_mod(
         for j, c in enumerate(vec):
             c %= mod
             if c:
-                w = min(w, _vint(c, p) + j)
+                w = min(w, _vint(c, p) + j % mlen)
         return w
 
     for x in range(ctx.ms.index):
@@ -567,7 +573,7 @@ def check_relations_mod(
         res = [(a + b) % mod for a, b in zip(tables[x], img)]
         worst = min(worst, vof(res))
     for tri in ctx.ms.triangles:
-        acc = [0] * mlen
+        acc = [0] * len(tables[0])
         for s in tri.slots:
             ginv = (s.gamma[3], -s.gamma[1], -s.gamma[2], s.gamma[0])
             img = _matvec_mod(cache.gamma(ginv), tables[s.coset], mod)
@@ -585,16 +591,6 @@ def check_relations_mod(
 # classical coordinate not copied from the eigensymbol is moment k of the
 # tail coset, which the difference-equation solve produces; one free
 # moment-(k+1) coordinate is tuned so it lands on the eigensymbol exactly.
-
-
-def _vint(x: int, p: int) -> int:
-    if x == 0:
-        return INF
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 @dataclass
@@ -639,7 +635,7 @@ class DivergenceError(RuntimeError):
 
 def _tuned_initial_tables(
     ctx: OCContext,
-    cache: ModCache,
+    cache: MomentCache,
     sym: Eigensymbol,
     mod: int,
     higher: dict[int, list[int]],
@@ -717,7 +713,7 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
         raise ValueError(f"eigensymbol precision B={sym.B} too small for M={M}")
     mod = p**Kint
     sD = p**D
-    cache = ModCache(ctx, mod)
+    cache = MomentCache(ctx, Kint)
     plan = ctx.ms.hecke_plan(up_deltas(p))
     ainv = inv_mod(sym.alpha % mod, mod)
 
@@ -802,7 +798,7 @@ def random_initial_lift_pair(
     ctx = oc_context(space.ms.N, p, k, M)
     Kint = M + 2 * ctx.D + 4
     mod = p**Kint
-    cache = ModCache(ctx, mod)
+    cache = MomentCache(ctx, Kint)
     plan = ctx.ms.hecke_plan(up_deltas(p))
     ainv = inv_mod(sym.alpha % mod, mod)
     rng = random.Random(seed)
@@ -832,10 +828,10 @@ def random_initial_lift_pair(
 
 
 # ---------------------------------------------------------------------------
-# U_p characteristic series over one weight
+# U_p characteristic series over R_T (one weight at T = 1)
 #
 # Model: a symbol is coordinatized by the mlen moments of each free edge plus
-# the top moment of the tail value; U_p becomes an n x n matrix over Z_p. All
+# the top moment of the tail value; U_p becomes an n x n matrix over R_T. All
 # work happens on the p^D-scaled integral matrix mod p^Kbig. Certification is
 # two-sided: (representative) Newton's identities lose v_p(r) digits per
 # division, tracked per coefficient; (model vs truth) discarding moments
@@ -872,7 +868,6 @@ class UpSpectralData:
     model_dim: int
     coefficients: list[CoefficientReading]
     polygon: "object"
-    elapsed: float
 
     def certified_slopes(self) -> list[tuple[Fraction, int]]:
         return self.polygon.certified_slopes()
@@ -906,333 +901,39 @@ class UpSpectralData:
         return rows
 
 
-def _model_positions(ctx: OCContext) -> list[tuple[int, int]]:
-    pos = [(e, i) for e in ctx.sp.free_edges for i in range(ctx.mlen)]
-    return pos
+def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[tuple[int, ...]]]:
+    """p^D-scaled matrix of U_p in the free-moment coordinates over R_T.
 
-
-def up_model_matrix(ctx: OCContext, cache: ModCache, mod: int) -> list[list[int]]:
-    """p^D-scaled matrix of U_p in the free-moment coordinates, mod p^K.
-
-    Delta columns at k > 0 sit outside the tail-consistency kernel, so the
-    builds route the defect into a sink; the determinant computed from this
-    matrix is the Fredholm series of U_p on the free approximation module.
+    Cells are T-tuples of w-coefficients read off the planes. Delta columns
+    at k > 0, and on the higher w-planes, sit outside the tail-consistency
+    kernel, so the builds route the defect into a sink; the determinant
+    computed from this matrix is the Fredholm series of U_p on the free
+    approximation module, whose w = 0 layer is the single-weight model.
     """
     plan = ctx.ms.hecke_plan(up_deltas(ctx.p))
-    pos = _model_positions(ctx)
-    n = len(pos) + 1
-    x0 = ctx.sp.tail.x0
-    wanted = list(ctx.sp.free_edges) + [x0]
-    cols: list[list[int]] = []
-    zero = [0] * ctx.mlen
+    T, mlen = cache.T, ctx.mlen
+    free = list(ctx.sp.free_edges)
+    cosets = free + [ctx.sp.tail.x0]
+    # (row of the U_p image, moment): the free moments, then the tail top moment
+    coords = [(r, i) for r in range(len(free)) for i in range(mlen)] + [(len(free), mlen - 1)]
     sink: list = []
-    for e0, i0 in pos:
-        fv = {e: ([0] * ctx.mlen) for e in ctx.sp.free_edges}
-        fv[e0] = list(zero)
-        fv[e0][i0] = 1
-        tables = build_tables_mod(ctx, cache, fv, 0, mod, defect_out=sink)
-        cols.append(_extract_column(ctx, cache, plan, tables, wanted, mod))
-    fv = {e: [0] * ctx.mlen for e in ctx.sp.free_edges}
-    tables = build_tables_mod(ctx, cache, fv, 1, mod, defect_out=sink)
-    cols.append(_extract_column(ctx, cache, plan, tables, wanted, mod))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _extract_column(
-    ctx: OCContext,
-    cache: ModCache,
-    plan: list[list[tuple[int, int, Mat2]]],
-    tables: list[list[int]],
-    wanted: list[int],
-    mod: int,
-) -> list[int]:
-    img: dict[int, list[int]] = {}
-    for x in wanted:
-        acc = [0] * ctx.mlen
-        for (y, sgn, m) in plan[x]:
-            v = _matvec_mod(cache.up(m), tables[y], mod)
-            if sgn == 1:
-                acc = [(a + b) % mod for a, b in zip(acc, v)]
-            else:
-                acc = [(a - b) % mod for a, b in zip(acc, v)]
-        img[x] = acc
-    out: list[int] = []
-    for e in ctx.sp.free_edges:
-        out.extend(img[e])
-    out.append(img[ctx.sp.tail.x0][ctx.mlen - 1])
-    return out
+    cols = []
+    for r0, i0 in coords:
+        fv = {e: [0] * (T * mlen) for e in free}
+        if r0 < len(free):
+            fv[free[r0]][i0] = 1
+        tables = build_tables_mod(ctx, cache, fv, int(r0 == len(free)), mod, defect_out=sink)
+        img = up_apply_mod(ctx, cache, plan, tables, mod, cosets=cosets)
+        cols.append([tuple(img[r][t * mlen + i] for t in range(T)) for r, i in coords])
+    return [list(row) for row in zip(*cols)]
 
 
 def _elementary_from_traces(
-    traces: list[int], xdeg: int, p: int, mod: int
-) -> tuple[list[int], list[int]]:
-    """Newton's identities mod p^K with per-coefficient division-loss budget."""
-    e = [1] + [0] * xdeg
-    nloss = [0] * (xdeg + 1)
-    for r in range(1, xdeg + 1):
-        acc = 0
-        worst_in = 0
-        for i in range(1, r + 1):
-            term = e[r - i] * traces[i - 1]
-            acc = acc + (term if i % 2 == 1 else -term)
-            worst_in = max(worst_in, nloss[r - i])
-        acc %= mod
-        vr = _vint(r, p)
-        if vr == INF:
-            vr = 0
-        if vr:
-            assert acc % p**vr == 0, "Newton numerator lost required divisibility"
-            acc //= p**vr
-            rr = r // p**vr
-        else:
-            rr = r
-        e[r] = acc * inv_mod(rr, mod) % mod
-        nloss[r] = worst_in + vr
-    return e[1:], nloss[1:]
-
-
-def _check_positive(**sizes: int) -> None:
-    for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def charpoly_up(
-    N: int, p: int, k: int, M: int, xdeg: int = 14, pad: int = 4
-) -> UpSpectralData:
-    """Certified initial segment of the U_p characteristic series det(1 - X U_p).
-
-    Coefficient r of the model charpoly is read mod p^Kbig, unscaled by p^(rD),
-    and certified against both the representative budget and the
-    model-truncation bound before entering the Newton polygon.
-    """
-    from .padics import NewtonPolygon, PolygonPoint
-
-    _check_positive(M=M, xdeg=xdeg)
-    t0 = time.monotonic()
-    mlen = M + pad
-    ctx = oc_context(N, p, k, mlen)
-    D, S = ctx.D, ctx.S_sol
-    n = ctx.n_model
-    xdeg = min(xdeg, n)
-    Kbig = mlen + xdeg * (D + 1) + 16
-    mod = p**Kbig
-    cache = ModCache(ctx, mod)
-    U = up_model_matrix(ctx, cache, mod)
-
-    # empirical column valuation floors of the unscaled operator
-    floors = []
-    for l in range(n):
-        v = min(_vint(U[i][l], p) for i in range(n))
-        v = min(v, Kbig)
-        floors.append(min(v - D, mlen - S))
-    floors.sort()
-
-    traces = power_traces_mod(U, xdeg, mod)
-    elem, nloss = _elementary_from_traces(traces, xdeg, p, mod)
-
-    readings = [CoefficientReading(0, 0, Kbig, True, 1)]
-    points = [PolygonPoint(0, 0, True)]
-    for r in range(1, xdeg + 1):
-        kappa = (mlen - S) + sum(floors[: r - 1])
-        rep_prec = Kbig - nloss[r - 1] - r * D
-        prec = min(kappa, rep_prec)
-        rep = (-1) ** r * elem[r - 1] % mod
-        assert rep % p ** (r * D) == 0 or rep == 0, "scaled coefficient lost p^(rD)"
-        c = (rep // p ** (r * D)) % mod if rep else 0
-        v = _vint(c, p)
-        if prec <= 0:
-            readings.append(CoefficientReading(r, None, max(prec, 0), False, None))
-            points.append(PolygonPoint(r, 0, False))
-            continue
-        if v < prec:
-            readings.append(CoefficientReading(r, v, prec, True, c % p**prec))
-            points.append(PolygonPoint(r, v, True))
-        else:
-            readings.append(CoefficientReading(r, None, prec, False, 0))
-            points.append(PolygonPoint(r, prec, False))
-    poly = NewtonPolygon(points)
-    return UpSpectralData(
-        N=N, p=p, k=k, M=M, mlen=mlen, xdeg=xdeg, model_dim=n,
-        coefficients=readings, polygon=poly, elapsed=time.monotonic() - t0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# characteristic series over a weight disc
-#
-# Coefficients live in Z_p[w]/(w^T, p^K); the center w = 0 is the classical
-# weight k0 and integer w near the center correspond to weights k0 + w. All
-# arithmetic happens genuinely in the truncated ring: evaluation at a unit w
-# is not a homomorphism of Z[w]/(w^T), so no evaluate-and-interpolate
-# shortcut can recover ring coefficients beyond the first two digits.
-
-
-class FamCache:
-    """Truncated-ring moment matrices of the family action."""
-
-    def __init__(self, ctx: OCContext, k0: int, T: int, mod: int, K: int):
-        self.ctx = ctx
-        self.k0 = k0
-        self.T = T
-        self.mod = mod
-        self.K = K
-        self._fam: dict[Mat2, list[list[tuple[int, ...]]]] = {}
-
-    def _get(self, m: Mat2) -> list[list[tuple[int, ...]]]:
-        if m not in self._fam:
-            E = family_moment_matrix(m, self.k0, self.ctx.mlen, self.T, self.ctx.p, self.K)
-            self._fam[m] = [[tuple(c % self.mod for c in cell) for cell in row] for row in E]
-        return self._fam[m]
-
-    def gamma(self, m: Mat2) -> list[list[tuple[int, ...]]]:
-        return self._get(m)
-
-    def up(self, m: Mat2) -> list[list[tuple[int, ...]]]:
-        _check_up_monoid(m, self.ctx.p)
-        return self._get(m)
-
-
-def _fam_matvec(
-    E: list[list[tuple[int, ...]]], v: Sequence[tuple[int, ...]], T: int, mod: int
-) -> list[tuple[int, ...]]:
-    zero = (0,) * T
-    out = []
-    for row in E:
-        acc = [0] * T
-        for cell, x in zip(row, v):
-            if x == zero:
-                continue
-            for s in range(T):
-                cs = cell[s]
-                if cs:
-                    for t in range(T - s):
-                        acc[s + t] += cs * x[t]
-        out.append(tuple(a % mod for a in acc))
-    return out
-
-
-def _fam_add(a, b, mod, sign=1):
-    if sign == 1:
-        return [tuple((x + y) % mod for x, y in zip(ca, cb)) for ca, cb in zip(a, b)]
-    return [tuple((x - y) % mod for x, y in zip(ca, cb)) for ca, cb in zip(a, b)]
-
-
-def build_family_tables(
-    ctx: OCContext,
-    cache: FamCache,
-    free_values: dict[int, Sequence[tuple[int, ...]]],
-    tail_top: tuple[int, ...],
-    mod: int,
-    defect_out: list | None = None,
-) -> list[list[tuple[int, ...]]]:
-    """Ring-valued tables (scaled by p^D) from free data in true units.
-
-    Away from the w = 0 layer the tail consistency functional is a genuine
-    linear condition on the free data, not an identity; callers that feed
-    data outside its kernel must pass defect_out to collect nu_0 instead of
-    tripping the exactness assert.
-    """
-    p, mlen, D, T = ctx.p, ctx.mlen, ctx.D, cache.T
-    sD = p**D
-    zero = (0,) * T
-    vals: dict[int, list[tuple[int, ...]]] = {}
-    for e in ctx.sp.free_edges:
-        mv = list(free_values[e])
-        assert len(mv) == mlen
-        vals[e] = [tuple(c * sD % mod for c in cell) for cell in mv]
-    for st in ctx.sp.steps:
-        acc = [zero] * mlen
-        for (src, sgn, m) in st.terms:
-            img = _fam_matvec(cache.gamma(m), vals[src], T, mod)
-            acc = _fam_add(acc, img, mod, sgn)
-        vals[st.target] = acc
-    nu_scaled = _fam_matvec(cache.gamma(ctx.sp.tail.gamma_w_inv), vals[ctx.sp.tail.w_coset], T, mod)
-    nu = []
-    for cell in nu_scaled:
-        assert all(x % sD == 0 for x in cell), "scaled family nu lost p^D divisibility"
-        nu.append(tuple(x // sD for x in cell))
-    if defect_out is not None:
-        defect_out.append(nu[0])
-    else:
-        assert nu[0] == zero, "family tail consistency: nu_0 must vanish"
-    v0 = []
-    for j in range(mlen):
-        acc = [0] * T
-        for l in range(1, mlen):
-            c = ctx.solve_mat[j][l]
-            if c and nu[l] != zero:
-                ci = frac_mod(c * sD, mod)
-                for t in range(T):
-                    acc[t] += ci * nu[l][t]
-        v0.append(tuple(a % mod for a in acc))
-    v0[mlen - 1] = tuple((a + b * sD) % mod for a, b in zip(v0[mlen - 1], tail_top))
-    vals[ctx.sp.tail.x0] = v0
-    tables: list[list[tuple[int, ...]]] = [None] * ctx.ms.index  # type: ignore[list-item]
-    for x in range(ctx.ms.index):
-        ld, sgn, tw = ctx.ms.value_resolution(x)
-        if tw is None:
-            tables[x] = vals[ld]
-        else:
-            img = _fam_matvec(cache.gamma(tw), vals[ld], T, mod)
-            if sgn == -1:
-                img = [tuple((-y) % mod for y in cell) for cell in img]
-            tables[x] = img
-    return tables
-
-
-def family_model_matrix(
-    ctx: OCContext, cache: FamCache, mod: int
-) -> list[list[tuple[int, ...]]]:
-    """p^D-scaled family U_p in the free-moment coordinates over Z[w]/(w^T).
-
-    Away from w = 0 the tail consistency is a genuine condition and the delta
-    columns violate it, so the builds collect the defect in a sink; the
-    resulting determinant is the complex-level Fredholm series on the free
-    approximation module, whose w = 0 layer is exactly the single-weight model.
-    """
-    T = cache.T
-    plan = ctx.ms.hecke_plan(up_deltas(ctx.p))
-    pos = _model_positions(ctx)
-    n = len(pos) + 1
-    x0 = ctx.sp.tail.x0
-    wanted = list(ctx.sp.free_edges) + [x0]
-    zero = (0,) * T
-    one = (1,) + (0,) * (T - 1)
-    sink: list = []
-
-    def column(tables) -> list[tuple[int, ...]]:
-        img: dict[int, list[tuple[int, ...]]] = {}
-        for x in wanted:
-            acc = [zero] * ctx.mlen
-            for (y, sgn, m) in plan[x]:
-                v = _fam_matvec(cache.up(m), tables[y], T, mod)
-                acc = _fam_add(acc, v, mod, sgn)
-            img[x] = acc
-        out: list[tuple[int, ...]] = []
-        for e in ctx.sp.free_edges:
-            out.extend(img[e])
-        out.append(img[x0][ctx.mlen - 1])
-        return out
-
-    cols = []
-    for e0, i0 in pos:
-        fv = {e: [zero] * ctx.mlen for e in ctx.sp.free_edges}
-        row = list(fv[e0])
-        row[i0] = one
-        fv[e0] = row
-        cols.append(column(build_family_tables(ctx, cache, fv, zero, mod, defect_out=sink)))
-    fv = {e: [zero] * ctx.mlen for e in ctx.sp.free_edges}
-    cols.append(column(build_family_tables(ctx, cache, fv, one, mod, defect_out=sink)))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _fam_elementary_from_traces(
-    traces: list[tuple[int, ...]], xdeg: int, T: int, p: int, mod: int
+    traces: list[tuple[int, ...]], xdeg: int, p: int, mod: int
 ) -> tuple[list[list[int]], list[int]]:
-    """Newton's identities in the truncated ring, tracking division losses."""
-    one = [1] + [0] * (T - 1)
-    e: list[list[int]] = [one] + [[0] * T for _ in range(xdeg)]
+    """Newton's identities over R_T mod p^K with per-coefficient division-loss budget."""
+    T = len(traces[0])
+    e: list[list[int]] = [[1] + [0] * (T - 1)]
     nloss = [0] * (xdeg + 1)
     for r in range(1, xdeg + 1):
         acc = [0] * T
@@ -1248,22 +949,100 @@ def _fam_elementary_from_traces(
                         acc[s + t] += sgn * es * pi[t]
             worst_in = max(worst_in, nloss[r - i])
         vr = _vint(r, p)
-        if vr == INF:
-            vr = 0
-        rr = r
-        if vr:
-            rr = r // p**vr
-        inv_rr = inv_mod(rr, mod)
+        inv_rr = inv_mod(r // p**vr, mod)
         out = []
-        for t in range(T):
-            a = acc[t] % mod
-            if vr:
-                assert a % p**vr == 0, "family Newton numerator lost divisibility"
-                a //= p**vr
-            out.append(a * inv_rr % mod)
-        e[r] = out
+        for a in acc:
+            a %= mod
+            if a % p**vr:
+                raise ArithmeticError("Newton numerator lost required divisibility")
+            out.append(a // p**vr * inv_rr % mod)
+        e.append(out)
         nloss[r] = worst_in + vr
     return e[1:], nloss[1:]
+
+
+def _check_positive(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: int):
+    """Certified initial segment of det(1 - X U_p) over R_T.
+
+    Coefficient r of the model charpoly is read mod p^Kbig, unscaled by
+    p^(rD), and certified against both the representative budget and the
+    model-truncation bound. Returns (xdeg, model_dim, sorted column floors,
+    truncation floor, readings [r][t] of the w^t part of coefficient r, Newton
+    polygon of the w^0 layer).
+    """
+    _check_positive(M=M, T=T, xdeg=xdeg)
+    mlen = M + pad
+    ctx = oc_context(N, p, k, mlen)
+    D, S = ctx.D, ctx.S_sol
+    n = ctx.n_model
+    xdeg = min(xdeg, n)
+    Kbig = mlen + xdeg * (D + 1) + 16
+    mod = p**Kbig
+    U = up_model_matrix(ctx, MomentCache(ctx, Kbig, T), mod)
+
+    # empirical column valuation floors of the unscaled operator
+    floors = []
+    for l in range(n):
+        v = min([Kbig] + [_vint(c, p) for row in U for c in row[l]])
+        floors.append(min(v - D, mlen - S))
+    floors.sort()
+
+    traces = power_traces_mod(U, xdeg, mod)
+    elem, nloss = _elementary_from_traces(traces, xdeg, p, mod)
+
+    readings = [[CoefficientReading(0, 0, Kbig, True, 1)]
+                + [CoefficientReading(0, None, Kbig, True, 0) for _ in range(T - 1)]]
+    points = [PolygonPoint(0, 0, True)]
+    for r in range(1, xdeg + 1):
+        kappa = (mlen - S) + sum(floors[: r - 1])
+        rep_prec = Kbig - nloss[r - 1] - r * D
+        prec = min(kappa, rep_prec)
+        row = []
+        for x in elem[r - 1]:
+            rep = (-1) ** r * x % mod
+            if rep % p ** (r * D):
+                raise ArithmeticError("scaled coefficient lost p^(rD)")
+            c = rep // p ** (r * D) % mod
+            v = _vint(c, p)
+            if prec > 0 and v < prec:
+                row.append(CoefficientReading(r, v, prec, True, c % p**prec))
+            else:
+                row.append(CoefficientReading(r, None, max(prec, 0), False,
+                                              c % p**prec if prec > 0 else None))
+        readings.append(row)
+        if row[0].certified:
+            points.append(PolygonPoint(r, row[0].valuation, True))
+        else:
+            points.append(PolygonPoint(r, max(prec, 0), False))
+    return xdeg, n, floors, mlen - S, readings, NewtonPolygon(points)
+
+
+def charpoly_up(
+    N: int, p: int, k: int, M: int, xdeg: int = 14, pad: int = 4
+) -> UpSpectralData:
+    """Certified initial segment of the U_p characteristic series det(1 - X U_p):
+    the single-weight (T = 1) case of the series over R_T."""
+    xdeg, n, _, _, readings, poly = _certified_series(N, p, k, M, 1, xdeg, pad)
+    return UpSpectralData(
+        N=N, p=p, k=k, M=M, mlen=M + pad, xdeg=xdeg, model_dim=n,
+        coefficients=[row[0] for row in readings], polygon=poly,
+    )
+
+
+# ---------------------------------------------------------------------------
+# reading the series over a weight disc
+#
+# Coefficients live in Z_p[w]/(w^T, p^K); the center w = 0 is the classical
+# weight k0 and integer w near the center correspond to weights k0 + w. All
+# arithmetic happens genuinely in the truncated ring: evaluation at a unit w
+# is not a homomorphism of Z[w]/(w^T), so no evaluate-and-interpolate
+# shortcut can recover ring coefficients beyond the first two digits.
 
 
 @dataclass
@@ -1280,7 +1059,6 @@ class FamilySpectralData:
     center_polygon: "object"
     column_floors: list[int]        # sorted valuation floors of model columns
     trunc_floor: int                # mlen - S, the omitted-tail column floor
-    elapsed: float
 
     def center_readings(self) -> list[CoefficientReading]:
         return [row[0] for row in self.coefficients]
@@ -1308,8 +1086,6 @@ class FamilySpectralData:
         perturbs the value at w by at most p^(T v_p(w)); that floor is folded
         into each point's certification.
         """
-        from .padics import PolygonPoint
-
         p = self.p
         vw = _vint(w_value, p)
         drop = self.T * min(vw, 10**3)
@@ -1371,8 +1147,6 @@ class FamilySpectralData:
         vertices up to height T v_p(w) stay readable there. 'constant' is only
         reported when both windows provably contain their breakpoints.
         """
-        from .padics import AmbiguityError, NewtonPolygon
-
         wp = self.p**2 if w_probe is None else w_probe
         pts_a = self.specialized_points(0)
         pts_b = self.specialized_points(wp)
@@ -1426,65 +1200,8 @@ def family_charpoly(
 ) -> FamilySpectralData:
     """U_p characteristic series over the weight disc, coefficients in
     Z_p[w]/(w^T) with per-coefficient certified precision."""
-    from .padics import NewtonPolygon, PolygonPoint
-
-    _check_positive(M=M, T=T, xdeg=xdeg)
-    t0 = time.monotonic()
-    mlen = M + pad
-    ctx = oc_context(N, p, k0, mlen)
-    D, S = ctx.D, ctx.S_sol
-    n = ctx.n_model
-    xdeg = min(xdeg, n)
-    Kbig = mlen + xdeg * (D + 1) + 16
-    mod = p**Kbig
-    cache = FamCache(ctx, k0, T, mod, Kbig)
-    Ufam = family_model_matrix(ctx, cache, mod)
-
-    floors = []
-    for l in range(n):
-        v = Kbig
-        for i in range(n):
-            for c in Ufam[i][l]:
-                if c:
-                    v = min(v, _vint(c, p))
-        floors.append(min(v - D, mlen - S))
-    floors.sort()
-
-    traces = power_traces_mod(Ufam, xdeg, mod)
-    elem, nloss = _fam_elementary_from_traces(traces, xdeg, T, p, mod)
-
-    coefficients: list[list[CoefficientReading]] = [
-        [CoefficientReading(0, 0, Kbig, True, 1)] + [
-            CoefficientReading(0, None, Kbig, True, 0) for _ in range(T - 1)
-        ]
-    ]
-    center_points = [PolygonPoint(0, 0, True)]
-    for r in range(1, xdeg + 1):
-        kappa = (mlen - S) + sum(floors[: r - 1])
-        rep_prec = Kbig - nloss[r - 1] - r * D
-        prec = min(kappa, rep_prec)
-        sgn = (-1) ** r
-        row = []
-        for t in range(T):
-            rep = sgn * elem[r - 1][t] % mod
-            assert rep % p ** (r * D) == 0, "scaled family coefficient lost p^(rD)"
-            c = rep // p ** (r * D) % mod
-            v = _vint(c, p)
-            if prec > 0 and v < prec:
-                row.append(CoefficientReading(r, v, prec, True, c % p**prec))
-            else:
-                row.append(CoefficientReading(r, None, max(prec, 0), False,
-                                              c % p**prec if prec > 0 else None))
-        coefficients.append(row)
-        c0 = row[0]
-        if c0.certified:
-            center_points.append(PolygonPoint(r, c0.valuation, True))
-        else:
-            center_points.append(PolygonPoint(r, max(prec, 0), False))
-    poly = NewtonPolygon(center_points)
+    xdeg, n, floors, trunc, readings, poly = _certified_series(N, p, k0, M, T, xdeg, pad)
     return FamilySpectralData(
-        N=N, p=p, k0=k0, M=M, T=T, mlen=mlen, xdeg=xdeg, model_dim=n,
-        coefficients=coefficients,
-        center_polygon=poly, column_floors=floors, trunc_floor=mlen - S,
-        elapsed=time.monotonic() - t0,
+        N=N, p=p, k0=k0, M=M, T=T, mlen=M + pad, xdeg=xdeg, model_dim=n,
+        coefficients=readings, center_polygon=poly, column_floors=floors, trunc_floor=trunc,
     )

@@ -261,16 +261,6 @@ class NewtonPolygon:
             pts.append(PolygonPoint(i, v, c))
         return cls(pts)
 
-    @classmethod
-    def from_scalars(cls, coeffs: Sequence[PadicScalar]) -> "NewtonPolygon":
-        pts = []
-        for i, c in enumerate(coeffs):
-            if c.is_zero():
-                pts.append(PolygonPoint(i, c.val, False))
-            else:
-                pts.append(PolygonPoint(i, c.val, True))
-        return cls(pts)
-
     def slopes(self) -> list[tuple[Fraction, int]]:
         """(slope, multiplicity) pairs, ascending; convexity gives ascent."""
         return [(s.slope, s.length) for s in self.segments]
@@ -329,59 +319,6 @@ def newton_polygon_of_poly(coeffs: Sequence, p: int) -> NewtonPolygon:
             v = padic_valuation(c.numerator, p) - padic_valuation(c.denominator, p)
             pts.append(PolygonPoint(i, v, True))
     return NewtonPolygon(pts)
-
-
-# polynomial helpers
-
-def charpoly_exact(matrix: Sequence[Sequence]) -> list[Fraction]:
-    from . import linalg
-
-    return linalg.charpoly_berkowitz(linalg.mat(matrix))
-
-
-def _psum(terms) -> PadicScalar:
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    if acc is None:
-        raise ValueError("empty sum")
-    return acc
-
-
-def charpoly_padic(matrix: Sequence[Sequence[PadicScalar]]) -> list[PadicScalar]:
-    """Division-free characteristic polynomial over PadicScalar (Berkowitz).
-
-    Precision propagates through the scalar arithmetic; no pivoting and no
-    divisions, so precision loss is exactly what the sums/products force.
-    Returns det(X I - A) coefficients in ascending degree.
-    """
-    a = [list(row) for row in matrix]
-    n = len(a)
-    if n == 0:
-        raise ValueError("empty matrix")
-    p = a[0][0].p
-    rels = [s.relprec for row in a for s in row if s.unit]
-    one = PadicScalar.from_rational(1, p, max(rels, default=default_precision()))
-    vec = [one, -a[0][0]]
-    for k in range(1, n):
-        row = a[k][:k]
-        col = [a[i][k] for i in range(k)]
-        sub = [a[i][:k] for i in range(k)]
-        diag = [one, -a[k][k]]
-        w = col
-        for _ in range(k):
-            diag.append(-_psum(x * y for x, y in zip(row, w)))
-            w = [_psum(sub[i][t] * w[t] for t in range(k)) for i in range(k)]
-        new = []
-        for i in range(k + 2):
-            terms = []
-            for j in range(len(vec)):
-                d = i - j
-                if 0 <= d < len(diag):
-                    terms.append(diag[d] * vec[j])
-            new.append(_psum(terms))
-        vec = new
-    return vec[::-1]
 
 
 def hensel_lift_root(coeffs: Sequence, p: int, r0: int, prec: int | None = None) -> int:

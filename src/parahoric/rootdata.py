@@ -67,11 +67,6 @@ class RootDatum:
         n = self.pairing(v, self.coroots[i])
         return tuple(int(x) - n * a for x, a in zip(v, self.simple_roots[i]))
 
-    def coreflect(self, mu: Sequence[int], i: int) -> Vector:
-        """Simple reflection on the cocharacter lattice."""
-        n = self.pairing(self.simple_roots[i], mu)
-        return tuple(int(x) - n * a for x, a in zip(mu, self.coroots[i]))
-
     def weyl_star(self, lam: Sequence[int], i: int) -> Vector:
         """Dot action of s_i: lambda - (<lambda, alpha_i^vee> + 1) alpha_i."""
         n = self.pairing(lam, self.coroots[i]) + 1
@@ -122,13 +117,6 @@ class RootDatum:
                 tot[i] += x
         return tuple(t / 2 for t in tot)
 
-    def weyl_star_rho_shift(self, lam: Sequence[int], i: int) -> tuple[Fraction, ...]:
-        """Same dot action computed as (lambda + rho)^{s_i} - rho."""
-        shifted = [Fraction(x) + r for x, r in zip(lam, self.rho)]
-        n = sum(a * Fraction(b) for a, b in zip(shifted, self.coroots[i]))
-        refl = [x - n * a for x, a in zip(shifted, self.simple_roots[i])]
-        return tuple(x - r for x, r in zip(refl, self.rho))
-
     # dominance
 
     def is_dominant(self, lam: Sequence[int]) -> bool:
@@ -136,9 +124,6 @@ class RootDatum:
 
     def is_regular_dominant(self, lam: Sequence[int]) -> bool:
         return all(self.pairing(lam, cv) > 0 for cv in self.coroots)
-
-    def is_dominant_for(self, lam: Sequence[int], levi: frozenset[int]) -> bool:
-        return all(self.pairing(lam, self.coroots[i]) >= 0 for i in sorted(levi))
 
     # parabolic combinatorics; a standard parabolic is a set of simple indices
 

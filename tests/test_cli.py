@@ -151,6 +151,13 @@ GOLDEN_JSON = [
      "83f9b9b7f6f7f4d2b164168f5a244945ca382b8b0041179c5e29b13c083a120d"),
     (("lift", "--N", "11", "--p", "3", "--k", "0", "--M", "8"),
      "9614e90c9cf434000cb910cef7f29353ae0ec6be54a49fcda375de7e20c39813"),
+    # p = 2 runs through the R_T engine at T = 1, with no logarithm
+    (("charpoly", "--N", "3", "--p", "2", "--k", "0", "--M", "6", "--xdeg", "4"),
+     "7d143c4f6d9cefb62beb588f53b09f51f008f843afa8a57c5c5ba6e1c215aba2"),
+    # k > 0 routes the tail-consistency defect into a sink; the fix of the
+    # k > 0 spectrum (ROADMAP item 4) will change this digest on purpose
+    (("charpoly", "--N", "11", "--p", "3", "--k", "2", "--M", "5", "--xdeg", "6"),
+     "0ed4f822e88dfc536c3a14c81879ace947d3ee530f26d83c39cd725b917f2c9f"),
 ]
 
 

@@ -166,6 +166,23 @@ def test_family_matrix_center_layer_is_classical():
             assert fam[j][i][0] == (int(cls[j][i]) % mod)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_family_matrix_at_one_layer_is_the_weight_matrix(p):
+    """At T = 1 the family matrix is the weight-k0 matrix, p = 2 included."""
+    rng = random.Random(p)
+    for _ in range(10):
+        gamma = (rng.randrange(-20, 20) * p + 1, rng.randrange(-20, 20),
+                 rng.randrange(-6, 6) * p, rng.randrange(-20, 20) * 2 + 1)
+        if gamma[0] * gamma[3] == gamma[1] * gamma[2]:
+            continue
+        k0, mlen, K = rng.randrange(-2, 5), rng.randrange(1, 9), rng.randrange(1, 12)
+        fam = family_moment_matrix(gamma, k0, mlen, 1, p, K)
+        ref = moment_matrix_mod(gamma, k0, mlen, p, p**K)
+        for j in range(mlen):
+            for i in range(mlen):
+                assert fam[j][i] == (ref[j][i],)
+
+
 def test_family_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         family_moment_matrix((3, 1, 3, 1), 0, 4, 2, 3, 8)  # a not a unit

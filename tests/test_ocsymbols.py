@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -6,12 +7,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import parahoric
+from parahoric.distributions import family_moment_matrix
 from parahoric.linalg import charpoly_berkowitz
 from parahoric.ocsymbols import (
     DivergenceError,
-    ModCache,
+    MomentCache,
     auto_eigensymbol,
     build_tables_mod,
     charpoly_up,
@@ -122,7 +126,7 @@ def test_tail_consistency_identity_at_weight_zero():
     """At k = 0 the tail functional vanishes identically on free data."""
     ctx = oc_context(11, 3, 0, 5)
     mod = 3**12
-    cache = ModCache(ctx, mod)
+    cache = MomentCache(ctx, 12)
     rng = random.Random(5)
     free = {e: [rng.randrange(mod) for _ in range(5)] for e in ctx.sp.free_edges}
     tables = build_tables_mod(ctx, cache, free, 0, mod)
@@ -134,7 +138,7 @@ def test_tail_consistency_is_a_condition_at_higher_weight():
     collects a nonzero defect instead of tripping the exactness assert."""
     ctx = oc_context(11, 3, 2, 5)
     mod = 3**12
-    cache = ModCache(ctx, mod)
+    cache = MomentCache(ctx, 12)
     rng = random.Random(5)
     defects = []
     hit = 0
@@ -203,18 +207,85 @@ def test_family_csv_rows_carry_layers():
 def test_up_monoid_checks_survive_python_O():
     """The U_p plan precondition raises under python -O, which strips assert."""
     script = (
-        "from parahoric.ocsymbols import FamCache, ModCache, oc_context\n"
+        "from parahoric.ocsymbols import MomentCache, oc_context\n"
         "ctx = oc_context(11, 3, 0, 4)\n"
         "print('debug', __debug__)\n"
-        "for cache in (ModCache(ctx, 3**8), FamCache(ctx, 0, 2, 3**8, 8)):\n"
+        "for cache in (MomentCache(ctx, 8), MomentCache(ctx, 8, T=2)):\n"
         "    try:\n"
         "        cache.up((1, 0, 3, 1))\n"
         "    except ValueError:\n"
         "        print('rejected')\n"
     )
-    src = str(Path(parahoric.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = _run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["debug False", "rejected", "rejected", ""]
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    src = str(Path(parahoric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_tail_consistency_check_survives_python_O():
+    """At k = 2 generic free data violates the tail functional; without a
+    defect sink the table build raises under python -O as well."""
+    script = (
+        "import random\n"
+        "from parahoric.ocsymbols import MomentCache, build_tables_mod, oc_context\n"
+        "ctx = oc_context(11, 3, 2, 5)\n"
+        "cache = MomentCache(ctx, 12)\n"
+        "rng = random.Random(5)\n"
+        "print('debug', __debug__)\n"
+        "free = {e: [rng.randrange(3**12) for _ in range(5)] for e in ctx.sp.free_edges}\n"
+        "try:\n"
+        "    build_tables_mod(ctx, cache, free, 0, 3**12)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', exc)\n"
+        "try:\n"
+        "    build_tables_mod(ctx, cache, {e: [0] * 4 for e in ctx.sp.free_edges}, 0, 3**12)\n"
+        "except ValueError:\n"
+        "    print('rejected length')\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "debug False", "raised tail consistency: nu_0 must vanish", "rejected length", "",
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _context(p, k):
+    return oc_context(11, p, k, 4)
+
+
+@given(
+    st.sampled_from([3, 5]), st.sampled_from([0, 2]), st.integers(1, 3), st.integers(1, 12),
+    st.integers(-20, 20), st.integers(-20, 20), st.integers(-6, 6), st.integers(-20, 20),
+    st.randoms(use_true_random=False),
+)
+def test_cache_block_matrix_is_the_ring_action(p, k, T, K, a, b, c, d, rng):
+    """The cache's integer block matrix on the plane layout equals the
+    schoolbook product over (Z/p^K)[w]/(w^T) of family_moment_matrix cells."""
+    a = a * p + 1
+    c *= p
+    if a * d == b * c:
+        d += 1
+    gamma = (a, b, c, d)
+    ctx = _context(p, k)
+    mlen, mod = ctx.mlen, p**K
+    cells = family_moment_matrix(gamma, k, mlen, T, p, K)
+    vec = [[rng.randrange(mod) for _ in range(T)] for _ in range(mlen)]   # [i][t]
+    ring = []
+    for row in cells:
+        acc = [0] * T
+        for cell, x in zip(row, vec):
+            for s in range(T):
+                for t in range(T - s):
+                    acc[s + t] += cell[s] * x[t]
+        ring.append([v % mod for v in acc])
+    planes = [vec[i][t] for t in range(T) for i in range(mlen)]
+    block = MomentCache(ctx, K, T).gamma(gamma)
+    got = [sum(e * x for e, x in zip(row, planes)) % mod for row in block]
+    assert got == [ring[j][t] for t in range(T) for j in range(mlen)]
