@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import linalg
-from .polynomials import Poly, monomials_up_to_degree
+from .polynomials import Poly, monomials_up_to_degree, poly_matrix_mul
 from .rootdata import RootDatum, gl_datum
 from .slopes import TorusElement
 
@@ -94,13 +94,15 @@ def left_translation_field(n: int) -> dict[int, list[tuple[Position, Poly]]]:
     return out
 
 
-def apply_field(n: int, i: int, f: Poly) -> Poly:
-    field = left_translation_field(n)[i]
-    nc = NCoordinates(n)
-    out = Poly.zero(nc.variables)
+def _derive(field: list[tuple[Position, Poly]], f: Poly) -> Poly:
+    out = Poly.zero(f.vars)
     for pos, coeff in field:
         out = out + coeff * f.diff(var_name(pos))
     return out
+
+
+def apply_field(n: int, i: int, f: Poly) -> Poly:
+    return _derive(left_translation_field(n)[i], f)
 
 
 def theta_exponent(lam: Sequence[int], i: int) -> int:
@@ -111,12 +113,15 @@ def theta_exponent(lam: Sequence[int], i: int) -> int:
     return e
 
 
+def _theta(field: list[tuple[Position, Poly]], e: int, f: Poly) -> Poly:
+    for _ in range(e):
+        f = _derive(field, f)
+    return f
+
+
 def theta_apply(n: int, i: int, lam: Sequence[int], f: Poly) -> Poly:
     """Theta_{alpha_i} = l(X_{alpha_i})^{<lambda,alpha_i^vee>+1}."""
-    out = f
-    for _ in range(theta_exponent(lam, i)):
-        out = apply_field(n, i, out)
-    return out
+    return _theta(left_translation_field(n)[i], theta_exponent(lam, i), f)
 
 
 def coefficient_degree_bound(n: int, i: int) -> int:
@@ -139,9 +144,11 @@ def theta_matrix(n: int, i: int, lam: Sequence[int], d: int) -> tuple[list[list[
     nc = NCoordinates(n)
     basis = nc.monomial_basis(d)
     index = {m: k for k, m in enumerate(basis)}
+    field = left_translation_field(n)[i]
+    e = theta_exponent(lam, i)
     cols = []
     for m in basis:
-        img = theta_apply(n, i, lam, Poly(nc.variables, {m: Fraction(1)}))
+        img = _theta(field, e, Poly(nc.variables, {m: Fraction(1)}))
         col = [Fraction(0)] * len(basis)
         for mono, c in img.coeffs.items():
             if sum(mono) > d:
@@ -236,8 +243,6 @@ def restrict_to_levi_product(n: int, levi: Iterable[int], f: Poly) -> Poly:
     nc = NCoordinates(n)
     ell = nc.unitriangular(ring, {p: Poly.var(ring, var_name(p, "y")) for p in inside})
     nmat = nc.unitriangular(ring, {p: Poly.var(ring, var_name(p, "c")) for p in outside})
-    from .polynomials import poly_matrix_mul
-
     prod = poly_matrix_mul(ell, nmat)
     images = {var_name(p): prod[p[0]][p[1]] for p in positions(n)}
     return f.substitute(images)
@@ -253,7 +258,8 @@ def weyl_dimension(block_weights: Sequence[int]) -> int:
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     d = Fraction(num, den)
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise ArithmeticError(f"Weyl dimension {d} of {lam} is not a positive integer")
     return int(d)
 
 
@@ -297,6 +303,40 @@ def _poly_principal_minor(m: list[list[Poly]], k: int) -> Poly:
     return out
 
 
+def _levi_sample(
+    blocks: list[list[int]],
+    inside: list[Position],
+    lam: Sequence[int],
+    rng: random.Random,
+) -> Poly:
+    """y -> phi(u(y) h) for one random integral block matrix h per block."""
+    yring = tuple(var_name(p, "y") for p in inside)
+    total = Poly.const(yring, 1)
+    for blk in blocks:
+        b = len(blk)
+        w = [int(lam[i]) for i in blk]
+        while True:
+            h = [[Fraction(rng.randint(-3, 3)) for _ in range(b)] for _ in range(b)]
+            hm = [[Poly.const(yring, h[r][c]) for c in range(b)] for r in range(b)]
+            u = [[Poly.const(yring, 1 if r == c else 0) for c in range(b)] for r in range(b)]
+            for (a, bb) in inside:
+                if a in blk and bb in blk:
+                    u[blk.index(a)][blk.index(bb)] = Poly.var(yring, var_name((a, bb), "y"))
+            g = poly_matrix_mul(u, hm)
+            minors = [_poly_principal_minor(g, k) for k in range(1, b + 1)]
+            # det(u(y) h) = det(h), a constant
+            dval = minors[-1].coefficient((0,) * len(yring))
+            if dval == 0 or any(mi.is_zero() for mi in minors):
+                continue
+            piece = Poly.const(yring, Fraction(dval) ** int(w[-1]))
+            for jj in range(b - 1):
+                for _ in range(w[jj] - w[jj + 1]):
+                    piece = piece * minors[jj]
+            total = total * piece
+            break
+    return total
+
+
 def levi_module_basis(
     n: int,
     levi: Iterable[int],
@@ -307,6 +347,8 @@ def levi_module_basis(
 
     Spanned by y -> phi(u(y) h) for the highest-weight minor product phi and
     random integral block matrices h, accumulated to the Weyl dimension.
+    A sample is kept iff it is independent of those kept before: it is
+    reduced against their echelon form and kept iff something is left.
     Returns (polynomials, y-monomial list used as coordinates).
     """
     rng = rng or random.Random(20250814)
@@ -317,51 +359,31 @@ def levi_module_basis(
         if any(w[t] < w[t + 1] for t in range(len(w) - 1)):
             raise ValueError("weight must be dominant for the Levi")
     inside, _ = split_positions(n, levi)
-    yring = tuple(var_name(p, "y") for p in inside)
     target = levi_weyl_dimension(n, levi, lam)
 
-    from .polynomials import poly_matrix_mul
-
-    def sample() -> Poly:
-        total = Poly.const(yring, 1)
-        for blk in blocks:
-            b = len(blk)
-            w = [int(lam[i]) for i in blk]
-            while True:
-                h = [[Fraction(rng.randint(-3, 3)) for _ in range(b)] for _ in range(b)]
-                hm = [[Poly.const(yring, h[r][c]) for c in range(b)] for r in range(b)]
-                u = [[Poly.const(yring, 1 if r == c else 0) for c in range(b)] for r in range(b)]
-                for (a, bb) in inside:
-                    if a in blk and bb in blk:
-                        u[blk.index(a)][blk.index(bb)] = Poly.var(yring, var_name((a, bb), "y"))
-                g = poly_matrix_mul(u, hm)
-                minors = [_poly_principal_minor(g, k) for k in range(1, b + 1)]
-                # det(u(y) h) = det(h), a constant
-                dval = minors[-1].coefficient((0,) * len(yring))
-                if dval == 0 or any(mi.is_zero() for mi in minors):
-                    continue
-                piece = Poly.const(yring, Fraction(dval) ** int(w[-1]))
-                for jj in range(b - 1):
-                    for _ in range(w[jj] - w[jj + 1]):
-                        piece = piece * minors[jj]
-                total = total * piece
-                break
-        return total
-
     vectors: list[Poly] = []
+    # kept samples in echelon form: (pivot monomial, coefficients, 1 at the pivot)
+    echelon: list[tuple[tuple[int, ...], dict[tuple[int, ...], Fraction]]] = []
     attempts = 0
     while True:
         attempts += 1
         if attempts > 40 + 6 * target:
             raise ArithmeticError("failed to reach the Weyl dimension; weight not Levi-dominant?")
-        v = sample()
-        cand = vectors + [v]
-        cm = sorted(set().union(*[set(q.coeffs) for q in cand]) | {(0,) * len(yring)})
-        mat = [[q.coefficient(m) for m in cm] for q in cand]
-        if linalg.rank(mat) == len(cand):
-            vectors = cand
+        v = _levi_sample(blocks, inside, lam, rng)
+        rest = dict(v.coeffs)
+        for pm, row in echelon:
+            f = rest.get(pm)
+            if f:
+                for m, x in row.items():
+                    rest[m] = rest.get(m, 0) - f * x
+        rest = {m: x for m, x in rest.items() if x}
+        if rest:
+            pm = min(rest)
+            inv = 1 / rest[pm]
+            echelon.append((pm, {m: x * inv for m, x in rest.items()}))
+            vectors.append(v)
         if len(vectors) == target:
-            final_monos = sorted(set().union(*[set(q.coeffs) for q in vectors]) | {(0,) * len(yring)})
+            final_monos = sorted(set().union(*[set(q.coeffs) for q in vectors]) | {(0,) * len(inside)})
             return vectors, final_monos
 
 
@@ -410,15 +432,14 @@ def parahoric_truncation_basis(
 
     vrows = [[v.coefficient(m) for m in ylist] for v in vecs]
     perp = linalg.nullspace(vrows)  # y-vectors orthogonal to the module span
+    yindex = {ym: t for t, ym in enumerate(ylist)}
 
     constraints: list[list[Fraction]] = []
     for cm in clist:
+        cols = [[(yindex[ym], c) for ym, c in table.get(cm, {}).items()]
+                for table in restricted]
         for k in perp:
-            row = []
-            for table in restricted:
-                col = table.get(cm, {})
-                row.append(sum(col.get(ym, Fraction(0)) * kv for ym, kv in zip(ylist, k)))
-            constraints.append(row)
+            constraints.append([sum(c * k[t] for t, c in col) for col in cols])
     if not constraints:
         kernel = [[Fraction(1) if i == j else Fraction(0) for j in range(len(basis))] for i in range(len(basis))]
     else:
@@ -460,10 +481,17 @@ class BGGReport:
 def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: random.Random | None = None) -> BGGReport:
     """Exactness check: ker(Theta_{alpha_i}) on degree <= d equals the
     parabolic model for the sub-minimal parabolic generated by alpha_i."""
+    if n < 2:
+        raise ValueError(f"BGG checks need GL(n) with n >= 2, got n = {n}")
+    if not 0 <= i <= n - 2:
+        raise ValueError(f"simple-root index i must lie in [0, {n - 2}], got {i}")
+    if d < 0:
+        raise ValueError(f"degree cap d must be >= 0, got {d}")
     mat, basis = theta_matrix(n, i, lam, d)
     kernel = linalg.nullspace(mat)
     model, basis2 = parahoric_truncation_basis(n, frozenset({i}), lam, d, rng=rng)
-    assert basis == basis2
+    if basis != basis2:
+        raise ArithmeticError("theta and parabolic model use different monomial bases")
     rows_model = space_rows(model, basis)
     equal = linalg.same_span(kernel, rows_model)
     return BGGReport(
@@ -496,7 +524,8 @@ def theta_preserves_parahoric(
     star = datum.weyl_star(lam, i)
     src, basis = parahoric_truncation_basis(n, levi, lam, d, rng=rng)
     dst, basis2 = parahoric_truncation_basis(n, levi, star, d, rng=rng)
-    assert basis == basis2
+    if basis != basis2:
+        raise ArithmeticError("source and target models use different monomial bases")
     dst_rows = space_rows(dst, basis)
     for f in src:
         img = theta_apply(n, i, lam, f)

@@ -1,7 +1,8 @@
-"""Dense exact linear algebra over Fraction, plus modular helpers.
+"""Dense exact linear algebra over Q, plus modular helpers.
 
-Matrices are lists of row lists. Everything here is exact; callers that
-want p-adic truncation reduce afterwards.
+Matrices are lists of row lists of ints or Fractions. Everything here is
+exact; row reduction runs over Z and returns Fractions. Callers that want
+p-adic truncation reduce afterwards.
 """
 from __future__ import annotations
 
@@ -19,14 +20,6 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def zeros(r: int, c: int) -> Matrix:
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
 def matvec(a: Matrix, v: Sequence[Fraction]) -> Row:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -35,29 +28,51 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by its content (gcd of its entries)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form. Returns (R, pivot column indices)."""
-    m = [row[:] for row in rows]
+    """Reduced row echelon form. Returns (R, pivot column indices).
+
+    Entries may be ints or Fractions. Each row is scaled to a primitive
+    integer row (times the lcm of its denominators, over its content), and
+    Gauss-Jordan runs on integer rows, each divided by its content again
+    after every update, so no Fraction is built until the pivot rows are
+    divided by their pivots at the end. The RREF is unique, so this equals
+    Gauss-Jordan over Q.
+    """
+    m = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots: list[int] = []
     r = 0
     for c in range(nc):
-        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        pv = prow[c]
         for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = math.gcd(pv, f)
+                a, b = pv // g, f // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return m, pivots
+    zero = Fraction(0)
+    out = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
+    out += [[zero] * nc for _ in range(nr - r)]
+    return out, pivots
 
 
 def rank(rows: Matrix) -> int:
@@ -114,15 +129,6 @@ def in_span(rows: Matrix, v: Sequence[Fraction]) -> bool:
         return all(x == 0 for x in v)
     red = row_space_canonical(rows)
     return row_space_canonical(red + [list(v)]) == red
-
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in red]
 
 
 def charpoly_berkowitz(a: Matrix) -> list[Fraction]:

@@ -69,6 +69,19 @@ def test_bgg_check_example(capsys):
     assert payload["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("--group", "GL1", "--k", "2", "--d", "2"),
+    ("--i", "5", "--k", "2", "--d", "2"),
+    ("--group", "GL3", "--i", "-1", "--k", "2", "--d", "2"),
+    ("--k", "2", "--d", "-1"),
+])
+def test_bgg_check_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "bgg-check", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_lift_ordinary_example(capsys):
     code, out, _ = run(
         capsys, "lift", "--N", "11", "--p", "3", "--k", "0", "--M", "6",
@@ -158,6 +171,11 @@ GOLDEN_JSON = [
     # k > 0 spectrum (ROADMAP item 4) will change this digest on purpose
     (("charpoly", "--N", "11", "--p", "3", "--k", "2", "--M", "5", "--xdeg", "6"),
      "0ed4f822e88dfc536c3a14c81879ace947d3ee530f26d83c39cd725b917f2c9f"),
+    # exact BGG checks, recorded before row reduction moved to integer rows
+    (("bgg-check", "--group", "GL3", "--weight", "2,1,0", "--i", "1", "--d", "6"),
+     "9fffc36de6789c30f19f0b24fbde1003f0d690e4fb013e32c7b0590f761ca2d3"),
+    (("bgg-check", "--group", "GL2", "--k", "5", "--d", "9"),
+     "b46bc532c6401f9deeaa25fb43f740958837cb7606db8b485db39c77b50669ea"),
 ]
 
 

@@ -2,20 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from parahoric import linalg
 from parahoric.induction import (
     NCoordinates,
+    _levi_sample,
     apply_field,
     bgg_kernel,
     intertwining_check,
     intertwining_scalar,
+    levi_blocks,
+    levi_module_basis,
     levi_weyl_dimension,
+    split_positions,
     star_action,
     theta_apply,
     theta_matrix,
     theta_preserves_parahoric,
     truncation_threshold,
+    weyl_dimension,
 )
 from parahoric.polynomials import Poly, monomials_up_to_degree
 from parahoric.rootdata import gl_datum
@@ -137,3 +143,46 @@ def test_truncation_threshold_formula():
     assert truncation_threshold(2, 0, (3, 0)) == 4
     # exponent 2 plus the degree-1 field coefficients of GL(3)
     assert truncation_threshold(3, 0, (2, 1, 0)) == 3
+
+
+def rank_based_levi_basis(n, levi, lam, rng):
+    """The selection loop that keeps a sample iff the rank of all kept
+    samples plus it is full, with sympy's rank as the independent oracle."""
+    blocks = levi_blocks(n, levi)
+    inside, _ = split_positions(n, levi)
+    target = levi_weyl_dimension(n, levi, lam)
+    vectors = []
+    for _ in range(40 + 6 * target):
+        cand = vectors + [_levi_sample(blocks, inside, lam, rng)]
+        cm = sorted(set().union(*[set(q.coeffs) for q in cand]) | {(0,) * len(inside)})
+        if sympy.Matrix([[q.coefficient(m) for m in cm] for q in cand]).rank() == len(cand):
+            vectors = cand
+        if len(vectors) == target:
+            return vectors
+    raise ArithmeticError("failed to reach the Weyl dimension; weight not Levi-dominant?")
+
+
+@pytest.mark.parametrize("n, levi, lam", [
+    (2, {0}, (3, 0)),
+    (2, {0}, (8, 0)),
+    (3, {0}, (2, 1, 0)),
+    (3, {1}, (2, 1, 0)),
+    (3, {0, 1}, (2, 1, 0)),
+])
+def test_levi_module_basis_matches_rank_based_selection(n, levi, lam):
+    for seed in range(4):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got, _ = levi_module_basis(n, levi, lam, rng=rng)
+        assert got == rank_based_levi_basis(n, levi, lam, ref)
+        assert rng.getstate() == ref.getstate()  # the same draws were made
+
+
+def test_gl2_weight_16_reports_the_recorded_failure():
+    with pytest.raises(ArithmeticError) as exc:
+        bgg_kernel(2, 0, (16, 0), 16, rng=random.Random(5))
+    assert str(exc.value) == "failed to reach the Weyl dimension; weight not Levi-dominant?"
+
+
+def test_weyl_dimension_raises_on_a_non_dominant_weight():
+    with pytest.raises(ArithmeticError):
+        weyl_dimension((0, 1))

@@ -1,7 +1,10 @@
-from hypothesis import given
+from fractions import Fraction
+
+import sympy
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from parahoric.linalg import power_traces_mod
+from parahoric.linalg import power_traces_mod, rref
 
 
 def ring_mul(x, y, T, mod):
@@ -61,3 +64,69 @@ def test_power_traces_match_schoolbook_powers(data, count):
         assert got == [t[0] for t in want]
     else:
         assert power_traces_mod(cells, count, mod) == want
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan over Fraction, row by row: the reference for rref."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
+
+
+def sympy_rref(rows, nc):
+    red, pivots = sympy.Matrix(len(rows), nc, [x for row in rows for x in row]).rref()
+    out = [[Fraction(int(x.p), int(x.q)) for x in red.row(i)] for i in range(red.rows)]
+    return out, list(pivots)
+
+
+entries = st.one_of(
+    st.integers(-9, 9),
+    st.just(0),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    # large denominators and numerators
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    nc = draw(st.integers(1, 6))
+    nr = draw(st.integers(0, 8))           # includes 0 rows and more rows than columns
+    rows = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    for i in draw(st.sets(st.integers(0, max(nr - 1, 0)), max_size=2)):
+        if i < nr:
+            rows[i] = [0] * nc             # zero rows
+    if nr >= 2 and draw(st.booleans()):
+        # a dependent row, so the rank falls short of min(nr, nc)
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([a * Fraction(x) + b * Fraction(y) for x, y in zip(rows[0], rows[1])])
+    return rows, nc
+
+
+@given(rational_matrices())
+@example(([], 3))
+def test_rref_matches_fraction_gauss_jordan_and_sympy(data):
+    rows, nc = data
+    got = rref(rows)
+    assert got == fraction_rref(rows)
+    assert got == sympy_rref(rows, nc)
+    assert all(isinstance(x, Fraction) for row in got[0] for x in row)
