@@ -164,6 +164,11 @@ def cmd_lift(args) -> int:
         slope = int(choice.split(":", 1)[1])
     else:
         raise ValueError("--eigenvalue-choice must be 'ordinary' or 'slope:<h>'")
+    if args.k < 0:
+        raise ValueError(f"k must be at least 0, got {args.k}")
+    if M < args.k + 2:
+        # the lift tunes moment k + 1, so it needs at least k + 2 moments
+        raise ValueError(f"M must be at least k + 2 = {args.k + 2}, got {M}")
     space = classical_space(args.N, args.p, args.k)
     try:
         sym = auto_eigensymbol(space, B=M + 24, slope=slope)

@@ -15,6 +15,14 @@ w^(t-u) layer of that matrix. Multiplying by w^s moves a plane s places down
 and w^T falls off the end, so an R_T matrix-vector product is an integer one:
 table builds, U_p and relation checks are the same integer code for every T,
 and only MomentCache knows the ring.
+
+The U_p model matrix has one unit column per free coordinate, and all of them
+go through a single table build and a single U_p apply as column bundles
+(ColumnBundles): each coordinate of a value is one Python int that holds the
+n columns side by side in fixed-width slots, so one integer dot product per
+matrix row serves every column, and each output coordinate is reduced mod
+p^K once, slot by slot. A single table, as in the lift, is the one-column
+bundle: its slot is the residue itself.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linalg import (
     charpoly_berkowitz,
@@ -32,7 +40,7 @@ from .linalg import (
     power_traces_mod,
     solve,
 )
-from .manin import IDENTITY, ManinSystem, Mat2, SolvedPresentation, mat_mul
+from .manin import IDENTITY, ManinSystem, Mat2, SolvedPresentation, mat_inv, mat_mul
 from .distributions import (
     INF,
     _vint,
@@ -68,6 +76,9 @@ class ClassicalSpace:
     ms: ManinSystem
     k: int
     basis: list[list[tuple[Fraction, ...]]]
+    _operators: dict[tuple[Mat2, ...], tuple[tuple[Fraction, ...], ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def dimension(self) -> int:
@@ -93,28 +104,35 @@ class ClassicalSpace:
             out.append(acc)
         return out
 
-    def operator_matrix(self, deltas: Sequence[Mat2]) -> list[list[Fraction]]:
-        """Matrix of the double-coset operator in the stored basis."""
-        plan = self.ms.hecke_plan(list(deltas))
-        n = self.dimension
-        A = [self._flatten(b) for b in self.basis]
-        Amat = [[A[j][i] for j in range(n)] for i in range(len(A[0]))]
-        cols = []
-        for b in self.basis:
-            img = self.apply_plan(plan, b)
-            flat = self._flatten(img)
-            x = solve(Amat, flat)
-            assert x is not None, "operator left the symbol space"
-            cols.append(x)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+    def operator_matrix(self, deltas: Sequence[Mat2]) -> tuple[tuple[Fraction, ...], ...]:
+        """Matrix of the double-coset operator in the stored basis.
 
-    def hecke_matrix(self, ell: int) -> list[list[Fraction]]:
+        Computed once per delta tuple and kept on the space; rows are tuples,
+        so no caller can change the kept copy.
+        """
+        key = tuple(deltas)
+        if key not in self._operators:
+            plan = self.ms.hecke_plan(list(deltas))
+            n = self.dimension
+            A = [self._flatten(b) for b in self.basis]
+            Amat = [[A[j][i] for j in range(n)] for i in range(len(A[0]))]
+            cols = []
+            for b in self.basis:
+                img = self.apply_plan(plan, b)
+                flat = self._flatten(img)
+                x = solve(Amat, flat)
+                assert x is not None, "operator left the symbol space"
+                cols.append(x)
+            self._operators[key] = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        return self._operators[key]
+
+    def hecke_matrix(self, ell: int) -> tuple[tuple[Fraction, ...], ...]:
         return self.operator_matrix(hecke_deltas(ell))
 
-    def up_matrix(self) -> list[list[Fraction]]:
+    def up_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.operator_matrix(up_deltas(self.ms.p))
 
-    def involution_matrix(self) -> list[list[Fraction]]:
+    def involution_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.operator_matrix([IOTA])
 
 
@@ -168,7 +186,7 @@ def classical_space(N: int, p: int, k: int) -> ClassicalSpace:
     return ClassicalSpace(ms=ms, k=k, basis=basis)
 
 
-def integer_eigenvalues(mat: list[list[Fraction]], bound: int) -> list[int]:
+def integer_eigenvalues(mat: Sequence[Sequence[Fraction]], bound: int) -> list[int]:
     """Integer roots of the characteristic polynomial within [-bound, bound]."""
     cp = charpoly_berkowitz(mat)
     roots = []
@@ -200,13 +218,13 @@ class Eigensymbol:
     slope: int
 
 
-def _kernel_of(mat: list[list[Fraction]], shift: Fraction) -> list[list[Fraction]]:
+def _kernel_of(mat: Sequence[Sequence[Fraction]], shift: Fraction) -> list[list[Fraction]]:
     n = len(mat)
     rows = [[mat[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)]
     return nullspace(rows)
 
 
-def _restrict(mat: list[list[Fraction]], sub: list[list[Fraction]]) -> list[list[Fraction]]:
+def _restrict(mat: Sequence[Sequence[Fraction]], sub: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(mat)
     m = len(sub)
     A = [[sub[j][i] for j in range(m)] for i in range(n)]
@@ -334,6 +352,8 @@ def auto_eigensymbol(
     norm is not p^(k+1) times a unit are skipped.
     """
     N, p, k = space.ms.N, space.ms.p, space.k
+    if space.dimension == 0:
+        raise ValueError(f"the weight-{k} symbol space of level {N * p} is zero")
     for ell in range(2, max_ell + 1):
         if any(ell % q == 0 for q in range(2, ell)):
             continue
@@ -366,6 +386,7 @@ class OCContext:
     D: int                      # p-denominator exponent of the tail solve
     S_sol: int                  # worst-case valuation deficit of solved values
     loss_profile: list[int]     # per-moment precision loss of the tail solve
+    up_plan: list[list[tuple[int, int, Mat2]]]  # U_p terms (y, sign, m) per coset
 
     @property
     def p(self) -> int:
@@ -374,6 +395,12 @@ class OCContext:
     @property
     def n_model(self) -> int:
         return len(self.sp.free_edges) * self.mlen + 1
+
+    @property
+    def fan(self) -> int:
+        """Most terms a table-build step or a U_p row sums before reducing."""
+        return max([1] + [len(st.terms) for st in self.sp.steps]
+                   + [len(terms) for terms in self.up_plan])
 
 
 def oc_context(N: int, p: int, k: int, mlen: int) -> OCContext:
@@ -397,7 +424,7 @@ def oc_context(N: int, p: int, k: int, mlen: int) -> OCContext:
     loss = [max(0, (mlen - j) - graded[j]) if graded[j] < INF else 0 for j in range(mlen)]
     return OCContext(
         ms=ms, sp=sp, k=k, mlen=mlen, E_W=E_W, solve_mat=solve_mat,
-        D=D, S_sol=S_sol, loss_profile=loss,
+        D=D, S_sol=S_sol, loss_profile=loss, up_plan=ms.hecke_plan(up_deltas(p)),
     )
 
 
@@ -413,7 +440,9 @@ class MomentCache:
     docstring): block (t, u) holds the w^(t-u) layer of family_moment_matrix
     for t >= u and is zero above the diagonal, so at T = 1 it is the weight-k
     moment matrix mod p^K. The ring product is then an integer product on
-    the planes, so no code outside this class does ring arithmetic.
+    the planes, so no code outside this class does ring arithmetic. A row of
+    plane t stops after block t: the blocks above the diagonal are left out,
+    and a product zips the row with the vector, stopping at the shorter.
 
     up(m) is the same matrix for a U_p plan composite, after the U_p monoid
     check and the compactness bound v_p(E[j][i]) >= i on the w^0 plane:
@@ -437,7 +466,7 @@ class MomentCache:
             ctx, T, mlen = self.ctx, self.T, self.ctx.mlen
             E = family_moment_matrix(m, ctx.k, mlen, T, ctx.p, self.K)
             self._gm[m] = [
-                [E[j][i][t - u] if u <= t else 0 for u in range(T) for i in range(mlen)]
+                [E[j][i][t - u] for u in range(t + 1) for i in range(mlen)]
                 for t in range(T) for j in range(mlen)
             ]
         return self._gm[m]
@@ -455,14 +484,80 @@ class MomentCache:
         return self._up[m]
 
 
-def _matvec_mod(E: list[list[int]], v: Sequence[int], mod: int) -> list[int]:
-    return [sum(map(operator.mul, row, v)) % mod for row in E]
+def _matvec(E: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """Unreduced E v; the entries of v may be column bundles."""
+    return [sum(map(operator.mul, row, v)) for row in E]
 
 
-def _add_signed(acc: list[int], img: list[int], sgn: int, mod: int) -> list[int]:
-    if sgn == 1:
-        return [(a + b) % mod for a, b in zip(acc, img)]
-    return [(a - b) % mod for a, b in zip(acc, img)]
+class ColumnBundles:
+    """Layout of cols model columns side by side, one int per coordinate.
+
+    Column c of a coordinate lives in slot c, bytes c*sb .. (c+1)*sb - 1 of
+    the int (little-endian), as a residue mod mod. Sums of bundles and
+    products with one integer act on every slot at once while no slot
+    overflows, so a matrix-vector product over all columns is one integer
+    dot product per row. With one column the slot is the int itself and
+    reduction is a plain % mod.
+
+    Slot size: matrix and vector entries are residues below m = max(mod,
+    cache modulus). combine sums at most fan = ctx.fan dot products of width
+    = T * mlen such pairs into pos and neg, so their slots stay at most
+    lim = (fan * width + 1) * (m - 1)^2, which also covers a residue plus one
+    product (the tail top moment, the p^D scaling). reduce adds off, the
+    multiple of mod at or just above lim, to every slot of pos - neg, so each
+    slot lies in [0, 2 * lim + mod) and no borrow or carry crosses a slot
+    boundary; sb is the byte length of that bound. Unpacking a coordinate is
+    one to_bytes and one from_bytes per slot.
+    """
+
+    def __init__(self, ctx: OCContext, cache: MomentCache, mod: int, cols: int = 1):
+        self.cols = cols
+        self.mod = mod
+        self.width = cache.T * ctx.mlen
+        self.sb = 0
+        if cols > 1:
+            m = max(mod, cache.mod)
+            lim = (ctx.fan * self.width + 1) * (m - 1) ** 2
+            off = -(-lim // mod) * mod
+            self.sb = (2 * lim + mod).bit_length() + 7 >> 3
+            self.off = int.from_bytes(off.to_bytes(self.sb, "little") * cols, "little")
+            self.starts = range(0, self.sb * cols, self.sb)
+
+    def unit(self, c: int) -> int:
+        """The bundle holding 1 in column c and 0 elsewhere."""
+        return 1 << (8 * self.sb * c)
+
+    def slots(self, x: int) -> list[int]:
+        if self.cols == 1:
+            return [x]
+        sb = self.sb
+        buf = x.to_bytes(sb * self.cols, "little")
+        return [int.from_bytes(buf[o:o + sb], "little") for o in self.starts]
+
+    def reduce(self, pos: int, neg: int = 0) -> int:
+        """pos - neg with every slot reduced mod mod."""
+        mod = self.mod
+        if self.cols == 1:
+            return (pos - neg) % mod
+        sb, unpack = self.sb, int.from_bytes
+        buf = (pos + self.off - neg).to_bytes(sb * self.cols, "little")
+        return unpack(b"".join([(unpack(buf[o:o + sb], "little") % mod).to_bytes(sb, "little")
+                                for o in self.starts]), "little")
+
+    def combine(
+        self,
+        terms: Sequence[tuple[int, int, Mat2]],
+        matrix: Callable[[Mat2], Sequence[Sequence[int]]],
+        vals: dict[int, Sequence[int]] | Sequence[Sequence[int]],
+    ) -> list[int]:
+        """The sum of sign * matrix(m) vals[y] over terms (y, sign, m): each
+        term adds into the positive or the negative accumulator, and each
+        coordinate is reduced once at the end."""
+        acc = {1: [0] * self.width, -1: [0] * self.width}
+        for y, sgn, m in terms:
+            a = acc[sgn]
+            a[:] = map(operator.add, a, _matvec(matrix(m), vals[y]))
+        return list(map(self.reduce, acc[1], acc[-1]))
 
 
 def build_tables_mod(
@@ -472,13 +567,16 @@ def build_tables_mod(
     tail_top: int,
     mod: int,
     defect_out: list | None = None,
+    cols: int = 1,
 ) -> list[list[int]]:
     """Value tables (scaled by p^D) from free data given in true (unscaled) units.
 
     free_values maps each free edge to its T * mlen plane residues; the
     derived leaders come from the elimination program, partners from the S
     twists, and the tail coset from the scaled difference-equation solve,
-    with tail_top added to its top moment on the w^0 plane.
+    with tail_top added to its top moment on the w^0 plane. With cols > 1
+    every value and tail_top are column bundles (ColumnBundles) of residues,
+    one table per column, and every check below holds in every slot.
 
     At k = 0 the moment-0 row of every transport is trivial, so the tail
     consistency nu_0 = 0 holds identically on every plane and is checked. At
@@ -487,63 +585,58 @@ def build_tables_mod(
     dimension by one); model columns that feed arbitrary deltas must pass
     defect_out to collect nu_0 of each plane instead.
     """
-    p, mlen, D = ctx.p, ctx.mlen, ctx.D
-    width = cache.T * mlen
-    sD = p**D
+    p, mlen = ctx.p, ctx.mlen
+    bun = ColumnBundles(ctx, cache, mod, cols)
+    width = bun.width
+    sD = p**ctx.D
+    sD_res = sD % mod   # a residue, so scaled slots stay within the slot bound
     vals: dict[int, list[int]] = {}
     for e in ctx.sp.free_edges:
         mv = free_values[e]
         if len(mv) != width:
             raise ValueError(f"free edge {e} needs {width} values, got {len(mv)}")
-        vals[e] = [x * sD % mod for x in mv]
+        vals[e] = [bun.reduce(x * sD_res) for x in mv]
     for st in ctx.sp.steps:
-        acc = [0] * width
-        for (src, sgn, m) in st.terms:
-            acc = _add_signed(acc, _matvec_mod(cache.gamma(m), vals[src], mod), sgn, mod)
-        vals[st.target] = acc
-    # nu in true units (scaled values are p^D * true, so divide exactly),
+        vals[st.target] = bun.combine(st.terms, cache.gamma, vals)
+    # nu in true units (scaled values are p^D * true, so divide exactly: a
+    # bundle whose slots are all multiples of p^D is p^D times a bundle),
     # then the difference-equation solve with the p^D-scaled solve matrix
-    nu_scaled = _matvec_mod(cache.gamma(ctx.sp.tail.gamma_w_inv), vals[ctx.sp.tail.w_coset], mod)
-    if any(x % sD for x in nu_scaled):
-        raise ArithmeticError("scaled nu lost p^D divisibility")
-    nu = [x // sD for x in nu_scaled]
+    tail = ctx.sp.tail
+    nu = []
+    for x in bun.combine([(tail.w_coset, 1, tail.gamma_w_inv)], cache.gamma, vals):
+        if any(s % sD for s in bun.slots(x)):
+            raise ArithmeticError("scaled nu lost p^D divisibility")
+        nu.append(x // sD)
     if defect_out is not None:
         defect_out.extend(nu[::mlen])
     elif any(nu[::mlen]):
         raise ArithmeticError("tail consistency: nu_0 must vanish")
     v0: list[int] = []
     for t in range(0, width, mlen):
-        v0.extend(_matvec_mod(cache.solve, nu[t:t + mlen], mod))
-    v0[mlen - 1] = (v0[mlen - 1] + tail_top * sD) % mod
-    vals[ctx.sp.tail.x0] = v0
+        v0.extend(map(bun.reduce, _matvec(cache.solve, nu[t:t + mlen])))
+    v0[mlen - 1] = bun.reduce(v0[mlen - 1] + tail_top * sD_res)
+    vals[tail.x0] = v0
     # partners
-    tables: list[list[int]] = [None] * ctx.ms.index  # type: ignore[list-item]
+    tables: list[list[int]] = []
     for x in range(ctx.ms.index):
         ld, sgn, tw = ctx.ms.value_resolution(x)
-        if tw is None:
-            tables[x] = vals[ld]
-        else:
-            img = _matvec_mod(cache.gamma(tw), vals[ld], mod)
-            tables[x] = [(-c) % mod for c in img] if sgn == -1 else img
+        tables.append(vals[ld] if tw is None else bun.combine([(ld, sgn, tw)], cache.gamma, vals))
     return tables
 
 
 def up_apply_mod(
     ctx: OCContext,
     cache: MomentCache,
-    plan: list[list[tuple[int, int, Mat2]]],
     tables: Sequence[Sequence[int]],
     mod: int,
     cosets: Sequence[int] | None = None,
+    cols: int = 1,
 ) -> list[list[int]]:
-    """U_p of a value table: one row per coset, or per listed coset."""
-    out = []
-    for x in range(ctx.ms.index) if cosets is None else cosets:
-        acc = [0] * (cache.T * ctx.mlen)
-        for (y, sgn, m) in plan[x]:
-            acc = _add_signed(acc, _matvec_mod(cache.up(m), tables[y], mod), sgn, mod)
-        out.append(acc)
-    return out
+    """U_p of a value table, or of cols tables held as column bundles: one
+    row per coset, or per listed coset."""
+    bun = ColumnBundles(ctx, cache, mod, cols)
+    return [bun.combine(ctx.up_plan[x], cache.up, tables)
+            for x in (range(ctx.ms.index) if cosets is None else cosets)]
 
 
 def check_relations_mod(
@@ -554,31 +647,20 @@ def check_relations_mod(
     Residual moment j only carries p^(K-j) digits of meaning, so the graded
     reading is the honest one; INF means every relation holds exactly mod K.
     """
-    p, mlen = ctx.p, ctx.mlen
+    ms, p, mlen = ctx.ms, ctx.p, ctx.mlen
+    # S relations v_x + v_y | gamma^-1 and triangle relations, as plan rows
+    relations = []
+    for x in range(ms.index):
+        y, gamma = ms.transport(mat_mul(ms.lifts[x], (0, -1, 1, 0)))
+        relations.append([(x, 1, IDENTITY), (y, 1, mat_inv(gamma))])
+    for tri in ms.triangles:
+        relations.append([(s.coset, 1, mat_inv(s.gamma)) for s in tri.slots])
+    bun = ColumnBundles(ctx, cache, mod)
     worst = INF
-
-    def vof(vec):
-        w = INF
-        for j, c in enumerate(vec):
-            c %= mod
+    for terms in relations:
+        for j, c in enumerate(bun.combine(terms, cache.gamma, tables)):
             if c:
-                w = min(w, _vint(c, p) + j % mlen)
-        return w
-
-    for x in range(ctx.ms.index):
-        gs = mat_mul(ctx.ms.lifts[x], (0, -1, 1, 0))
-        y, gamma = ctx.ms.transport(gs)
-        ginv = (gamma[3], -gamma[1], -gamma[2], gamma[0])
-        img = _matvec_mod(cache.gamma(ginv), tables[y], mod)
-        res = [(a + b) % mod for a, b in zip(tables[x], img)]
-        worst = min(worst, vof(res))
-    for tri in ctx.ms.triangles:
-        acc = [0] * len(tables[0])
-        for s in tri.slots:
-            ginv = (s.gamma[3], -s.gamma[1], -s.gamma[2], s.gamma[0])
-            img = _matvec_mod(cache.gamma(ginv), tables[s.coset], mod)
-            acc = [(a + b) % mod for a, b in zip(acc, img)]
-        worst = min(worst, vof(acc))
+                worst = min(worst, _vint(c, p) + j % mlen)
     return worst
 
 
@@ -655,7 +737,6 @@ def _tuned_initial_tables(
         fv = {}
         for e in free:
             fv[e] = list(sym.table[e]) + list(higher[e])
-            assert len(fv[e]) == ctx.mlen
         for e, t in tune.items():
             fv[e][k + 1] = (fv[e][k + 1] + t) % mod
         return build_tables_mod(ctx, cache, fv, top, mod)
@@ -667,7 +748,7 @@ def _tuned_initial_tables(
     if delta:
         # best knob = smallest response valuation; the reachable deltas form
         # exactly that lattice (an honest lift with these classical moments
-        # exists), so the divisibility assert below is a consistency check
+        # exists), so the divisibility check below is a consistency check
         best_e, best_coef, best_v = None, None, INF
         for e in free:
             probe = assemble({e: 1})
@@ -676,17 +757,18 @@ def _tuned_initial_tables(
             if v < best_v:
                 best_e, best_coef, best_v = e, coef, v
         vd = _vint(delta, p)
-        assert vd >= best_v, "tuning target is outside the reachable lattice"
+        if vd < best_v:
+            raise ArithmeticError("tuning target is outside the reachable lattice")
         t = (delta // p**best_v) * inv_mod(best_coef // p**best_v, mod) % mod
         base = assemble({best_e: t})
-        assert (base[x0][k] - target) % (mod // p**D) == 0, "tuning failed to pin the tail moment"
+        if (base[x0][k] - target) % (mod // p**D):
+            raise ArithmeticError("tuning failed to pin the tail moment")
     # classical layer must now match the eigensymbol on every coset, up to
     # the p^D head-room the solve arithmetic consumes
     for x in range(ctx.ms.index):
         for j in range(k + 1):
-            assert (base[x][j] - sym.table[x][j] * sD) % (mod // p**D) == 0, (
-                "classical layer mismatch"
-            )
+            if (base[x][j] - sym.table[x][j] * sD) % (mod // p**D):
+                raise ArithmeticError("classical layer mismatch")
     return base
 
 
@@ -714,7 +796,6 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
     mod = p**Kint
     sD = p**D
     cache = MomentCache(ctx, Kint)
-    plan = ctx.ms.hecke_plan(up_deltas(p))
     ainv = inv_mod(sym.alpha % mod, mod)
 
     higher = {e: [0] * (M - k - 1) for e in ctx.sp.free_edges}
@@ -724,7 +805,7 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
     converged = False
     cap = 4 * M
     while iterations < cap:
-        nxt = up_apply_mod(ctx, cache, plan, tables, mod)
+        nxt = up_apply_mod(ctx, cache, tables, mod)
         nxt = [[c * ainv % mod for c in row] for row in nxt]
         iterations += 1
         ok = True
@@ -744,19 +825,22 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
         raise DivergenceError(f"no convergence after {cap} iterations")
 
     rel_val = check_relations_mod(ctx, cache, tables, p ** (M + D))
-    assert rel_val >= M + D, "iterate lost the symbol relations"
+    if rel_val < M + D:
+        raise ArithmeticError("iterate lost the symbol relations")
 
     # eigenvalue certificate: eig - alpha_true is controlled by the convergence
     # modulus p^(M+D) and the measured moment-0 residual of U Phi - eig Phi
     best = next(x for x in range(ctx.ms.index) if _vint(tables[x][0], p) == D)
-    img = up_apply_mod(ctx, cache, plan, tables, mod)
+    img = up_apply_mod(ctx, cache, tables, mod)
     a0 = tables[best][0] // sD
     b0 = img[best][0]
-    assert b0 % sD == 0
+    if b0 % sD:
+        raise ArithmeticError("U_p image lost p^D divisibility")
     eig = (b0 // sD) * inv_mod(a0, mod) % mod
     res_floor = min(_vint((img[x][0] - eig * tables[x][0]) % mod, p) for x in range(ctx.ms.index))
     eig_prec = min(M, res_floor - D)
-    assert eig_prec >= M - 2, "eigenvalue residual exceeds the documented two-digit loss"
+    if eig_prec < M - 2:
+        raise ArithmeticError("eigenvalue residual exceeds the documented two-digit loss")
     eig = eig % p**eig_prec
 
     # unscale and tag
@@ -765,7 +849,8 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
         row = []
         for j in range(M):
             c = tables[x][j] % p ** (M + D - j)
-            assert c % sD == 0, "unscaling lost divisibility"
+            if c % sD:
+                raise ArithmeticError("unscaling lost divisibility")
             row.append((c // sD) % p ** (M - j))
         final.append(row)
     # ultrametric Cauchy bound: stored moment j is within p^(M-j) of the limit
@@ -799,7 +884,6 @@ def random_initial_lift_pair(
     Kint = M + 2 * ctx.D + 4
     mod = p**Kint
     cache = MomentCache(ctx, Kint)
-    plan = ctx.ms.hecke_plan(up_deltas(p))
     ainv = inv_mod(sym.alpha % mod, mod)
     rng = random.Random(seed)
     outs = []
@@ -809,7 +893,7 @@ def random_initial_lift_pair(
         }
         tables = _tuned_initial_tables(ctx, cache, sym, mod, higher, rng.randrange(mod))
         for _ in range(4 * M):
-            tables = up_apply_mod(ctx, cache, plan, tables, mod)
+            tables = up_apply_mod(ctx, cache, tables, mod)
             tables = [[c * ainv % mod for c in row] for row in tables]
         outs.append(tables)
     a, b = outs
@@ -904,28 +988,29 @@ class UpSpectralData:
 def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[tuple[int, ...]]]:
     """p^D-scaled matrix of U_p in the free-moment coordinates over R_T.
 
-    Cells are T-tuples of w-coefficients read off the planes. Delta columns
-    at k > 0, and on the higher w-planes, sit outside the tail-consistency
-    kernel, so the builds route the defect into a sink; the determinant
-    computed from this matrix is the Fredholm series of U_p on the free
-    approximation module, whose w = 0 layer is the single-weight model.
+    Cells are T-tuples of w-coefficients read off the planes. All n unit
+    columns go through one table build and one U_p apply as column bundles
+    (ColumnBundles): column r * mlen + i is moment i of free edge r, and the
+    last column is the tail top moment. Delta columns at k > 0, and on the
+    higher w-planes, sit outside the tail-consistency kernel, so the build
+    routes the defect into a sink; the determinant computed from this matrix
+    is the Fredholm series of U_p on the free approximation module, whose
+    w = 0 layer is the single-weight model.
     """
-    plan = ctx.ms.hecke_plan(up_deltas(ctx.p))
-    T, mlen = cache.T, ctx.mlen
+    T, mlen, n = cache.T, ctx.mlen, ctx.n_model
+    bun = ColumnBundles(ctx, cache, mod, n)
     free = list(ctx.sp.free_edges)
-    cosets = free + [ctx.sp.tail.x0]
+    fv = {e: [bun.unit(r * mlen + i) for i in range(mlen)] + [0] * ((T - 1) * mlen)
+          for r, e in enumerate(free)}
+    sink: list = []
+    # no name keeps the tables, so they are freed before the cells are built
+    img = up_apply_mod(
+        ctx, cache, build_tables_mod(ctx, cache, fv, bun.unit(n - 1), mod, defect_out=sink, cols=n),
+        mod, cosets=free + [ctx.sp.tail.x0], cols=n,
+    )
     # (row of the U_p image, moment): the free moments, then the tail top moment
     coords = [(r, i) for r in range(len(free)) for i in range(mlen)] + [(len(free), mlen - 1)]
-    sink: list = []
-    cols = []
-    for r0, i0 in coords:
-        fv = {e: [0] * (T * mlen) for e in free}
-        if r0 < len(free):
-            fv[free[r0]][i0] = 1
-        tables = build_tables_mod(ctx, cache, fv, int(r0 == len(free)), mod, defect_out=sink)
-        img = up_apply_mod(ctx, cache, plan, tables, mod, cosets=cosets)
-        cols.append([tuple(img[r][t * mlen + i] for t in range(T)) for r, i in coords])
-    return [list(row) for row in zip(*cols)]
+    return [list(zip(*(bun.slots(img[r][t * mlen + i]) for t in range(T)))) for r, i in coords]
 
 
 def _elementary_from_traces(
@@ -1028,6 +1113,8 @@ def charpoly_up(
 ) -> UpSpectralData:
     """Certified initial segment of the U_p characteristic series det(1 - X U_p):
     the single-weight (T = 1) case of the series over R_T."""
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     xdeg, n, _, _, readings, poly = _certified_series(N, p, k, M, 1, xdeg, pad)
     return UpSpectralData(
         N=N, p=p, k=k, M=M, mlen=M + pad, xdeg=xdeg, model_dim=n,

@@ -154,6 +154,26 @@ def test_charpoly_nonpositive_size_is_usage_error(capsys, argv, name):
     assert err.startswith(f"error: {name} must be at least 1")
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("lift", "--k", "0", "--M", "0"), 2, "M must be at least k + 2 = 2, got 0"),
+    (("lift", "--k", "0", "--M", "1"), 2, "M must be at least k + 2 = 2, got 1"),
+    (("lift", "--k", "-2", "--M", "6"), 2, "k must be at least 0, got -2"),
+    (("charpoly", "--k", "-1", "--M", "4", "--xdeg", "2"), 2, "k must be at least 0, got -1"),
+    (("lift", "--k", "1", "--M", "4"), 1, "the weight-1 symbol space of level 33 is zero"),
+])
+def test_lift_and_charpoly_bad_input(capsys, argv, code, message):
+    """Usage errors exit 2 with empty stdout; a space with no eigensymbol is
+    a checked failure (exit 1) with the lift's error payload."""
+    cmd, *rest = argv
+    got, out, err = run(capsys, cmd, "--N", "11", "--p", "3", *rest, "--format", "json")
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == f"error: {message}\n"
+    else:
+        assert json.loads(out) == {"converged": False, "error": message}
+
+
 # sha256 of stdout, recorded from the exact Fraction-based kernels: a change
 # that only makes the engine faster must leave these bytes unchanged
 GOLDEN_JSON = [
@@ -176,6 +196,14 @@ GOLDEN_JSON = [
      "9fffc36de6789c30f19f0b24fbde1003f0d690e4fb013e32c7b0590f761ca2d3"),
     (("bgg-check", "--group", "GL2", "--k", "5", "--d", "9"),
      "b46bc532c6401f9deeaa25fb43f740958837cb7606db8b485db39c77b50669ea"),
+    # recorded before the model matrix was built on packed column bundles
+    (("charpoly", "--N", "11", "--p", "3", "--disc-center", "0", "--M", "6", "--T", "3",
+      "--xdeg", "4"),
+     "431d4e23c9bbad700d6a7cb5790b4fbbf8e3c6ef16bf72dc8ad46e7b6482102e"),
+    (("lift", "--N", "11", "--p", "5", "--k", "0", "--M", "6"),
+     "4880a42b0f7a01190bda6bee2503be79aa0dcc941e7e1dc6b725ff9e2d8a065d"),
+    (("charpoly", "--N", "11", "--p", "5", "--k", "2", "--M", "5", "--xdeg", "6"),
+     "6802560cd4d40f342639312629204da0926c0f6f081e4c0b8022eb4926a8be7f"),
 ]
 
 

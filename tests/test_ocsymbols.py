@@ -26,7 +26,9 @@ from parahoric.ocsymbols import (
     oc_context,
     ordinary_eigensymbol,
     random_initial_lift_pair,
+    up_apply_mod,
     up_deltas,
+    up_model_matrix,
 )
 
 
@@ -289,3 +291,68 @@ def test_cache_block_matrix_is_the_ring_action(p, k, T, K, a, b, c, d, rng):
     block = MomentCache(ctx, K, T).gamma(gamma)
     got = [sum(e * x for e, x in zip(row, planes)) % mod for row in block]
     assert got == [ring[j][t] for t in range(T) for j in range(mlen)]
+
+
+def test_operator_matrices_are_kept_per_space():
+    """Each operator is computed once per space and handed out read-only."""
+    space = classical_space(11, 3, 0)
+    T2 = space.hecke_matrix(2)
+    assert space.hecke_matrix(2) is T2
+    assert space.operator_matrix([(1, 0, 0, 2), (1, 1, 0, 2), (2, 0, 0, 1)]) is T2
+    assert isinstance(T2, tuple) and all(isinstance(row, tuple) for row in T2)
+    assert space.up_matrix() is not T2
+
+
+def test_lift_checks_survive_python_O():
+    """A corrupted eigensymbol table fails the classical-layer check of the
+    initial lift under python -O as well, instead of lifting silently."""
+    script = (
+        "from parahoric.ocsymbols import auto_eigensymbol, classical_space, lift_symbol,"
+        " oc_context\n"
+        "space = classical_space(11, 3, 0)\n"
+        "sym = auto_eigensymbol(space, B=30)\n"
+        "sp = oc_context(11, 3, 0, 6).sp\n"
+        "x = next(x for x in range(space.ms.index)"
+        " if x not in sp.free_edges and x != sp.tail.x0)\n"
+        "sym.table[x] = (sym.table[x][0] + 1,)\n"
+        "print('debug', __debug__)\n"
+        "try:\n"
+        "    lift_symbol(space, sym, 6)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["debug False", "raised classical layer mismatch", ""]
+
+
+def _model_matrix_per_column(ctx, cache, mod):
+    """up_model_matrix as one table build and one U_p apply per unit column."""
+    T, mlen = cache.T, ctx.mlen
+    free = list(ctx.sp.free_edges)
+    cosets = free + [ctx.sp.tail.x0]
+    coords = [(r, i) for r in range(len(free)) for i in range(mlen)] + [(len(free), mlen - 1)]
+    sink: list = []
+    cols = []
+    for r0, i0 in coords:
+        fv = {e: [0] * (T * mlen) for e in free}
+        if r0 < len(free):
+            fv[free[r0]][i0] = 1
+        tables = build_tables_mod(ctx, cache, fv, int(r0 == len(free)), mod, defect_out=sink)
+        img = up_apply_mod(ctx, cache, tables, mod, cosets=cosets)
+        cols.append([tuple(img[r][t * mlen + i] for t in range(T)) for r, i in coords])
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("N, p, k, T", [
+    (11, 3, 0, 1), (11, 3, 0, 2), (11, 3, 0, 3), (11, 5, 2, 1), (11, 3, 2, 1), (3, 2, 0, 1),
+])
+def test_model_matrix_bundles_match_per_column_builds(N, p, k, T):
+    """All columns packed into one bundled pass give the matrix that one
+    table build and one U_p apply per column give."""
+    ctx = oc_context(N, p, k, 6)
+    K = ctx.mlen + 4 * (ctx.D + 1) + 16
+    cache = MomentCache(ctx, K, T)
+    got = up_model_matrix(ctx, cache, p**K)
+    assert len(got) == ctx.n_model and all(len(row) == ctx.n_model for row in got)
+    assert got == _model_matrix_per_column(ctx, cache, p**K)
