@@ -1062,6 +1062,8 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
     polygon of the w^0 layer).
     """
     _check_positive(M=M, T=T, xdeg=xdeg)
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     mlen = M + pad
     ctx = oc_context(N, p, k, mlen)
     D, S = ctx.D, ctx.S_sol
@@ -1113,8 +1115,6 @@ def charpoly_up(
 ) -> UpSpectralData:
     """Certified initial segment of the U_p characteristic series det(1 - X U_p):
     the single-weight (T = 1) case of the series over R_T."""
-    if k < 0:
-        raise ValueError(f"k must be at least 0, got {k}")
     xdeg, n, _, _, readings, poly = _certified_series(N, p, k, M, 1, xdeg, pad)
     return UpSpectralData(
         N=N, p=p, k=k, M=M, mlen=M + pad, xdeg=xdeg, model_dim=n,

@@ -159,6 +159,8 @@ def test_charpoly_nonpositive_size_is_usage_error(capsys, argv, name):
     (("lift", "--k", "0", "--M", "1"), 2, "M must be at least k + 2 = 2, got 1"),
     (("lift", "--k", "-2", "--M", "6"), 2, "k must be at least 0, got -2"),
     (("charpoly", "--k", "-1", "--M", "4", "--xdeg", "2"), 2, "k must be at least 0, got -1"),
+    (("charpoly", "--disc-center", "-1", "--M", "4", "--xdeg", "2"), 2,
+     "k must be at least 0, got -1"),
     (("lift", "--k", "1", "--M", "4"), 1, "the weight-1 symbol space of level 33 is zero"),
 ])
 def test_lift_and_charpoly_bad_input(capsys, argv, code, message):
