@@ -209,9 +209,22 @@ GOLDEN_JSON = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_JSON)
-def test_cli_json_matches_golden_digest(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv, "--format", "json")
+# csv rows, recorded before the two spectral records shared one row writer
+GOLDEN_CSV = [
+    (("charpoly", "--N", "11", "--p", "3", "--k", "0", "--M", "6", "--xdeg", "6"),
+     "dff7a358c50fb629b7e756feb21a55737b6014be4864bcb69b72e76cd1237b0f"),
+    (("charpoly", "--N", "11", "--p", "3", "--disc-center", "0", "--M", "6", "--T", "2",
+      "--xdeg", "4"),
+     "dc053e2c7a15fa1f472634539d20ffe1c64b03d71cf0718667972db7084d1e95"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest, fmt",
+    [(a, d, "json") for a, d in GOLDEN_JSON] + [(a, d, "csv") for a, d in GOLDEN_CSV],
+)
+def test_cli_json_matches_golden_digest(capsys, argv, digest, fmt):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
