@@ -3,7 +3,7 @@
 Subpackages:
   rootdata      split root data and parabolic combinatorics
   slopes        controlling operators and critical-slope bounds
-  padics        fixed-precision p-adic scalars and Newton polygons
+  padics        p-adic valuations, Newton polygons and CertificationError
   induction     theta operators and parahoric BGG checks on GL(n)
   manin         coset presentations of weight-k modular symbols
   distributions moment modules for the three coefficient backends
@@ -28,12 +28,12 @@ from .slopes import (
 )
 from .padics import (
     AmbiguityError,
+    CertificationError,
     NewtonPolygon,
-    PadicScalar,
-    PrecisionError,
     default_precision,
     hensel_lift_root,
     newton_polygon_of_poly,
+    valuation,
 )
 from .induction import BGGReport, bgg_kernel, theta_matrix, theta_preserves_parahoric
 from .manin import ManinSystem

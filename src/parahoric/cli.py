@@ -1,9 +1,10 @@
 """Command-line front end: slope tables, BGG checks, lifting runs, spectra.
 
-Exit codes: 0 on a passing verdict or convergence, 1 on a checked failure,
-2 on a usage error. JSON output is canonical (sorted keys, fixed indent);
-tables and CSV are derived views of the same payload, so identical
-arguments produce byte-identical output.
+Exit codes: 0 on a passing verdict or convergence, 1 on a checked failure
+(a broken certification invariant among them), 2 on a usage error. JSON
+output is canonical (sorted keys, fixed indent); tables and CSV are derived
+views of the same payload, so identical arguments produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .ocsymbols import (
     family_charpoly,
     lift_symbol,
 )
-from .padics import default_precision
+from .padics import CertificationError, default_precision
 from .rootdata import (
     RootDatum,
     datum_by_name,
@@ -99,7 +100,10 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _parse_vals(text: str) -> list[Fraction]:
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    try:
+        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ZeroDivisionError:
+        raise ValueError(f"valuations {text!r} have a zero denominator") from None
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +318,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
+    except CertificationError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+        return 1
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

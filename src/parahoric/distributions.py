@@ -15,36 +15,7 @@ from typing import Sequence
 
 from .linalg import frac_mod
 from .manin import Mat2
-
-INF = 10**9     # valuation of 0 in integer-residue arithmetic
-
-
-def _vint(n: int, p: int) -> int:
-    """p-adic valuation of an integer; INF for 0."""
-    if n == 0:
-        return INF
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def padic_val(q: Fraction | int, p: int) -> int | None:
-    """Valuation of a rational; None for zero."""
-    q = Fraction(q)
-    if q == 0:
-        return None
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+from .padics import VAL_INF, CertificationError, valuation
 
 
 def _lin_pow_series(a: Fraction, c: Fraction, e: int, mlen: int) -> list[Fraction]:
@@ -84,7 +55,7 @@ def moment_matrix(
 
     Row j expands (a + c z)^(k-j) (b + d z)^j. When p is given the matrix must
     lie in the monoid with unit a and p | c, and the filtration bound is
-    asserted.
+    checked.
     """
     _check_monoid(gamma, p)
     a, b, c, d = gamma
@@ -104,8 +75,8 @@ def moment_matrix(
     if p is not None:
         for j in range(mlen):
             for i in range(j + 1, mlen):
-                v = padic_val(rows[j][i], p)
-                assert v is None or v >= i - j, "filtration bound violated"
+                if valuation(rows[j][i], p) < i - j:
+                    raise CertificationError("filtration bound violated")
     return tuple(rows)
 
 
@@ -145,7 +116,7 @@ def moment_matrix_mod(
     for j in range(mlen):
         for i in range(j + 1, mlen):
             if rows[j][i] % gcd(p ** (i - j), mod):
-                raise ArithmeticError("filtration bound violated")
+                raise CertificationError("filtration bound violated")
     return rows
 
 
@@ -170,8 +141,8 @@ def tail_solve(
     if nu[0] != 0:
         raise ValueError("tail relation is inconsistent: nu must kill constants")
     for j in range(mlen):
-        assert E[j][j] == 1, "tail twist is not unipotent on moments"
-        assert all(E[j][i] == 0 for i in range(j + 1, mlen))
+        if E[j][j] != 1 or any(E[j][j + 1:]):
+            raise CertificationError("tail twist is not unipotent on moments")
     m: list[Fraction] = [Fraction(0)] * mlen
     m[mlen - 1] = Fraction(top)
     for j in range(1, mlen):
@@ -179,7 +150,8 @@ def tail_solve(
         for i in range(j - 1):
             acc -= E[j][i] * m[i]
         piv = E[j][j - 1]
-        assert piv != 0, "tail solve pivot vanished"
+        if piv == 0:
+            raise CertificationError("tail solve pivot vanished")
         m[j - 1] = acc / piv
     return m
 
@@ -208,17 +180,16 @@ def solve_error_profile(
     list bounds the error on each solved moment (top moment exact).
     """
     mlen = len(in_prof)
-    out = [INF] * mlen
+    out = [VAL_INF] * mlen
     for j in range(1, mlen):
         floor = in_prof[j]
         for i in range(j - 1):
-            v = padic_val(E[j][i], p)
-            if v is not None:
-                floor = min(floor, out[i] + v)
-        piv = padic_val(E[j][j - 1], p)
-        assert piv is not None
-        out[j - 1] = floor - piv
-    out[mlen - 1] = INF
+            if E[j][i]:
+                floor = min(floor, out[i] + valuation(E[j][i], p))
+        if E[j][j - 1] == 0:
+            raise CertificationError("tail solve pivot vanished")
+        out[j - 1] = floor - valuation(E[j][j - 1], p)
+    out[mlen - 1] = VAL_INF
     return out
 
 
@@ -234,7 +205,8 @@ def teichmuller(a: int, p: int, K: int) -> int:
         if y == x:
             break
         x = y
-    assert pow(x, p, m) == x
+    if pow(x, p, m) != x:
+        raise CertificationError("Teichmuller iteration did not reach a fixed point")
     return x
 
 
@@ -245,11 +217,12 @@ def iwasawa_log(a: int, p: int, K: int) -> int:
     om = teichmuller(a, p, K + pad)
     u = (a % m) * pow(om, -1, m) % m
     x = u - 1
-    assert x % p == 0
+    if x % p:
+        raise CertificationError("the 1-unit part of a is not 1 mod p")
     tot = Fraction(0)
     t = 1
     xt = 1
-    while t - _vint(t, p) < K + pad:
+    while t - valuation(t, p) < K + pad:
         xt *= x
         tot += Fraction((-1) ** (t + 1) * xt, t)
         t += 1
@@ -285,7 +258,7 @@ def family_moment_matrix(
                      for row in moment_matrix_mod(gamma, k0, mlen, p, p**K))
     if p == 2:
         raise ValueError("family coefficients need p odd")
-    vfact = _vint(factorial(max(T - 1, 1)), p)
+    vfact = valuation(factorial(max(T - 1, 1)), p)
     Kw = K + vfact
     mw = p**Kw
     kappa = iwasawa_log(a % p ** (Kw + 4), p, Kw)
@@ -300,15 +273,17 @@ def family_moment_matrix(
     lost = 0
     for t in range(1, T):
         nxt = _zconv(cur, L, mlen, mw)
-        vt = _vint(t, p)
+        vt = valuation(t, p)
         lost += vt
-        assert lost <= vfact
+        if lost > vfact:
+            raise CertificationError("t! lost more p-powers than (T - 1)! holds")
         scale = p**vt
         unit = t // scale
         inv_unit = pow(unit, -1, mw)
         div = []
         for x in nxt:
-            assert x % scale == 0, "family series lost integrality"
+            if x % scale:
+                raise CertificationError("family series lost integrality")
             div.append(x // scale * inv_unit % mw)
         cur = div
         Gs.append(cur)

@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import linalg
+from .padics import CertificationError
 from .polynomials import Poly, monomials_up_to_degree, poly_matrix_mul
 from .rootdata import RootDatum, gl_datum
 from .slopes import TorusElement
@@ -259,7 +260,7 @@ def weyl_dimension(block_weights: Sequence[int]) -> int:
             den *= j - i
     d = Fraction(num, den)
     if d.denominator != 1 or d <= 0:
-        raise ArithmeticError(f"Weyl dimension {d} of {lam} is not a positive integer")
+        raise CertificationError(f"Weyl dimension {d} of {lam} is not a positive integer")
     return int(d)
 
 
@@ -491,7 +492,7 @@ def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: random.Random | 
     kernel = linalg.nullspace(mat)
     model, basis2 = parahoric_truncation_basis(n, frozenset({i}), lam, d, rng=rng)
     if basis != basis2:
-        raise ArithmeticError("theta and parabolic model use different monomial bases")
+        raise CertificationError("theta and parabolic model use different monomial bases")
     rows_model = space_rows(model, basis)
     equal = linalg.same_span(kernel, rows_model)
     return BGGReport(
@@ -525,7 +526,7 @@ def theta_preserves_parahoric(
     src, basis = parahoric_truncation_basis(n, levi, lam, d, rng=rng)
     dst, basis2 = parahoric_truncation_basis(n, levi, star, d, rng=rng)
     if basis != basis2:
-        raise ArithmeticError("source and target models use different monomial bases")
+        raise CertificationError("source and target models use different monomial bases")
     dst_rows = space_rows(dst, basis)
     for f in src:
         img = theta_apply(n, i, lam, f)

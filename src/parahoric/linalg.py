@@ -20,8 +20,9 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def matvec(a: Matrix, v: Sequence[Fraction]) -> Row:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+def matvec(a: Sequence[Sequence], v: Sequence) -> list:
+    """Unreduced a v over ints or Fractions; the entries of v may be column bundles."""
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -165,16 +166,9 @@ def charpoly_berkowitz(a: Matrix) -> list[Fraction]:
 
 # modular arithmetic helpers (p-power moduli)
 
-def inv_mod(a: int, mod: int) -> int:
-    g = pow(a % mod, -1, mod)
-    return g
-
-
 def frac_mod(x: Fraction, mod: int) -> int:
     """Reduce an exact rational with mod-coprime denominator."""
-    num = x.numerator % mod
-    den = x.denominator % mod
-    return (num * inv_mod(den, mod)) % mod
+    return x.numerator % mod * pow(x.denominator, -1, mod) % mod
 
 
 def power_traces_mod(a: list[list], count: int, mod: int) -> list:

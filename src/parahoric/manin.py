@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from .padics import CertificationError
+
 Mat2 = tuple[int, int, int, int]  # (a, b, c, d) row-major
 
 IDENTITY: Mat2 = (1, 0, 0, 1)
@@ -110,7 +112,8 @@ class P1List:
         while gcd(s, M) != 1:
             s = (s + A) % M
             guard += 1
-            assert guard <= M, "unit lift failed"
+            if guard > M:
+                raise CertificationError("unit lift failed")
         u2 = g
         v2 = (s * v) % M
         best = v2
@@ -152,11 +155,12 @@ def lift_to_sl2(u: int, v: int, M: int) -> Mat2:
     while gcd(c, d) != 1:
         d += M
         guard += 1
-        assert guard <= M, "coprime lift failed"
+        if guard > M:
+            raise CertificationError("coprime lift failed")
     g, x, y = xgcd(c, d)
-    assert g == 1
     m = (y, -x, c, d)
-    assert mat_det(m) == 1
+    if g != 1 or mat_det(m) != 1:
+        raise CertificationError("lift to SL(2, Z) is not unimodular")
     return m
 
 
@@ -231,7 +235,8 @@ class ManinSystem:
         """Write g = gamma g_y; returns (y, gamma)."""
         y = self.coset_of_matrix(g)
         gamma = mat_mul(g, mat_inv(self.lifts[y]))
-        assert self.in_gamma0(gamma), "transport left Gamma_0(M)"
+        if not self.in_gamma0(gamma):
+            raise CertificationError("transport left Gamma_0(M)")
         return y, gamma
 
     def _build_orbits(self) -> None:
@@ -269,7 +274,8 @@ class ManinSystem:
                 self.torsion_u.append(x)
                 seen.update(orbit)
                 continue
-            assert len(set(orbit)) == 3, "U orbit of size 2 cannot happen"
+            if len(set(orbit)) != 3:
+                raise CertificationError("U orbit of size 2 cannot happen")
             seen.update(orbit)
             self.triangles.append(Triangle(tuple(slots)))
 
@@ -291,7 +297,8 @@ class ManinSystem:
             )
         x0 = self.p1.index(0, 1)
         partner = self.s_partner[x0]
-        assert partner == self.p1.index(1, 0)
+        if partner != self.p1.index(1, 0):
+            raise CertificationError("S does not pair (0:1) with (1:0)")
         tail_edge = self.leader[x0]
 
         identity_tri = None
@@ -364,7 +371,8 @@ class ManinSystem:
                 for v in reversed(children[u]):
                     stack.append((v, False))
 
-        assert determined | {tail_edge} == set(self.edges)
+        if determined | {tail_edge} != set(self.edges):
+            raise CertificationError("elimination program misses an edge")
         return SolvedPresentation(free_edges=free, steps=steps, tail=tail)
 
     def _tail_data(self, tri: Triangle, x0: int, partner: int) -> IdentityTail:
@@ -377,8 +385,10 @@ class ManinSystem:
             y, gamma = self.transport(gk)
             slots.append(TriangleSlot(y, gamma))
         s0, s1, s2 = slots
-        assert s0.coset == x0 and s0.gamma == IDENTITY
-        assert s2.coset == partner and s1.coset not in (x0, partner)
+        if s0.coset != x0 or s0.gamma != IDENTITY:
+            raise CertificationError("identity triangle does not start at (0:1)")
+        if s2.coset != partner or s1.coset in (x0, partner):
+            raise CertificationError("identity triangle does not fold onto the tail")
         # v_{partner} = -v_{x0} | s_twist[x0]
         # relation: v_{x0} + v_w|g1^{-1} - v_{x0} | (s_twist g2^{-1}) = 0
         W = mat_mul(self.s_twist[x0], mat_inv(s2.gamma))
@@ -402,19 +412,22 @@ class ManinSystem:
             ld, sign, twist = self.value_resolution(s.coset)
             m = mat_inv(s.gamma) if twist is None else mat_mul(twist, mat_inv(s.gamma))
             if ld == target:
-                assert target_term is None, "folded triangle escaped detection"
+                if target_term is not None:
+                    raise CertificationError("folded triangle escaped detection")
                 target_term = (sign, m)
             else:
-                assert ld in determined, "elimination order broken"
+                if ld not in determined:
+                    raise CertificationError("elimination order broken")
                 other_terms.append((ld, sign, m))
-        assert target_term is not None
+        if target_term is None:
+            raise CertificationError("triangle does not contain its target edge")
         tsign, tmat = target_term
         tinv = mat_inv(tmat)
         terms = []
         for ld, sign, m in other_terms:
             terms.append((ld, -sign * tsign, mat_mul(m, tinv)))
-        for _, _, m in terms:
-            assert self.in_gamma0(m)
+        if not all(self.in_gamma0(m) for _, _, m in terms):
+            raise CertificationError("solved triangle term left Gamma_0(M)")
         return ProgramStep(target=target, terms=tuple(terms))
 
     # path decomposition
@@ -477,6 +490,7 @@ def unimodular_pieces(q: Fraction | None) -> list[Mat2]:
         m = (pnew, ps[-2], qnew, qs[-2])
         if mat_det(m) == -1:
             m = (-pnew, ps[-2], -qnew, qs[-2])
-        assert mat_det(m) == 1
+        if mat_det(m) != 1:
+            raise CertificationError("continued-fraction piece is not unimodular")
         pieces.append(m)
     return pieces

@@ -30,28 +30,33 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     charpoly_berkowitz,
     frac_mod,
-    inv_mod,
+    matvec,
     nullspace,
     power_traces_mod,
     solve,
 )
-from .manin import IDENTITY, ManinSystem, Mat2, SolvedPresentation, mat_inv, mat_mul
+from .manin import IDENTITY, ManinSystem, Mat2, SolvedPresentation, is_prime, mat_inv, mat_mul
 from .distributions import (
-    INF,
-    _vint,
     apply_moments,
     family_moment_matrix,
     moment_matrix,
-    padic_val,
     solve_error_profile,
     tail_solve_matrix,
 )
-from .padics import AmbiguityError, NewtonPolygon, PolygonPoint, hensel_lift_root
+from .padics import (
+    VAL_INF,
+    AmbiguityError,
+    CertificationError,
+    NewtonPolygon,
+    PolygonPoint,
+    hensel_lift_root,
+    valuation,
+)
 
 
 def up_deltas(p: int) -> list[Mat2]:
@@ -121,7 +126,8 @@ class ClassicalSpace:
                 img = self.apply_plan(plan, b)
                 flat = self._flatten(img)
                 x = solve(Amat, flat)
-                assert x is not None, "operator left the symbol space"
+                if x is None:
+                    raise CertificationError("operator left the symbol space")
                 cols.append(x)
             self._operators[key] = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
         return self._operators[key]
@@ -232,7 +238,8 @@ def _restrict(mat: Sequence[Sequence[Fraction]], sub: list[list[Fraction]]) -> l
     for v in sub:
         img = [sum(mat[i][j] * v[j] for j in range(n)) for i in range(n)]
         x = solve(A, img)
-        assert x is not None, "subspace is not stable"
+        if x is None:
+            raise CertificationError("subspace is not stable")
         cols.append(x)
     return [[cols[j][i] for j in range(m)] for i in range(m)]
 
@@ -262,9 +269,10 @@ def ordinary_eigensymbol(
     cp = charpoly_berkowitz(UW)  # x^2 - trace x + norm
     trace = -cp[1]
     norm = cp[0]
-    assert trace.denominator == 1 and norm.denominator == 1
+    if trace.denominator != 1 or norm.denominator != 1:
+        raise CertificationError("stabilization polynomial is not integral")
     trace, norm = int(trace), int(norm)
-    if padic_val(norm, p) != k + 1:
+    if valuation(norm, p) != k + 1:
         raise ValueError("stabilization norm is not p^(k+1) times a unit")
     # slope-0 root exists iff the trace is a unit
     mod = p**B
@@ -281,9 +289,7 @@ def ordinary_eigensymbol(
     # psi = (U - beta) w with beta = trace - alpha
     beta = (trace - alpha) % mod
     w = Wplus[0]
-    den = 1
-    for c in w:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in w))
     w_int = [int(c * den) for c in w]
     # work directly on symbol tables: psi_table = U(w) - beta*w
     plan_up = space.ms.hecke_plan(up_deltas(p))
@@ -297,29 +303,18 @@ def ordinary_eigensymbol(
         [Uw_table[x][j] - beta * w_table[x][j] for j in range(k + 1)]
         for x in range(space.ms.index)
     ]
-    scale = 1
-    for row in psi_frac:
-        for c in row:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    assert scale % p != 0, "stabilization produced p in the denominator"
+    scale = math.lcm(*(c.denominator for row in psi_frac for c in row))
+    if scale % p == 0:
+        raise CertificationError("stabilization produced p in the denominator")
     psi_int = [[frac_mod(c * scale, mod) for c in row] for row in psi_frac]
     # normalize primitive: divide out common p-powers
-    vmin = INF
-    for row in psi_int:
-        for c in row:
-            if c:
-                v = 0
-                cc = c
-                while cc % p == 0:
-                    cc //= p
-                    v += 1
-                vmin = min(vmin, v)
-    assert vmin < INF, "stabilized symbol vanished"
+    vmin = min(valuation(c, p) for row in psi_int for c in row)
+    if vmin == VAL_INF:
+        raise CertificationError("stabilized symbol vanished")
     if vmin:
         psi_int = [[(c // p**vmin) % (mod // p**vmin) for c in row] for row in psi_int]
         B = B - vmin
         mod = p**B
-        psi_int = [[c % mod for c in row] for row in psi_int]
     table = [tuple(row) for row in psi_int]
     sym = Eigensymbol(
         N=space.ms.N, p=p, k=k, B=B, table=table,
@@ -337,8 +332,8 @@ def _assert_eigen(space: ClassicalSpace, sym: Eigensymbol) -> None:
     img = space.apply_plan(plan, frac_table)
     for x in range(space.ms.index):
         for j in range(sym.k + 1):
-            diff = (int(img[x][j]) - sym.alpha * sym.table[x][j]) % mod
-            assert diff == 0, "stabilized symbol is not a U_p eigenvector mod p^B"
+            if (int(img[x][j]) - sym.alpha * sym.table[x][j]) % mod:
+                raise CertificationError("stabilized symbol is not a U_p eigenvector mod p^B")
 
 
 def auto_eigensymbol(
@@ -355,9 +350,7 @@ def auto_eigensymbol(
     if space.dimension == 0:
         raise ValueError(f"the weight-{k} symbol space of level {N * p} is zero")
     for ell in range(2, max_ell + 1):
-        if any(ell % q == 0 for q in range(2, ell)):
-            continue
-        if (N * p) % ell == 0:
+        if not is_prime(ell) or (N * p) % ell == 0:
             continue
         mat = space.hecke_matrix(ell)
         bound = ell ** (k + 1) + 1
@@ -408,12 +401,7 @@ def oc_context(N: int, p: int, k: int, mlen: int) -> OCContext:
     sp = ms.solved_presentation()
     E_W = moment_matrix(sp.tail.W, k, mlen)
     solve_mat = tail_solve_matrix(E_W, mlen)
-    D = 0
-    for row in solve_mat:
-        for c in row:
-            v = padic_val(c, p)
-            if v is not None and v < 0:
-                D = max(D, -v)
+    D = max([0] + [-valuation(c, p) for row in solve_mat for c in row])
     big = 10**6
     floors = solve_error_profile(E_W, p, [big - j for j in range(mlen)])
     S_sol = 0
@@ -421,7 +409,7 @@ def oc_context(N: int, p: int, k: int, mlen: int) -> OCContext:
         if floors[j] < big:
             S_sol = max(S_sol, (big - j) - floors[j])
     graded = solve_error_profile(E_W, p, [mlen - j for j in range(mlen)])
-    loss = [max(0, (mlen - j) - graded[j]) if graded[j] < INF else 0 for j in range(mlen)]
+    loss = [max(0, (mlen - j) - graded[j]) if graded[j] < VAL_INF else 0 for j in range(mlen)]
     return OCContext(
         ms=ms, sp=sp, k=k, mlen=mlen, E_W=E_W, solve_mat=solve_mat,
         D=D, S_sol=S_sol, loss_profile=loss, up_plan=ms.hecke_plan(up_deltas(p)),
@@ -479,14 +467,9 @@ class MomentCache:
             for row in E[:mlen]:
                 for i in range(mlen):
                     if row[i] % math.gcd(p**i, self.mod):
-                        raise ArithmeticError("U_p column divisibility failed")
+                        raise CertificationError("U_p column divisibility failed")
             self._up[m] = E
         return self._up[m]
-
-
-def _matvec(E: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    """Unreduced E v; the entries of v may be column bundles."""
-    return [sum(map(operator.mul, row, v)) for row in E]
 
 
 class ColumnBundles:
@@ -556,7 +539,7 @@ class ColumnBundles:
         acc = {1: [0] * self.width, -1: [0] * self.width}
         for y, sgn, m in terms:
             a = acc[sgn]
-            a[:] = map(operator.add, a, _matvec(matrix(m), vals[y]))
+            a[:] = map(operator.add, a, matvec(matrix(m), vals[y]))
         return list(map(self.reduce, acc[1], acc[-1]))
 
 
@@ -605,15 +588,15 @@ def build_tables_mod(
     nu = []
     for x in bun.combine([(tail.w_coset, 1, tail.gamma_w_inv)], cache.gamma, vals):
         if any(s % sD for s in bun.slots(x)):
-            raise ArithmeticError("scaled nu lost p^D divisibility")
+            raise CertificationError("scaled nu lost p^D divisibility")
         nu.append(x // sD)
     if defect_out is not None:
         defect_out.extend(nu[::mlen])
     elif any(nu[::mlen]):
-        raise ArithmeticError("tail consistency: nu_0 must vanish")
+        raise CertificationError("tail consistency: nu_0 must vanish")
     v0: list[int] = []
     for t in range(0, width, mlen):
-        v0.extend(map(bun.reduce, _matvec(cache.solve, nu[t:t + mlen])))
+        v0.extend(map(bun.reduce, matvec(cache.solve, nu[t:t + mlen])))
     v0[mlen - 1] = bun.reduce(v0[mlen - 1] + tail_top * sD_res)
     vals[tail.x0] = v0
     # partners
@@ -645,7 +628,7 @@ def check_relations_mod(
     """Minimum graded valuation v_p(residual_j) + j over all relations.
 
     Residual moment j only carries p^(K-j) digits of meaning, so the graded
-    reading is the honest one; INF means every relation holds exactly mod K.
+    reading is the honest one; VAL_INF means every relation holds exactly mod K.
     """
     ms, p, mlen = ctx.ms, ctx.p, ctx.mlen
     # S relations v_x + v_y | gamma^-1 and triangle relations, as plan rows
@@ -656,11 +639,11 @@ def check_relations_mod(
     for tri in ms.triangles:
         relations.append([(s.coset, 1, mat_inv(s.gamma)) for s in tri.slots])
     bun = ColumnBundles(ctx, cache, mod)
-    worst = INF
+    worst = VAL_INF
     for terms in relations:
         for j, c in enumerate(bun.combine(terms, cache.gamma, tables)):
             if c:
-                worst = min(worst, _vint(c, p) + j % mlen)
+                worst = min(worst, valuation(c, p) + j % mlen)
     return worst
 
 
@@ -749,26 +732,26 @@ def _tuned_initial_tables(
         # best knob = smallest response valuation; the reachable deltas form
         # exactly that lattice (an honest lift with these classical moments
         # exists), so the divisibility check below is a consistency check
-        best_e, best_coef, best_v = None, None, INF
+        best_e, best_coef, best_v = None, None, VAL_INF
         for e in free:
             probe = assemble({e: 1})
             coef = (probe[x0][k] - base[x0][k]) % mod
-            v = _vint(coef, p)
+            v = valuation(coef, p)
             if v < best_v:
                 best_e, best_coef, best_v = e, coef, v
-        vd = _vint(delta, p)
+        vd = valuation(delta, p)
         if vd < best_v:
-            raise ArithmeticError("tuning target is outside the reachable lattice")
-        t = (delta // p**best_v) * inv_mod(best_coef // p**best_v, mod) % mod
+            raise CertificationError("tuning target is outside the reachable lattice")
+        t = (delta // p**best_v) * pow(best_coef // p**best_v, -1, mod) % mod
         base = assemble({best_e: t})
         if (base[x0][k] - target) % (mod // p**D):
-            raise ArithmeticError("tuning failed to pin the tail moment")
+            raise CertificationError("tuning failed to pin the tail moment")
     # classical layer must now match the eigensymbol on every coset, up to
     # the p^D head-room the solve arithmetic consumes
     for x in range(ctx.ms.index):
         for j in range(k + 1):
             if (base[x][j] - sym.table[x][j] * sD) % (mod // p**D):
-                raise ArithmeticError("classical layer mismatch")
+                raise CertificationError("classical layer mismatch")
     return base
 
 
@@ -781,7 +764,7 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
     declared when consecutive iterates agree at the graded moduli p^(M+D-j).
     """
     p, k = sym.p, sym.k
-    v_alpha = _vint(sym.alpha, p)
+    v_alpha = valuation(sym.alpha, p)
     if not v_alpha < k + 1:
         raise ValueError(
             f"noncritical-slope precondition failed: v_p(a_p) = {v_alpha} >= k + 1 = {k + 1}"
@@ -796,7 +779,7 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
     mod = p**Kint
     sD = p**D
     cache = MomentCache(ctx, Kint)
-    ainv = inv_mod(sym.alpha % mod, mod)
+    ainv = pow(sym.alpha, -1, mod)
 
     higher = {e: [0] * (M - k - 1) for e in ctx.sp.free_edges}
     tables = _tuned_initial_tables(ctx, cache, sym, mod, higher, 0)
@@ -826,21 +809,21 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
 
     rel_val = check_relations_mod(ctx, cache, tables, p ** (M + D))
     if rel_val < M + D:
-        raise ArithmeticError("iterate lost the symbol relations")
+        raise CertificationError("iterate lost the symbol relations")
 
     # eigenvalue certificate: eig - alpha_true is controlled by the convergence
     # modulus p^(M+D) and the measured moment-0 residual of U Phi - eig Phi
-    best = next(x for x in range(ctx.ms.index) if _vint(tables[x][0], p) == D)
+    best = next(x for x in range(ctx.ms.index) if valuation(tables[x][0], p) == D)
     img = up_apply_mod(ctx, cache, tables, mod)
     a0 = tables[best][0] // sD
     b0 = img[best][0]
     if b0 % sD:
-        raise ArithmeticError("U_p image lost p^D divisibility")
-    eig = (b0 // sD) * inv_mod(a0, mod) % mod
-    res_floor = min(_vint((img[x][0] - eig * tables[x][0]) % mod, p) for x in range(ctx.ms.index))
+        raise CertificationError("U_p image lost p^D divisibility")
+    eig = (b0 // sD) * pow(a0, -1, mod) % mod
+    res_floor = min(valuation((img[x][0] - eig * tables[x][0]) % mod, p) for x in range(ctx.ms.index))
     eig_prec = min(M, res_floor - D)
     if eig_prec < M - 2:
-        raise ArithmeticError("eigenvalue residual exceeds the documented two-digit loss")
+        raise CertificationError("eigenvalue residual exceeds the documented two-digit loss")
     eig = eig % p**eig_prec
 
     # unscale and tag
@@ -850,7 +833,7 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
         for j in range(M):
             c = tables[x][j] % p ** (M + D - j)
             if c % sD:
-                raise ArithmeticError("unscaling lost divisibility")
+                raise CertificationError("unscaling lost divisibility")
             row.append((c // sD) % p ** (M - j))
         final.append(row)
     # ultrametric Cauchy bound: stored moment j is within p^(M-j) of the limit
@@ -884,7 +867,7 @@ def random_initial_lift_pair(
     Kint = M + 2 * ctx.D + 4
     mod = p**Kint
     cache = MomentCache(ctx, Kint)
-    ainv = inv_mod(sym.alpha % mod, mod)
+    ainv = pow(sym.alpha, -1, mod)
     rng = random.Random(seed)
     outs = []
     for _ in range(2):
@@ -898,13 +881,13 @@ def random_initial_lift_pair(
         outs.append(tables)
     a, b = outs
     S = max(ctx.loss_profile[:M])
-    worst = INF
+    worst = VAL_INF
     agree = True
     for x in range(ctx.ms.index):
         for j in range(M):
             d = (a[x][j] - b[x][j]) % mod
             if d:
-                worst = min(worst, _vint(d, p) - ctx.D + j)
+                worst = min(worst, valuation(d, p) - ctx.D + j)
             need = max(0, M + ctx.D - j - S)
             if d % p**need:
                 agree = False
@@ -941,6 +924,25 @@ class CoefficientReading:
         }
 
 
+def _csv_rows(
+    coefficients: Iterable[tuple[str, CoefficientReading]], polygon: NewtonPolygon
+) -> list[list[str]]:
+    """Header, one row per (index label, coefficient reading), then the
+    polygon's vertices and slopes."""
+    rows = [["record", "index", "value", "precision", "certified"]]
+    for index, c in coefficients:
+        rows.append([
+            "coefficient", index,
+            "" if c.valuation is None else str(c.valuation),
+            str(c.precision), str(c.certified).lower(),
+        ])
+    for v in polygon.vertices:
+        rows.append(["vertex", str(v.index), str(v.height), "", str(v.certified).lower()])
+    for s in polygon.segments:
+        rows.append(["slope", str(s.length), str(s.slope), "", str(s.certified).lower()])
+    return rows
+
+
 @dataclass
 class UpSpectralData:
     N: int
@@ -971,18 +973,7 @@ class UpSpectralData:
         }
 
     def csv_rows(self) -> list[list[str]]:
-        rows = [["record", "index", "value", "precision", "certified"]]
-        for c in self.coefficients:
-            rows.append([
-                "coefficient", str(c.index),
-                "" if c.valuation is None else str(c.valuation),
-                str(c.precision), str(c.certified).lower(),
-            ])
-        for v in self.polygon.vertices:
-            rows.append(["vertex", str(v.index), str(v.height), "", str(v.certified).lower()])
-        for s in self.polygon.segments:
-            rows.append(["slope", str(s.length), str(s.slope), "", str(s.certified).lower()])
-        return rows
+        return _csv_rows(((str(c.index), c) for c in self.coefficients), self.polygon)
 
 
 def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[tuple[int, ...]]]:
@@ -1033,13 +1024,13 @@ def _elementary_from_traces(
                     for t in range(T - s):
                         acc[s + t] += sgn * es * pi[t]
             worst_in = max(worst_in, nloss[r - i])
-        vr = _vint(r, p)
-        inv_rr = inv_mod(r // p**vr, mod)
+        vr = valuation(r, p)
+        inv_rr = pow(r // p**vr, -1, mod)
         out = []
         for a in acc:
             a %= mod
             if a % p**vr:
-                raise ArithmeticError("Newton numerator lost required divisibility")
+                raise CertificationError("Newton numerator lost required divisibility")
             out.append(a // p**vr * inv_rr % mod)
         e.append(out)
         nloss[r] = worst_in + vr
@@ -1076,7 +1067,7 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
     # empirical column valuation floors of the unscaled operator
     floors = []
     for l in range(n):
-        v = min([Kbig] + [_vint(c, p) for row in U for c in row[l]])
+        v = min([Kbig] + [valuation(c, p) for row in U for c in row[l]])
         floors.append(min(v - D, mlen - S))
     floors.sort()
 
@@ -1094,9 +1085,9 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
         for x in elem[r - 1]:
             rep = (-1) ** r * x % mod
             if rep % p ** (r * D):
-                raise ArithmeticError("scaled coefficient lost p^(rD)")
+                raise CertificationError("scaled coefficient lost p^(rD)")
             c = rep // p ** (r * D) % mod
-            v = _vint(c, p)
+            v = valuation(c, p)
             if prec > 0 and v < prec:
                 row.append(CoefficientReading(r, v, prec, True, c % p**prec))
             else:
@@ -1174,7 +1165,7 @@ class FamilySpectralData:
         into each point's certification.
         """
         p = self.p
-        vw = _vint(w_value, p)
+        vw = valuation(w_value, p)
         drop = self.T * min(vw, 10**3)
         pts = [PolygonPoint(0, 0, True)]
         for r in range(1, len(self.coefficients)):
@@ -1189,7 +1180,7 @@ class FamilySpectralData:
                 wp = wp * w_value % m if w_value else 0
                 if wp == 0 and w_value == 0:
                     break
-            v = _vint(acc, p)
+            v = valuation(acc, p)
             if prec > 0 and v < prec:
                 pts.append(PolygonPoint(r, v, True))
             else:
@@ -1267,19 +1258,8 @@ class FamilySpectralData:
     def csv_rows(self) -> list[list[str]]:
         """Flat rows: X-coefficient r, weight-variable layer t, then the
         center polygon's vertices and slopes."""
-        rows = [["record", "index", "value", "precision", "certified"]]
-        for r, row in enumerate(self.coefficients):
-            for t, c in enumerate(row):
-                rows.append([
-                    "coefficient", f"{r}.{t}",
-                    "" if c.valuation is None else str(c.valuation),
-                    str(c.precision), str(c.certified).lower(),
-                ])
-        for v in self.center_polygon.vertices:
-            rows.append(["vertex", str(v.index), str(v.height), "", str(v.certified).lower()])
-        for s in self.center_polygon.segments:
-            rows.append(["slope", str(s.length), str(s.slope), "", str(s.certified).lower()])
-        return rows
+        return _csv_rows(((f"{r}.{t}", c) for r, row in enumerate(self.coefficients)
+                          for t, c in enumerate(row)), self.center_polygon)
 
 
 def family_charpoly(

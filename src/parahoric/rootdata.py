@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
+from .padics import CertificationError
 
 Vector = tuple[int, ...]
 CLOSURE_CAP = 10_000
@@ -46,6 +47,9 @@ class RootDatum:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
         if k and linalg.rank(linalg.mat(self.simple_roots)) != k:
             raise ValueError("simple roots must be linearly independent")
+        cartan = [[self.pairing(a, cv) for cv in self.coroots] for a in self.simple_roots]
+        if not _finite_type(cartan):
+            raise ValueError(f"the Cartan matrix {cartan} is not of finite type")
 
     # basic pairings and actions
 
@@ -139,7 +143,8 @@ class RootDatum:
         out = []
         for beta in self.positive_roots:
             coords = self.simple_coordinates(beta)
-            assert coords is not None
+            if coords is None:
+                raise CertificationError(f"positive root {beta} is outside the root lattice")
             if all(c == 0 for i, c in enumerate(coords) if i not in s):
                 out.append(beta)
         return tuple(out)
@@ -193,6 +198,39 @@ class RootDatum:
         }
 
 
+def _finite_type(cartan: list[list[int]]) -> bool:
+    """Is the matrix a generalized Cartan matrix whose principal minors are
+    all positive (Kac, Infinite-dimensional Lie algebras, Thm 4.3)?
+
+    Such a matrix is symmetrizable: d_i a_ij = d_j a_ji for a positive D,
+    fixed along the Dynkin graph, makes D A symmetric and positive definite,
+    which Sylvester's criterion reads off the elimination pivots in O(k^3).
+    """
+    k = len(cartan)
+    d: list[Fraction | None] = [None] * k
+    for root in range(k):
+        if d[root] is not None:
+            continue
+        d[root] = Fraction(1)
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(k):
+                if cartan[i][j] and cartan[j][i] and d[j] is None:
+                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                    stack.append(j)
+    b = [[d[i] * cartan[i][j] for j in range(k)] for i in range(k)]
+    if any(b[i][j] != b[j][i] for i in range(k) for j in range(i)):
+        return False
+    for c in range(k):
+        if b[c][c] <= 0:
+            return False
+        for i in range(c + 1, k):
+            f = b[i][c] / b[c][c]
+            b[i] = [x - f * y for x, y in zip(b[i], b[c])]
+    return True
+
+
 # catalog
 
 def gl_datum(n: int) -> RootDatum:
@@ -229,15 +267,23 @@ def datum_by_name(name: str) -> RootDatum:
 def datum_from_json(text: str) -> RootDatum:
     """Load a custom datum from {'name','rank','simple_roots','coroots'}."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("root datum JSON must be an object")
     for key in ("name", "rank", "simple_roots", "coroots"):
         if key not in obj:
             raise ValueError(f"missing field {key!r} in root datum JSON")
-    return RootDatum(
-        name=str(obj["name"]),
-        rank=int(obj["rank"]),
-        simple_roots=tuple(tuple(int(x) for x in v) for v in obj["simple_roots"]),
-        coroots=tuple(tuple(int(x) for x in v) for v in obj["coroots"]),
-    )
+
+    def vectors(key: str) -> tuple[Vector, ...]:
+        vs = obj[key]
+        if not (isinstance(vs, list) and all(
+                isinstance(v, list) and all(type(x) is int for x in v) for v in vs)):
+            raise ValueError(f"{key} must be a list of integer vectors")
+        return tuple(tuple(v) for v in vs)
+
+    if type(obj["rank"]) is not int:
+        raise ValueError("rank must be an integer")
+    return RootDatum(name=str(obj["name"]), rank=obj["rank"],
+                     simple_roots=vectors("simple_roots"), coroots=vectors("coroots"))
 
 
 def parse_levi(datum: RootDatum, text: str) -> frozenset[int]:

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from parahoric import cli
 from parahoric.cli import main
+from parahoric.padics import CertificationError
 
 
 def run(capsys, *argv):
@@ -174,6 +176,34 @@ def test_lift_and_charpoly_bad_input(capsys, argv, code, message):
         assert err == f"error: {message}\n"
     else:
         assert json.loads(out) == {"converged": False, "error": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--group", "GL2", "--Q", "borel", "--weight", "1", "--vals", "1/0"),
+     "valuations '1/0' have a zero denominator"),
+    (("--group", '{"name":"x","rank":1,"simple_roots":3,"coroots":[[1]]}', "--Q", "borel",
+      "--weight", "1", "--vals", "0"),
+     "simple_roots must be a list of integer vectors"),
+    # affine A1: Cartan matrix [[2, -2], [-2, 2]], whose determinant is 0
+    (("--group", '{"name":"affine-A1","rank":3,"simple_roots":[[1,-1,0],[-1,1,1]],'
+                 '"coroots":[[1,-1,0],[-1,1,0]]}', "--Q", "borel", "--weight", "0",
+      "--vals", "0,0"),
+     "the Cartan matrix [[2, -2], [-2, 2]] is not of finite type"),
+])
+def test_slopes_bad_input_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "slopes", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_certification_error_exits_one(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise CertificationError("x")
+
+    monkeypatch.setattr(cli, "charpoly_up", broken)
+    code, out, err = run(capsys, "charpoly", "--N", "11", "--p", "3", "--k", "0", "--M", "4")
+    assert (code, out, err) == (1, "", "error: x\n")
 
 
 # sha256 of stdout, recorded from the exact Fraction-based kernels: a change

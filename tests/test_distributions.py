@@ -12,12 +12,12 @@ from parahoric.distributions import (
     iwasawa_log,
     moment_matrix,
     moment_matrix_mod,
-    padic_val,
     tail_solve,
     tail_solve_matrix,
     teichmuller,
 )
 from parahoric.linalg import frac_mod
+from parahoric.padics import valuation as padic_val
 
 
 def oracle_row(gamma, k, j, mlen):

@@ -8,13 +8,11 @@ from parahoric.padics import (
     INF,
     AmbiguityError,
     NewtonPolygon,
-    PadicScalar,
     PolygonPoint,
-    PrecisionError,
     default_precision,
     hensel_lift_root,
     newton_polygon_of_poly,
-    padic_valuation,
+    valuation,
 )
 
 
@@ -30,56 +28,8 @@ def test_default_precision_env(monkeypatch):
 
 @given(st.integers(-10**6, 10**6).filter(bool), st.sampled_from([2, 3, 5, 7]))
 def test_valuation_strips_exactly(n, p):
-    v = padic_valuation(n, p)
+    v = valuation(n, p)
     assert n % p**v == 0 and (n // p**v) % p != 0
-
-
-def test_scalar_known_digits_shrink_under_addition():
-    p = 3
-    a = PadicScalar.from_rational(Fraction(1, 2), p, 8)
-    b = PadicScalar.from_rational(Fraction(5, 2), p, 5)
-    s = a + b
-    assert s.abs_prec == 5
-    assert (s.lift() - 3) % 3**5 == 0
-
-
-def test_scalar_multiplication_tracks_relative_precision():
-    p = 5
-    a = PadicScalar.from_rational(Fraction(25), p, 8)   # v = 2
-    b = PadicScalar.from_rational(Fraction(5), p, 4)    # v = 1
-    c = a * b
-    assert c.valuation == 3
-    assert c.lift() % 5**3 == 0
-
-
-def test_scalar_division_by_higher_valuation():
-    p = 3
-    a = PadicScalar.from_rational(Fraction(1), p, 6)
-    b = PadicScalar.from_rational(Fraction(9), p, 6)
-    q = a / b
-    assert q.valuation == -2
-    with pytest.raises((PrecisionError, ZeroDivisionError)):
-        a / PadicScalar.zero_at(p, 6)
-
-
-@given(
-    st.fractions(min_value=-50, max_value=50),
-    st.fractions(min_value=-50, max_value=50),
-)
-def test_scalar_ring_against_rationals(x, y):
-    """PadicScalar arithmetic agrees with exact rationals mod p^prec."""
-    p = 3
-    if x.denominator % p == 0 or y.denominator % p == 0:
-        return
-    ax = PadicScalar.from_rational(x, p, 12)
-    ay = PadicScalar.from_rational(y, p, 12)
-    for op, ref in ((ax + ay, x + y), (ax - ay, x - y), (ax * ay, x * y)):
-        prec = op.abs_prec
-        if prec <= 0:
-            continue
-        mod = p**prec
-        num = (ref.numerator * pow(ref.denominator, -1, mod)) % mod
-        assert op.lift() % mod == num
 
 
 def test_polygon_of_quadratic_oracle():
