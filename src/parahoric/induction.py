@@ -10,13 +10,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import linalg
 from .padics import CertificationError
 from .polynomials import Poly, monomials_up_to_degree, poly_matrix_mul
-from .rootdata import RootDatum, gl_datum
+from .rootdata import gl_datum
 from .slopes import TorusElement
 
 Position = tuple[int, int]

@@ -135,26 +135,27 @@ def in_span(rows: Matrix, v: Sequence[Fraction]) -> bool:
 def charpoly_berkowitz(a: Matrix) -> list[Fraction]:
     """Coefficients of det(X I - A), ascending degree, division free (Berkowitz).
 
-    Returns [c_0, ..., c_n] with c_n = 1.
+    Returns [c_0, ..., c_n] with c_n = 1. Nothing is divided, so the
+    coefficients of an integer matrix are ints.
     """
     n = len(a)
     if n == 0:
-        return [Fraction(1)]
-    vec = [Fraction(1), -Fraction(a[0][0])]  # descending degree
+        return [1]
+    vec = [1, -a[0][0]]  # descending degree
     for k in range(1, n):
-        m = Fraction(a[k][k])
-        row = [Fraction(x) for x in a[k][:k]]
-        col = [Fraction(a[i][k]) for i in range(k)]
-        sub = [[Fraction(x) for x in a[i][:k]] for i in range(k)]
+        m = a[k][k]
+        row = a[k][:k]
+        col = [a[i][k] for i in range(k)]
+        sub = [a[i][:k] for i in range(k)]
         # first column of the Toeplitz operator: 1, -M, -R C, -R A C, ...
-        diag = [Fraction(1), -m]
+        diag = [1, -m]
         w = col
         for _ in range(k):
             diag.append(-sum(x * y for x, y in zip(row, w)))
             w = matvec(sub, w)
         new = []
         for i in range(k + 2):
-            s = Fraction(0)
+            s = 0
             for j in range(len(vec)):
                 d = i - j
                 if 0 <= d < len(diag):

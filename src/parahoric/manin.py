@@ -6,10 +6,10 @@ Gamma_0(M) twists only, so every transport stays in the Hecke monoid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .padics import CertificationError
 

@@ -21,8 +21,13 @@ go through a single table build and a single U_p apply as column bundles
 (ColumnBundles): each coordinate of a value is one Python int that holds the
 n columns side by side in fixed-width slots, so one integer dot product per
 matrix row serves every column, and each output coordinate is reduced mod
-p^K once, slot by slot. A single table, as in the lift, is the one-column
-bundle: its slot is the residue itself.
+p^K once, slot by slot. A single table, as in the lift, packs the other
+axis: each column of a U_p composite is one int holding the output moments
+in slots, so a term costs one big-int multiply-add per input moment instead
+of one small product per matrix entry, and each coset is reduced once.
+
+Classical symbols (ClassicalSpace) are exact: integer basis vectors, integer
+moment matrices, and operator matrices over Q read off free columns.
 """
 from __future__ import annotations
 
@@ -42,7 +47,6 @@ from .linalg import (
 )
 from .manin import IDENTITY, ManinSystem, Mat2, SolvedPresentation, is_prime, mat_inv, mat_mul
 from .distributions import (
-    apply_moments,
     family_moment_matrix,
     moment_matrix,
     solve_error_profile,
@@ -76,11 +80,28 @@ IOTA: Mat2 = (-1, 0, 0, 1)
 
 @dataclass
 class ClassicalSpace:
-    """Weight-k modular symbols with values in the dual of degree-k forms."""
+    """Weight-k modular symbols with values in the dual of degree-k forms.
+
+    A symbol is a flat vector, moment i of coset x at x * (k + 1) + i. Each
+    basis vector is the nullspace vector of its free column scaled to a
+    primitive integer vector: it is positive at its own free column and zero
+    at every other one, so the coordinates of a symbol in the space are read
+    off the free columns. The weight-k moment matrices are integral for k >=
+    0, so operators apply in integers to all basis vectors at once. Hecke
+    plans, integer moment matrices and operator matrices are built once per
+    space.
+    """
 
     ms: ManinSystem
     k: int
-    basis: list[list[tuple[Fraction, ...]]]
+    basis: list[list[int]]
+    free: list[int]
+    _plans: dict[tuple[Mat2, ...], list[list[tuple[int, int, Mat2]]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _moments: dict[Mat2, tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     _operators: dict[tuple[Mat2, ...], tuple[tuple[Fraction, ...], ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -89,47 +110,59 @@ class ClassicalSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def _flatten(self, table: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-        out: list[Fraction] = []
-        for row in table:
-            out.extend(row)
-        return out
+    def plan(self, deltas: Sequence[Mat2]) -> list[list[tuple[int, int, Mat2]]]:
+        """The Hecke plan of the double coset, built once per delta tuple."""
+        key = tuple(deltas)
+        if key not in self._plans:
+            self._plans[key] = self.ms.hecke_plan(list(key))
+        return self._plans[key]
 
-    def apply_plan(
-        self, plan: list[list[tuple[int, int, Mat2]]], table: Sequence[Sequence[Fraction]]
-    ) -> list[list[Fraction]]:
+    def apply(self, deltas: Sequence[Mat2], cols: Sequence[Sequence[int]]) -> list[list[int]]:
+        """The operator on integer symbols given by coordinate: cols[q] lists
+        flat coordinate q of every symbol, and so does the result."""
         d = self.k + 1
         out = []
-        for x in range(self.ms.index):
-            acc = [Fraction(0)] * d
-            for (y, sgn, m) in plan[x]:
-                E = moment_matrix(m, self.k, d)
-                img = apply_moments(E, table[y])
-                acc = [a + sgn * b for a, b in zip(acc, img)]
-            out.append(acc)
+        for terms in self.plan(deltas):
+            acc = [[0] * len(cols[0]) for _ in range(d)]
+            for y, sgn, m in terms:
+                if m not in self._moments:
+                    self._moments[m] = tuple(tuple(int(c) for c in row)
+                                             for row in moment_matrix(m, self.k, d))
+                src = cols[y * d:(y + 1) * d]
+                for a, row in zip(acc, self._moments[m]):
+                    for e, v in zip(row, src):
+                        if e:
+                            a[:] = map(operator.add, a, map((sgn * e).__mul__, v))
+            out.extend(acc)
         return out
 
     def operator_matrix(self, deltas: Sequence[Mat2]) -> tuple[tuple[Fraction, ...], ...]:
         """Matrix of the double-coset operator in the stored basis.
 
-        Computed once per delta tuple and kept on the space; rows are tuples,
-        so no caller can change the kept copy.
+        The image of basis vector f has coordinate img[free[g]] / basis[f][free[g]]
+        on basis vector g, and lies in the space iff it equals the combination
+        of the basis those coordinates give, checked in integers. Computed
+        once per delta tuple and kept on the space; rows are tuples, so no
+        caller can change the kept copy.
         """
         key = tuple(deltas)
         if key not in self._operators:
-            plan = self.ms.hecke_plan(list(deltas))
-            n = self.dimension
-            A = [self._flatten(b) for b in self.basis]
-            Amat = [[A[j][i] for j in range(n)] for i in range(len(A[0]))]
-            cols = []
-            for b in self.basis:
-                img = self.apply_plan(plan, b)
-                flat = self._flatten(img)
-                x = solve(Amat, flat)
-                if x is None:
+            n, free = self.dimension, self.free
+            img = self.apply(key, [[v[q] for v in self.basis]
+                                   for q in range(self.ms.index * (self.k + 1))])
+            dens = [v[f] for v, f in zip(self.basis, free)]
+            L = math.lcm(*dens)
+            # with S_g = (L / den_g) basis_g, image f is in the space iff
+            # L * img_f = sum_g img_f[free_g] S_g
+            S = [[L // den * c for c in v] for v, den in zip(self.basis, dens)]
+            coords = [img[f] for f in free]
+            per_image = list(zip(*coords))
+            for q, row in enumerate(img):
+                if [L * c for c in row] != matvec(per_image, [s[q] for s in S]):
                     raise CertificationError("operator left the symbol space")
-                cols.append(x)
-            self._operators[key] = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+            self._operators[key] = tuple(
+                tuple(Fraction(coords[g][f], dens[f]) for f in range(n)) for g in range(n)
+            )
         return self._operators[key]
 
     def hecke_matrix(self, ell: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -184,25 +217,44 @@ def classical_space(N: int, p: int, k: int) -> ClassicalSpace:
             add_block(blk, y, E, 1)
         seen.update(orbit)
         rows.extend(blk)
-    basis_flat = nullspace(rows)
-    basis = []
-    for v in basis_flat:
-        table = [tuple(v[x * d : (x + 1) * d]) for x in range(ms.index)]
-        basis.append(table)
-    return ClassicalSpace(ms=ms, k=k, basis=basis)
+    basis, free = [], []
+    for v in nullspace(rows):
+        den = math.lcm(*(c.denominator for c in v))
+        basis.append([int(c * den) for c in v])
+        # v comes from the RREF: it is 1 at its free column and nonzero
+        # elsewhere only at pivot columns left of it (an RREF row is zero
+        # before its pivot), so its free column is its last nonzero entry
+        free.append(max(q for q, c in enumerate(v) if c))
+    return ClassicalSpace(ms=ms, k=k, basis=basis, free=free)
 
 
 def integer_eigenvalues(mat: Sequence[Sequence[Fraction]], bound: int) -> list[int]:
-    """Integer roots of the characteristic polynomial within [-bound, bound]."""
-    cp = charpoly_berkowitz(mat)
-    roots = []
-    for a in range(-bound, bound + 1):
-        val = Fraction(0)
-        for c in reversed(cp):
-            val = val * a + c
-        if val == 0:
-            roots.append(a)
-    return roots
+    """Integer roots of the characteristic polynomial within [-bound, bound].
+
+    The polynomial comes from the integer matrix L * mat, L the lcm of the
+    denominators: its coefficient i is L^(n-i) times that of mat. It must be
+    integral (raises otherwise), so by the rational root theorem a nonzero
+    integer root divides its lowest nonzero coefficient; only those divisors
+    are evaluated, in integers.
+    """
+    n = len(mat)
+    L = math.lcm(*(c.denominator for row in mat for c in row))
+    cp = charpoly_berkowitz([[int(c * L) for c in row] for row in mat])
+    if any(c % L ** (n - i) for i, c in enumerate(cp)):
+        raise CertificationError("characteristic polynomial is not integral")
+    cp = [c // L ** (n - i) for i, c in enumerate(cp)]
+    z = next(i for i, c in enumerate(cp) if c)
+    poly = cp[z:]
+    roots = [0] if z and bound >= 0 else []
+    for a in range(1, bound + 1):
+        if poly[0] % a == 0:
+            for r in (a, -a):
+                val = 0
+                for c in reversed(poly):
+                    val = val * r + c
+                if val == 0:
+                    roots.append(r)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +338,24 @@ def ordinary_eigensymbol(
         alpha = (trace - r) % mod
     else:
         raise ValueError("stabilization roots have slope 0 or k + 1")
-    # psi = (U - beta) w with beta = trace - alpha
+    # psi = (U - beta) w with beta = trace - alpha, applied to den * w and
+    # cleared of denominators by the least scale: with L the lcm of the basis
+    # denominators, W = L * den * w is integral, and that scale is
+    # L / gcd(L, content of U W - beta W)
     beta = (trace - alpha) % mod
     w = Wplus[0]
     den = math.lcm(*(c.denominator for c in w))
-    w_int = [int(c * den) for c in w]
-    # work directly on symbol tables: psi_table = U(w) - beta*w
-    plan_up = space.ms.hecke_plan(up_deltas(p))
-    w_table = [
-        [sum(Fraction(w_int[b]) * space.basis[b][x][j] for b in range(space.dimension))
-         for j in range(k + 1)]
-        for x in range(space.ms.index)
-    ]
-    Uw_table = space.apply_plan(plan_up, w_table)
-    psi_frac = [
-        [Uw_table[x][j] - beta * w_table[x][j] for j in range(k + 1)]
-        for x in range(space.ms.index)
-    ]
-    scale = math.lcm(*(c.denominator for row in psi_frac for c in row))
-    if scale % p == 0:
+    dens = [v[f] for v, f in zip(space.basis, space.free)]
+    L = math.lcm(*dens)
+    coef = [int(c * den) * (L // dl) for c, dl in zip(w, dens)]
+    W = [sum(map(operator.mul, coef, q)) for q in zip(*space.basis)]
+    UW = space.apply(up_deltas(p), [[c] for c in W])
+    psi = [u[0] - beta * c for u, c in zip(UW, W)]
+    g = math.gcd(L, *psi)
+    if (L // g) % p == 0:
         raise CertificationError("stabilization produced p in the denominator")
-    psi_int = [[frac_mod(c * scale, mod) for c in row] for row in psi_frac]
+    d = k + 1
+    psi_int = [[psi[x * d + j] // g % mod for j in range(d)] for x in range(space.ms.index)]
     # normalize primitive: divide out common p-powers
     vmin = min(valuation(c, p) for row in psi_int for c in row)
     if vmin == VAL_INF:
@@ -325,15 +374,11 @@ def ordinary_eigensymbol(
 
 
 def _assert_eigen(space: ClassicalSpace, sym: Eigensymbol) -> None:
-    p, B = sym.p, sym.B
-    mod = p**B
-    plan = space.ms.hecke_plan(up_deltas(p))
-    frac_table = [[Fraction(c) for c in row] for row in sym.table]
-    img = space.apply_plan(plan, frac_table)
-    for x in range(space.ms.index):
-        for j in range(sym.k + 1):
-            if (int(img[x][j]) - sym.alpha * sym.table[x][j]) % mod:
-                raise CertificationError("stabilized symbol is not a U_p eigenvector mod p^B")
+    mod = sym.p**sym.B
+    flat = [c for row in sym.table for c in row]
+    img = space.apply(up_deltas(sym.p), [[c] for c in flat])
+    if any((u[0] - sym.alpha * c) % mod for u, c in zip(img, flat)):
+        raise CertificationError("stabilized symbol is not a U_p eigenvector mod p^B")
 
 
 def auto_eigensymbol(
@@ -398,6 +443,13 @@ class OCContext:
 
 def oc_context(N: int, p: int, k: int, mlen: int) -> OCContext:
     ms = ManinSystem(N, p)
+    return _context(ms, ms.hecke_plan(up_deltas(p)), k, mlen)
+
+
+def _context(
+    ms: ManinSystem, up_plan: list[list[tuple[int, int, Mat2]]], k: int, mlen: int
+) -> OCContext:
+    p = ms.p
     sp = ms.solved_presentation()
     E_W = moment_matrix(sp.tail.W, k, mlen)
     solve_mat = tail_solve_matrix(E_W, mlen)
@@ -412,7 +464,7 @@ def oc_context(N: int, p: int, k: int, mlen: int) -> OCContext:
     loss = [max(0, (mlen - j) - graded[j]) if graded[j] < VAL_INF else 0 for j in range(mlen)]
     return OCContext(
         ms=ms, sp=sp, k=k, mlen=mlen, E_W=E_W, solve_mat=solve_mat,
-        D=D, S_sol=S_sol, loss_profile=loss, up_plan=ms.hecke_plan(up_deltas(p)),
+        D=D, S_sol=S_sol, loss_profile=loss, up_plan=up_plan,
     )
 
 
@@ -436,8 +488,10 @@ class MomentCache:
     check and the compactness bound v_p(E[j][i]) >= i on the w^0 plane:
     moments below the filtration floor cannot influence stored output
     digits. The higher w-planes do not satisfy that bound, so it is not
-    checked there. solve is the p^D-scaled tail-solve matrix mod p^K,
-    applied to each plane alike.
+    checked there. up_columns(m, bun) is the same matrix after the same
+    checks, packed by columns for the one-table U_p apply (ColumnBundles).
+    solve is the p^D-scaled tail-solve matrix mod p^K, applied to each
+    plane alike.
     """
 
     def __init__(self, ctx: OCContext, K: int, T: int = 1):
@@ -448,45 +502,65 @@ class MomentCache:
         self.solve = [[frac_mod(c * ctx.p**ctx.D, self.mod) for c in row] for row in ctx.solve_mat]
         self._gm: dict[Mat2, list[list[int]]] = {}
         self._up: dict[Mat2, list[list[int]]] = {}
+        self._up_cols: dict[tuple[Mat2, int], list[int]] = {}
+        self._col_floor = [math.gcd(ctx.p**i, self.mod) for i in range(ctx.mlen)]
 
     def gamma(self, m: Mat2) -> list[list[int]]:
         if m not in self._gm:
-            ctx, T, mlen = self.ctx, self.T, self.ctx.mlen
-            E = family_moment_matrix(m, ctx.k, mlen, T, ctx.p, self.K)
-            self._gm[m] = [
-                [E[j][i][t - u] for u in range(t + 1) for i in range(mlen)]
-                for t in range(T) for j in range(mlen)
-            ]
+            self._gm[m] = self._planes(m)
         return self._gm[m]
+
+    def _planes(self, m: Mat2) -> list[list[int]]:
+        ctx, T, mlen = self.ctx, self.T, self.ctx.mlen
+        E = family_moment_matrix(m, ctx.k, mlen, T, ctx.p, self.K)
+        return [[E[j][i][t - u] for u in range(t + 1) for i in range(mlen)]
+                for t in range(T) for j in range(mlen)]
+
+    def _checked_up(self, m: Mat2) -> list[list[int]]:
+        _check_up_monoid(m, self.ctx.p)
+        E = self._planes(m)
+        for row in E[:self.ctx.mlen]:
+            if any(map(operator.mod, row, self._col_floor)):
+                raise CertificationError("U_p column divisibility failed")
+        return E
 
     def up(self, m: Mat2) -> list[list[int]]:
         if m not in self._up:
-            p, mlen = self.ctx.p, self.ctx.mlen
-            _check_up_monoid(m, p)
-            E = self.gamma(m)
-            for row in E[:mlen]:
-                for i in range(mlen):
-                    if row[i] % math.gcd(p**i, self.mod):
-                        raise CertificationError("U_p column divisibility failed")
-            self._up[m] = E
+            self._up[m] = self._checked_up(m)
         return self._up[m]
+
+    def up_columns(self, m: Mat2, bun: ColumnBundles) -> list[int]:
+        """Column i of up(m) as one bundle of bun, output coordinate j in
+        slot j; packed after the checks of up(m), once per slot size. Only
+        the packed form is kept."""
+        key = (m, bun.sb)
+        if key not in self._up_cols:
+            E = self._checked_up(m)
+            self._up_cols[key] = [bun.pack([row[i] if i < len(row) else 0 for row in E])
+                                  for i in range(len(E))]
+        return self._up_cols[key]
 
 
 class ColumnBundles:
-    """Layout of cols model columns side by side, one int per coordinate.
+    """Layout of cols values side by side, one int per coordinate.
 
     Column c of a coordinate lives in slot c, bytes c*sb .. (c+1)*sb - 1 of
     the int (little-endian), as a residue mod mod. Sums of bundles and
     products with one integer act on every slot at once while no slot
-    overflows, so a matrix-vector product over all columns is one integer
-    dot product per row. With one column the slot is the int itself and
-    reduction is a plain % mod.
+    overflows. The model matrix bundles its n unit columns, so a
+    matrix-vector product over all of them is one integer dot product per
+    row. A single table, as in the lift, bundles the other way: with
+    cols = width, slot j holds output coordinate j, the columns of each U_p
+    composite are bundles (MomentCache.up_columns), and the product is one
+    dot product of the input coordinates with those columns. With one column
+    the slot is the int itself and reduction is a plain % mod.
 
     Slot size: matrix and vector entries are residues below m = max(mod,
-    cache modulus). combine sums at most fan = ctx.fan dot products of width
-    = T * mlen such pairs into pos and neg, so their slots stay at most
-    lim = (fan * width + 1) * (m - 1)^2, which also covers a residue plus one
-    product (the tail top moment, the p^D scaling). reduce adds off, the
+    cache modulus). A slot of pos or neg sums at most fan = ctx.fan dot
+    products of width = T * mlen such pairs (combine, or the one-table U_p
+    apply), so it stays at most lim = (fan * width + 1) * (m - 1)^2, which
+    also covers a residue plus one product (the tail top moment, the p^D
+    scaling). reduce adds off, the
     multiple of mod at or just above lim, to every slot of pos - neg, so each
     slot lies in [0, 2 * lim + mod) and no borrow or carry crosses a slot
     boundary; sb is the byte length of that bound. Unpacking a coordinate is
@@ -509,6 +583,13 @@ class ColumnBundles:
     def unit(self, c: int) -> int:
         """The bundle holding 1 in column c and 0 elsewhere."""
         return 1 << (8 * self.sb * c)
+
+    def pack(self, residues: Sequence[int]) -> int:
+        """The bundle holding residues[c] in column c."""
+        if self.cols == 1:
+            return residues[0]
+        return int.from_bytes(b"".join([x.to_bytes(self.sb, "little") for x in residues]),
+                              "little")
 
     def slots(self, x: int) -> list[int]:
         if self.cols == 1:
@@ -616,10 +697,25 @@ def up_apply_mod(
     cols: int = 1,
 ) -> list[list[int]]:
     """U_p of a value table, or of cols tables held as column bundles: one
-    row per coset, or per listed coset."""
-    bun = ColumnBundles(ctx, cache, mod, cols)
-    return [bun.combine(ctx.up_plan[x], cache.up, tables)
-            for x in (range(ctx.ms.index) if cosets is None else cosets)]
+    row per coset, or per listed coset.
+
+    A single table of residues packs the output moments instead: with the
+    columns of each U_p composite stored as bundles of T * mlen slots
+    (MomentCache.up_columns), a term adds one bundle per input coordinate,
+    and each coset is reduced once, slot by slot.
+    """
+    rows = range(ctx.ms.index) if cosets is None else cosets
+    if cols > 1:
+        bun = ColumnBundles(ctx, cache, mod, cols)
+        return [bun.combine(ctx.up_plan[x], cache.up, tables) for x in rows]
+    bun = ColumnBundles(ctx, cache, mod, cache.T * ctx.mlen)
+    out = []
+    for x in rows:
+        acc = {1: 0, -1: 0}
+        for y, sgn, m in ctx.up_plan[x]:
+            acc[sgn] += sum(map(operator.mul, tables[y], cache.up_columns(m, bun)))
+        out.append(bun.slots(bun.reduce(acc[1], acc[-1])))
+    return out
 
 
 def check_relations_mod(
@@ -771,7 +867,7 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
         )
     if v_alpha != 0:
         raise ValueError("only the slope-0 iteration is implemented")
-    ctx = oc_context(space.ms.N, p, k, M)
+    ctx = _context(space.ms, space.plan(up_deltas(p)), k, M)
     D = ctx.D
     Kint = M + 2 * D + 4
     if sym.B < Kint + 2:
@@ -863,7 +959,7 @@ def random_initial_lift_pair(
     import random
 
     p, k = sym.p, sym.k
-    ctx = oc_context(space.ms.N, p, k, M)
+    ctx = _context(space.ms, space.plan(up_deltas(p)), k, M)
     Kint = M + 2 * ctx.D + 4
     mod = p**Kint
     cache = MomentCache(ctx, Kint)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Monomial = tuple[int, ...]
 Coeffs = dict[Monomial, Fraction]

@@ -18,12 +18,6 @@ from . import linalg
 from .padics import CertificationError
 
 Vector = tuple[int, ...]
-CLOSURE_CAP = 10_000
-
-
-class RootClosureError(ArithmeticError):
-    """Reflection closure failed to stabilize; the input is not a root datum."""
-
 
 @dataclass(frozen=True)
 class RootDatum:
@@ -94,16 +88,16 @@ class RootDatum:
 
     @cached_property
     def positive_roots(self) -> tuple[Vector, ...]:
-        """Reflection closure of the simple roots, positivity-filtered."""
+        """Reflection closure of the simple roots, positivity-filtered.
+
+        The datum is of finite type (checked on construction), so its root
+        system is finite and the closure ends.
+        """
         roots: set[Vector] = set(self.simple_roots)
         frontier = list(self.simple_roots)
-        steps = 0
         while frontier:
             beta = frontier.pop()
             for i in range(self.nsimple):
-                steps += 1
-                if steps > CLOSURE_CAP:
-                    raise RootClosureError("positive-root closure exceeded iteration cap")
                 g = self.reflect(beta, i)
                 if g in roots:
                     continue

@@ -7,7 +7,7 @@ alpha(t) is the pairing <alpha, mu>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 

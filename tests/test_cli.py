@@ -249,9 +249,19 @@ GOLDEN_CSV = [
 ]
 
 
+# a k > 0 lift (3 x 3 classical moment matrices), recorded before the
+# classical operators moved to integer arithmetic; listed after the CSV
+# digests so that the ids of the cases above stay as they are
+GOLDEN_JSON_K2 = [
+    (("lift", "--N", "5", "--p", "3", "--k", "2", "--M", "8"),
+     "bc626a5059d3c61256cabae7825b4781c7febb5d1775f09a5cd7395b5c916f0d"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, digest, fmt",
-    [(a, d, "json") for a, d in GOLDEN_JSON] + [(a, d, "csv") for a, d in GOLDEN_CSV],
+    [(a, d, "json") for a, d in GOLDEN_JSON] + [(a, d, "csv") for a, d in GOLDEN_CSV]
+    + [(a, d, "json") for a, d in GOLDEN_JSON_K2],
 )
 def test_cli_json_matches_golden_digest(capsys, argv, digest, fmt):
     code, out, _ = run(capsys, *argv, "--format", fmt)

@@ -4,7 +4,7 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from parahoric.linalg import power_traces_mod, rref
+from parahoric.linalg import charpoly_berkowitz, power_traces_mod, rref
 
 
 def ring_mul(x, y, T, mod):
@@ -130,3 +130,15 @@ def test_rref_matches_fraction_gauss_jordan_and_sympy(data):
     assert got == fraction_rref(rows)
     assert got == sympy_rref(rows, nc)
     assert all(isinstance(x, Fraction) for row in got[0] for x in row)
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_charpoly_berkowitz_matches_sympy(rows):
+    """det(X I - A), low degree first, for ints and Fractions; an integer
+    matrix keeps int coefficients, since the algorithm divides nowhere."""
+    got = charpoly_berkowitz(rows)
+    want = sympy.Matrix(len(rows), len(rows), [x for row in rows for x in row]).charpoly()
+    assert got == [Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
+    if all(isinstance(x, int) for row in rows for x in row):
+        assert all(isinstance(c, int) for c in got)

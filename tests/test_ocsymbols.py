@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import random
 import subprocess
@@ -11,9 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import parahoric
-from parahoric.distributions import family_moment_matrix
-from parahoric.linalg import charpoly_berkowitz
+from parahoric.distributions import family_moment_matrix, moment_matrix
+from parahoric.linalg import charpoly_berkowitz, matvec, solve
+from parahoric.manin import ManinSystem
 from parahoric.ocsymbols import (
+    IOTA,
     DivergenceError,
     MomentCache,
     auto_eigensymbol,
@@ -21,6 +24,7 @@ from parahoric.ocsymbols import (
     charpoly_up,
     classical_space,
     family_charpoly,
+    hecke_deltas,
     integer_eigenvalues,
     lift_symbol,
     oc_context,
@@ -30,6 +34,7 @@ from parahoric.ocsymbols import (
     up_deltas,
     up_model_matrix,
 )
+from parahoric.padics import CertificationError
 
 
 def test_classical_dimension_level_33():
@@ -207,20 +212,23 @@ def test_family_csv_rows_carry_layers():
 
 
 def test_up_monoid_checks_survive_python_O():
-    """The U_p plan precondition raises under python -O, which strips assert."""
+    """The U_p plan precondition raises under python -O, which strips assert,
+    for the matrices of the model and for the packed columns of the lift."""
     script = (
-        "from parahoric.ocsymbols import MomentCache, oc_context\n"
+        "from parahoric.ocsymbols import ColumnBundles, MomentCache, oc_context\n"
         "ctx = oc_context(11, 3, 0, 4)\n"
         "print('debug', __debug__)\n"
         "for cache in (MomentCache(ctx, 8), MomentCache(ctx, 8, T=2)):\n"
-        "    try:\n"
-        "        cache.up((1, 0, 3, 1))\n"
-        "    except ValueError:\n"
-        "        print('rejected')\n"
+        "    bun = ColumnBundles(ctx, cache, 3**8, cache.T * ctx.mlen)\n"
+        "    for get in (cache.up, lambda m: cache.up_columns(m, bun)):\n"
+        "        try:\n"
+        "            get((1, 0, 3, 1))\n"
+        "        except ValueError:\n"
+        "            print('rejected')\n"
     )
     proc = _run_optimized(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["debug False", "rejected", "rejected", ""]
+    assert proc.stdout.split("\n") == ["debug False"] + ["rejected"] * 4 + [""]
 
 
 def _run_optimized(script: str) -> subprocess.CompletedProcess:
@@ -356,3 +364,119 @@ def test_model_matrix_bundles_match_per_column_builds(N, p, k, T):
     got = up_model_matrix(ctx, cache, p**K)
     assert len(got) == ctx.n_model and all(len(row) == ctx.n_model for row in got)
     assert got == _model_matrix_per_column(ctx, cache, p**K)
+
+
+def _brute_integer_eigenvalues(mat, bound):
+    """integer_eigenvalues by brute force: the Fraction characteristic
+    polynomial evaluated at every integer of [-bound, bound]."""
+    cp = charpoly_berkowitz(mat)
+    roots = []
+    for a in range(-bound, bound + 1):
+        val = Fraction(0)
+        for c in reversed(cp):
+            val = val * a + c
+        if val == 0:
+            roots.append(a)
+    return roots
+
+
+@pytest.mark.parametrize("k, ell", [(0, 2), (0, 5), (0, 7), (2, 2)])
+def test_integer_eigenvalues_match_brute_force(k, ell):
+    mat = _space(11, 3, k).hecke_matrix(ell)
+    bound = ell ** (k + 1) + 1
+    assert integer_eigenvalues(mat, bound) == _brute_integer_eigenvalues(mat, bound)
+
+
+def test_integer_eigenvalues_need_an_integral_polynomial():
+    with pytest.raises(CertificationError, match="not integral"):
+        integer_eigenvalues([[Fraction(1, 2)]], 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _space(N, p, k):
+    return classical_space(N, p, k)
+
+
+def _operator_matrix_fraction(space, deltas):
+    """ClassicalSpace.operator_matrix in Fraction arithmetic: the plan applied
+    to one basis vector at a time, then one solve per vector."""
+    d, index = space.k + 1, space.ms.index
+    basis = [[Fraction(c, v[f]) for c in v] for v, f in zip(space.basis, space.free)]
+    plan = space.ms.hecke_plan(list(deltas))
+    A = [list(col) for col in zip(*basis)]
+    cols = []
+    for b in basis:
+        img = []
+        for x in range(index):
+            acc = [Fraction(0)] * d
+            for y, sgn, m in plan[x]:
+                E = moment_matrix(m, space.k, d)
+                acc = [a + sgn * sum(E[j][i] * b[y * d + i] for i in range(d))
+                       for j, a in enumerate(acc)]
+            img.extend(acc)
+        coords = solve(A, img)
+        assert coords is not None
+        cols.append(coords)
+    n = len(basis)
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("N, p, k, ell", [(11, 3, 0, 2), (11, 5, 0, 2), (5, 3, 2, 2), (2, 3, 4, 5)])
+def test_integer_operator_matrices_match_fraction_solve(N, p, k, ell):
+    """Hecke, U_p and involution matrices from the integer apply equal those
+    of the Fraction apply and solve, on the nullspace basis."""
+    space = _space(N, p, k)
+    for v, f in zip(space.basis, space.free):
+        assert math.gcd(*v) == 1 and v[f] > 0
+        assert [v[g] for g in space.free if g != f] == [0] * (space.dimension - 1)
+    for deltas in (hecke_deltas(ell), up_deltas(p), [IOTA]):
+        assert space.operator_matrix(deltas) == _operator_matrix_fraction(space, deltas)
+
+
+def test_hecke_matrix_of_a_zero_space_is_empty():
+    space = classical_space(11, 3, 1)
+    assert space.dimension == 0
+    assert space.hecke_matrix(2) == ()
+
+
+def test_hecke_plans_are_built_once_per_lift(monkeypatch):
+    """The eigensymbol search, its checks and the lift share one plan per
+    operator: T_2, the involution and U_p."""
+    calls = []
+    plan = ManinSystem.hecke_plan
+
+    def counted(self, deltas):
+        calls.append(tuple(deltas))
+        return plan(self, deltas)
+
+    monkeypatch.setattr(ManinSystem, "hecke_plan", counted)
+    space = classical_space(11, 3, 0)
+    lift_symbol(space, auto_eigensymbol(space, B=30), 6)
+    assert sorted(calls) == sorted({*calls}) and len(calls) == 3
+
+
+def _up_apply_per_term(ctx, cache, tables, mod):
+    """The one-table up_apply_mod without packing: each term's matrix-vector
+    product into a positive or a negative accumulator, each coordinate
+    reduced once."""
+    out = []
+    for terms in ctx.up_plan:
+        acc = {1: [0] * ctx.mlen, -1: [0] * ctx.mlen}
+        for y, sgn, m in terms:
+            acc[sgn] = [a + b for a, b in zip(acc[sgn], matvec(cache.up(m), tables[y]))]
+        out.append([(a - b) % mod for a, b in zip(acc[1], acc[-1])])
+    return out
+
+
+@pytest.mark.parametrize("N, p, k", [(11, 3, 0), (11, 5, 2), (11, 3, 2), (3, 2, 0)])
+def test_one_table_up_apply_matches_per_term_products(N, p, k):
+    """Moments packed into slots give the U_p image of per-term products, on
+    random residue tables, with the packed columns built once and reused."""
+    ctx = oc_context(N, p, k, 8)
+    K = ctx.mlen + 2 * ctx.D + 4
+    mod = p**K
+    cache = MomentCache(ctx, K)
+    rng = random.Random(N * p + k)
+    for _ in range(2):
+        tables = [[rng.randrange(mod) for _ in range(ctx.mlen)] for _ in range(ctx.ms.index)]
+        assert up_apply_mod(ctx, cache, tables, mod) == _up_apply_per_term(ctx, cache, tables, mod)

@@ -23,6 +23,25 @@ def test_no_assert_in_src():
     assert found == []
 
 
+def test_no_unused_import_in_src():
+    """Every top-level import of a package module is read somewhere in it;
+    __init__.py re-exports and __future__ imports are exempt."""
+    found = []
+    for path in sorted((ROOT / "src" / "parahoric").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                          for alias in node.names
+                          if (alias.asname or alias.name).split(".")[0] not in used]
+    assert found == []
+
+
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
 def test_script_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
