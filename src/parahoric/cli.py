@@ -26,7 +26,7 @@ from .ocsymbols import (
     family_charpoly,
     lift_symbol,
 )
-from .padics import CertificationError, default_precision
+from .padics import default_precision
 from .rootdata import (
     RootDatum,
     datum_by_name,
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CertificationError as e:
+    except ArithmeticError as e:  # CertificationError among them
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:

@@ -7,6 +7,8 @@ detected through the Levi factorization g = l(y) n(c).
 """
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .padics import CertificationError
-from .polynomials import Poly, monomials_up_to_degree, poly_matrix_mul
+from .polynomials import Monomial, Poly, monomials_up_to_degree, poly_matrix_mul
 from .rootdata import gl_datum
 from .slopes import TorusElement
 
@@ -139,8 +141,8 @@ def truncation_threshold(n: int, i: int, lam: Sequence[int]) -> int:
     return theta_exponent(lam, i) + coefficient_degree_bound(n, i)
 
 
-def theta_matrix(n: int, i: int, lam: Sequence[int], d: int) -> tuple[list[list[Fraction]], list]:
-    """Matrix of Theta_{alpha_i} on the monomial basis of degree <= d."""
+def theta_matrix(n: int, i: int, lam: Sequence[int], d: int) -> tuple[list[list[int]], list]:
+    """Integer matrix of Theta_{alpha_i} on the monomial basis of degree <= d."""
     nc = NCoordinates(n)
     basis = nc.monomial_basis(d)
     index = {m: k for k, m in enumerate(basis)}
@@ -148,11 +150,11 @@ def theta_matrix(n: int, i: int, lam: Sequence[int], d: int) -> tuple[list[list[
     e = theta_exponent(lam, i)
     cols = []
     for m in basis:
-        img = _theta(field, e, Poly(nc.variables, {m: Fraction(1)}))
-        col = [Fraction(0)] * len(basis)
+        img = _theta(field, e, Poly(nc.variables, {m: 1}))
+        col = [0] * len(basis)
         for mono, c in img.coeffs.items():
             if sum(mono) > d:
-                raise AssertionError("internal error: theta raised total degree")
+                raise CertificationError("theta raised total degree")
             col[index[mono]] = c
         cols.append(col)
     rows = [[cols[j][r] for j in range(len(basis))] for r in range(len(basis))]
@@ -232,11 +234,14 @@ def split_positions(n: int, levi: Iterable[int]) -> tuple[list[Position], list[P
     return inside, outside
 
 
-def restrict_to_levi_product(n: int, levi: Iterable[int], f: Poly) -> Poly:
-    """R_n(f): substitute z with the product l(y) n(c) and expand.
+def restrict_monomials(n: int, levi: Iterable[int], basis: Sequence[Monomial]) -> list[Poly]:
+    """R_n(z^m) for each m in basis: substitute z with the product l(y) n(c)
+    and expand.
 
-    y-variables sit at Levi positions, c-variables at the rest; the result
-    lives in the ring [y..., c...].
+    y-variables sit at Levi positions, c-variables at the rest; the results
+    live in the ring [y..., c...]. The basis must hold every monomial that
+    divides one of its members (as monomials_up_to_degree does): each image
+    is the image of z^m with one exponent lowered, times one product entry.
     """
     inside, outside = split_positions(n, levi)
     ring = tuple(var_name(p, "y") for p in inside) + tuple(var_name(p, "c") for p in outside)
@@ -244,8 +249,15 @@ def restrict_to_levi_product(n: int, levi: Iterable[int], f: Poly) -> Poly:
     ell = nc.unitriangular(ring, {p: Poly.var(ring, var_name(p, "y")) for p in inside})
     nmat = nc.unitriangular(ring, {p: Poly.var(ring, var_name(p, "c")) for p in outside})
     prod = poly_matrix_mul(ell, nmat)
-    images = {var_name(p): prod[p[0]][p[1]] for p in positions(n)}
-    return f.substitute(images)
+    images = [prod[a][b] for a, b in positions(n)]
+    out: dict[Monomial, Poly] = {}
+    for m in sorted(basis):  # lowering an exponent gives an earlier monomial
+        j = max((k for k, e in enumerate(m) if e), default=None)
+        if j is None:
+            out[m] = Poly.const(ring, 1)
+        else:
+            out[m] = out[m[:j] + (m[j] - 1,) + m[j + 1:]] * images[j]
+    return [out[m] for m in basis]
 
 
 def weyl_dimension(block_weights: Sequence[int]) -> int:
@@ -277,8 +289,6 @@ def _poly_principal_minor(m: list[list[Poly]], k: int) -> Poly:
         return Poly.const(ring, 1)
     if k == 1:
         return m[0][0]
-    import itertools
-
     out = Poly.zero(ring)
     for perm in itertools.permutations(range(k)):
         sign = 1
@@ -316,7 +326,7 @@ def _levi_sample(
         b = len(blk)
         w = [int(lam[i]) for i in blk]
         while True:
-            h = [[Fraction(rng.randint(-3, 3)) for _ in range(b)] for _ in range(b)]
+            h = [[rng.randint(-3, 3) for _ in range(b)] for _ in range(b)]
             hm = [[Poly.const(yring, h[r][c]) for c in range(b)] for r in range(b)]
             u = [[Poly.const(yring, 1 if r == c else 0) for c in range(b)] for r in range(b)]
             for (a, bb) in inside:
@@ -328,13 +338,31 @@ def _levi_sample(
             dval = minors[-1].coefficient((0,) * len(yring))
             if dval == 0 or any(mi.is_zero() for mi in minors):
                 continue
-            piece = Poly.const(yring, Fraction(dval) ** int(w[-1]))
+            # an int to a negative power is a float, so det(h) goes to a
+            # negative last block weight as a Fraction
+            base = dval if w[-1] >= 0 else Fraction(dval)
+            piece = Poly.const(yring, base ** w[-1])
             for jj in range(b - 1):
                 for _ in range(w[jj] - w[jj + 1]):
                     piece = piece * minors[jj]
             total = total * piece
             break
     return total
+
+
+def _integral(values: Iterable[int | Fraction]) -> list[int]:
+    """Rational values times the lcm of their denominators."""
+    values = list(values)
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _primitive(vec: dict[Monomial, int | Fraction]) -> dict[Monomial, int]:
+    """The nonzero entries of a rational vector, scaled to coprime integers."""
+    vec = {m: x for m, x in vec.items() if x}
+    ints = _integral(vec.values())
+    g = math.gcd(*ints)
+    return {m: x // g for m, x in zip(vec, ints)}
 
 
 def levi_module_basis(
@@ -362,25 +390,26 @@ def levi_module_basis(
     target = levi_weyl_dimension(n, levi, lam)
 
     vectors: list[Poly] = []
-    # kept samples in echelon form: (pivot monomial, coefficients, 1 at the pivot)
-    echelon: list[tuple[tuple[int, ...], dict[tuple[int, ...], Fraction]]] = []
+    # kept samples in fraction-free echelon form: (pivot monomial, primitive
+    # integer coefficients); the pivot entry is not scaled to 1
+    echelon: list[tuple[Monomial, dict[Monomial, int]]] = []
     attempts = 0
     while True:
         attempts += 1
         if attempts > 40 + 6 * target:
             raise ArithmeticError("failed to reach the Weyl dimension; weight not Levi-dominant?")
         v = _levi_sample(blocks, inside, lam, rng)
-        rest = dict(v.coeffs)
+        rest = _primitive(v.coeffs)
         for pm, row in echelon:
             f = rest.get(pm)
             if f:
+                piv = row[pm]
+                rest = {m: piv * x for m, x in rest.items()}
                 for m, x in row.items():
                     rest[m] = rest.get(m, 0) - f * x
-        rest = {m: x for m, x in rest.items() if x}
+                rest = _primitive(rest)
         if rest:
-            pm = min(rest)
-            inv = 1 / rest[pm]
-            echelon.append((pm, {m: x * inv for m, x in rest.items()}))
+            echelon.append((min(rest), rest))
             vectors.append(v)
         if len(vectors) == target:
             final_monos = sorted(set().union(*[set(q.coeffs) for q in vectors]) | {(0,) * len(inside)})
@@ -407,7 +436,7 @@ def parahoric_truncation_basis(
     basis = nc.monomial_basis(d)
     zring = nc.variables
     if not levi:
-        return [Poly(zring, {m: Fraction(1)}) for m in basis], basis
+        return [Poly(zring, {m: 1}) for m in basis], basis
 
     vecs, _ = levi_module_basis(n, levi, lam, rng=rng)
     inside, outside = split_positions(n, levi)
@@ -416,9 +445,8 @@ def parahoric_truncation_basis(
     restricted = []
     y_monos: set[tuple[int, ...]] = set()
     c_monos: set[tuple[int, ...]] = set()
-    for m in basis:
-        r = restrict_to_levi_product(n, levi, Poly(zring, {m: Fraction(1)}))
-        table: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for r in restrict_monomials(n, levi, basis):
+        table: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for mono, coef in r.coeffs.items():
             ym, cm = mono[:ny], mono[ny:]
             table.setdefault(cm, {})[ym] = coef
@@ -431,17 +459,19 @@ def parahoric_truncation_basis(
     clist = sorted(c_monos)
 
     vrows = [[v.coefficient(m) for m in ylist] for v in vecs]
-    perp = linalg.nullspace(vrows)  # y-vectors orthogonal to the module span
+    # y-vectors orthogonal to the module span, scaled to integers: a
+    # constraint row times a nonzero number cuts out the same kernel
+    perp = [_integral(k) for k in linalg.nullspace(vrows)]
     yindex = {ym: t for t, ym in enumerate(ylist)}
 
-    constraints: list[list[Fraction]] = []
+    constraints: list[list[int]] = []
     for cm in clist:
         cols = [[(yindex[ym], c) for ym, c in table.get(cm, {}).items()]
                 for table in restricted]
         for k in perp:
             constraints.append([sum(c * k[t] for t, c in col) for col in cols])
     if not constraints:
-        kernel = [[Fraction(1) if i == j else Fraction(0) for j in range(len(basis))] for i in range(len(basis))]
+        kernel = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
     else:
         kernel = linalg.nullspace(constraints)
     polys = [

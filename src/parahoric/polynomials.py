@@ -1,15 +1,21 @@
-"""Exact multivariate polynomials over Fraction, keyed by exponent tuples."""
+"""Exact multivariate polynomials keyed by exponent tuples.
+
+Coefficients are ints, and Fractions only where a coefficient is rational:
+they are stored as given, so integral data never builds a Fraction.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 Monomial = tuple[int, ...]
-Coeffs = dict[Monomial, Fraction]
+Coeffs = dict[Monomial, int | Fraction]
 
 
 class Poly:
-    """Polynomial in a fixed list of variable names, exact coefficients."""
+    """Polynomial in a fixed list of variable names; int coefficients, and
+    Fractions only where a coefficient is rational."""
 
     __slots__ = ("vars", "coeffs")
 
@@ -18,11 +24,18 @@ class Poly:
         self.coeffs: Coeffs = {}
         if coeffs:
             for m, c in coeffs.items():
-                c = Fraction(c)
                 if c != 0:
                     if len(m) != len(self.vars):
                         raise ValueError("exponent arity mismatch")
                     self.coeffs[tuple(m)] = c
+
+    @classmethod
+    def _from_terms(cls, variables: tuple[str, ...], coeffs: Coeffs) -> "Poly":
+        """Result of arithmetic: the exponents already have the ring's arity."""
+        out = object.__new__(cls)
+        out.vars = variables
+        out.coeffs = {m: c for m, c in coeffs.items() if c}
+        return out
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Poly":
@@ -31,14 +44,14 @@ class Poly:
     @classmethod
     def const(cls, variables: Sequence[str], c) -> "Poly":
         z = (0,) * len(variables)
-        return cls(variables, {z: Fraction(c)})
+        return cls(variables, {z: c})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "Poly":
         i = list(variables).index(name)
         e = [0] * len(variables)
         e[i] = 1
-        return cls(variables, {tuple(e): Fraction(1)})
+        return cls(variables, {tuple(e): 1})
 
     def _check(self, other: "Poly") -> None:
         if self.vars != other.vars:
@@ -48,35 +61,35 @@ class Poly:
         self._check(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(self.vars, out)
+            out[m] = out.get(m, 0) + c
+        return Poly._from_terms(self.vars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Poly(self.vars, out)
+            out[m] = out.get(m, 0) - c
+        return Poly._from_terms(self.vars, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self.coeffs.items()})
+        return Poly._from_terms(self.vars, {m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
         out: Coeffs = {}
+        get = out.get
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.vars, out)
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        return Poly._from_terms(self.vars, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.vars, {m: c * v for m, v in self.coeffs.items()})
+        return Poly._from_terms(self.vars, {m: c * v for m, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.vars == other.vars and self.coeffs == other.coeffs
@@ -98,53 +111,23 @@ class Poly:
         for m, c in self.coeffs.items():
             if m[i] == 0:
                 continue
-            m2 = list(m)
-            m2[i] -= 1
-            out[tuple(m2)] = out.get(tuple(m2), Fraction(0)) + c * m[i]
-        return Poly(self.vars, out)
+            m2 = m[:i] + (m[i] - 1,) + m[i + 1:]
+            out[m2] = out.get(m2, 0) + c * m[i]
+        return Poly._from_terms(self.vars, out)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.coeffs.get(tuple(m), Fraction(0))
+    def coefficient(self, m: Monomial) -> int | Fraction:
+        return self.coeffs.get(tuple(m), 0)
 
-    def substitute(self, images: dict[str, "Poly"]) -> "Poly":
-        """Ring map sending each variable to a polynomial (all in one target ring)."""
-        target = next(iter(images.values())).vars
-        imgs = []
-        for v in self.vars:
-            if v not in images:
-                raise ValueError(f"no image for variable {v}")
-            if images[v].vars != target:
-                raise ValueError("images live in different rings")
-            imgs.append(images[v])
-        out = Poly.zero(target)
-        for m, c in sorted(self.coeffs.items()):
-            term = Poly.const(target, c)
-            for img, e in zip(imgs, m):
-                for _ in range(e):
-                    term = term * img
-            out = out + term
-        return out
-
-    def monomial_scale(self, factors: Sequence[Fraction]) -> "Poly":
+    def monomial_scale(self, factors: Sequence[int | Fraction]) -> "Poly":
         """Send each variable v_i to factors[i] * v_i."""
         out: Coeffs = {}
         for m, c in self.coeffs.items():
-            f = Fraction(1)
             for fac, e in zip(factors, m):
-                f *= Fraction(fac) ** e
-            out[m] = c * f
-        return Poly(self.vars, out)
+                c *= fac ** e
+            out[m] = c
+        return Poly._from_terms(self.vars, out)
 
-    def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        tot = Fraction(0)
-        for m, c in self.coeffs.items():
-            t = c
-            for val, e in zip(values, m):
-                t *= Fraction(val) ** e
-            tot += t
-        return tot
-
-    def terms_sorted(self) -> list[tuple[Monomial, Fraction]]:
+    def terms_sorted(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.coeffs.items())
 
     def __repr__(self) -> str:

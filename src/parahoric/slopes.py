@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
+from .padics import CertificationError
 from .rootdata import RootDatum, Vector
 
 
@@ -84,7 +85,7 @@ def h_crit(t: TorusElement, simple_index: int, lam: Sequence[int]) -> int:
     star = datum.weyl_star(lam, simple_index)
     alt = datum.pairing(tuple(a - b for a, b in zip(star, lam)), t.mu)
     if alt != h:
-        raise AssertionError("internal error: dot-action route disagrees with h_crit")
+        raise CertificationError("dot-action route disagrees with h_crit")
     return h
 
 

@@ -206,6 +206,18 @@ def test_certification_error_exits_one(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: x\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--group", "GL2", "--k", "16", "--d", "16"),
+    ("--group", "GL3", "--weight", "16,0,0", "--i", "0", "--d", "4"),
+])
+def test_bgg_check_arithmetic_error_exits_one(capsys, argv):
+    """The Levi samples, block matrices with entries in [-3, 3], cannot span
+    the GL(2) module of weight (16, 0): a checked failure, not a traceback."""
+    code, out, err = run(capsys, "bgg-check", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: failed to reach the Weyl dimension; weight not Levi-dominant?\n"
+
+
 # sha256 of stdout, recorded from the exact Fraction-based kernels: a change
 # that only makes the engine faster must leave these bytes unchanged
 GOLDEN_JSON = [

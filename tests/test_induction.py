@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from parahoric.induction import (
     levi_blocks,
     levi_module_basis,
     levi_weyl_dimension,
+    parahoric_truncation_basis,
+    space_rows,
     split_positions,
     star_action,
     theta_apply,
@@ -186,3 +189,89 @@ def test_gl2_weight_16_reports_the_recorded_failure():
 def test_weyl_dimension_raises_on_a_non_dominant_weight():
     with pytest.raises(ArithmeticError):
         weyl_dimension((0, 1))
+
+
+def _exact_values(n, levi, lam, d, seed):
+    """sha256 of every exact value one parahoric case produces, as text: the
+    Levi module polynomials and monomials, the rows of the truncated Q-model,
+    and the theta matrix at the simple root of the Levi. str() prints an int
+    and the equal Fraction alike, so the text pins values, not their types.
+    Also returns the Levi module and theta values, then the model values,
+    whose rows come from the Fraction RREF of linalg."""
+    (i,) = levi
+    vecs, monos = levi_module_basis(n, levi, lam, rng=random.Random(seed))
+    model, basis = parahoric_truncation_basis(n, levi, lam, d, rng=random.Random(seed))
+    rows = space_rows(model, basis)
+    mat, tbasis = theta_matrix(n, i, lam, d)
+    text = "\n".join([
+        repr(vecs), repr(monos), repr(basis), repr(tbasis),
+        repr([[str(x) for x in row] for row in rows]),
+        repr([[str(x) for x in row] for row in mat]),
+    ])
+    integral = [c for v in vecs for c in v.coeffs.values()] + [x for row in mat for x in row]
+    kernel = [c for q in model for c in q.coeffs.values()]
+    return hashlib.sha256(text.encode()).hexdigest(), integral, kernel
+
+
+# sha256 of _exact_values, recorded while every Poly coefficient was a
+# Fraction; (2, -1, 2) is s_1 * (2, 1, 0), and a negative last block entry
+# makes det(h) appear to a negative power
+EXACT_VALUE_DIGESTS = [
+    (3, {0}, (2, 1, 0), 6,
+     "c18dbe2159671bcd682f77dbce50c5cc6a8c424e53e8dfaeca80e03998f6c16d"),
+    (3, {1}, (2, 1, 0), 6,
+     "69a021de9dd825f9010990b0c4b37a76b4d93b98691f5d426dfbbcf51085d7d7"),
+    (2, {0}, (5, 0), 9,
+     "bd3117c98b4b4fae427839e09303df226fdc63647e49b44f8f66bb78f4aa32db"),
+    (3, {0}, (2, -1, 1), 5,
+     "e6e1a958252a11c8cdf42e398bb343b7bce0110072ebc3245787d52d2efc275f"),
+    (3, {0}, (2, -1, 2), 5,
+     "b35aa2e3382e1c78c1cddd7a166f39f14c1bbc5ad6a0665fbf8b333d974c180c"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, levi, lam, d, digest", EXACT_VALUE_DIGESTS,
+    ids=[f"GL{n}-levi{min(levi)}-{lam}-d{d}".replace(" ", "") for n, levi, lam, d, _ in EXACT_VALUE_DIGESTS],
+)
+def test_exact_values_are_pinned(n, levi, lam, d, digest):
+    got, integral, kernel = _exact_values(n, levi, lam, d, seed=3)
+    assert got == digest
+    assert not any(isinstance(x, float) for x in integral + kernel)
+    if all(lam[j] >= lam[j + 1] for j in range(n - 1)):
+        assert {type(x) for x in integral} == {int}
+
+
+def sympy_theta_columns(n, i, lam, basis):
+    """Columns of Theta_{alpha_i} on the monomials of basis, from sympy alone:
+    l(X_{alpha_i}) is read off d/dt at t = 0 of (I - t E_{i,i+1}) Z and
+    applied <lambda, alpha_i^vee> + 1 times to each monomial."""
+    pos = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    z = {p: sympy.Symbol(f"z{p[0] + 1}{p[1] + 1}") for p in pos}
+    t = sympy.Symbol("t")
+    big_z = sympy.Matrix(n, n, lambda a, b: 1 if a == b else z.get((a, b), 0))
+    e_i = sympy.zeros(n, n)
+    e_i[i, i + 1] = 1
+    moved = (sympy.eye(n) - t * e_i) * big_z
+    field = {p: sympy.diff(moved[p], t).subs(t, 0) for p in pos}
+    gens = [z[p] for p in pos]
+    cols = []
+    for m in basis:
+        f = sympy.Mul(*(g ** k for g, k in zip(gens, m)))
+        for _ in range(lam[i] - lam[i + 1] + 1):
+            f = sympy.expand(sum(c * sympy.diff(f, z[p]) for p, c in field.items()))
+        terms = sympy.Poly(f, *gens).as_dict() if f != 0 else {}
+        assert set(terms) <= set(basis)
+        cols.append([int(terms.get(mm, 0)) for mm in basis])
+    return cols
+
+
+# at (2, 1, 0) both exponents are 2, which cannot see the sign of the
+# field; (2, 0, 0) has the odd exponents 3 and 1
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 0, 0)])
+@pytest.mark.parametrize("i", [0, 1])
+@pytest.mark.parametrize("d", [2, 6])
+def test_theta_matrix_matches_sympy(lam, i, d):
+    mat, basis = theta_matrix(3, i, lam, d)
+    assert basis == monomials_up_to_degree(3, d)
+    assert [list(col) for col in zip(*mat)] == sympy_theta_columns(3, i, lam, basis)

@@ -11,14 +11,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _raises_assertion_error(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_in_src():
-    """python -O strips assert, so every invariant check in the package
-    must raise CertificationError instead."""
+    """python -O strips assert, and an AssertionError reads as a bug in the
+    program, so every invariant check in the package must raise
+    CertificationError instead."""
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted((ROOT / "src" / "parahoric").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
 
