@@ -232,7 +232,8 @@ EXACT_VALUE_DIGESTS = [
 
 @pytest.mark.parametrize(
     "n, levi, lam, d, digest", EXACT_VALUE_DIGESTS,
-    ids=[f"GL{n}-levi{min(levi)}-{lam}-d{d}".replace(" ", "") for n, levi, lam, d, _ in EXACT_VALUE_DIGESTS],
+    ids=[f"GL{n}-levi{min(levi)}-{lam}-d{d}".replace(" ", "")
+         for n, levi, lam, d, _ in EXACT_VALUE_DIGESTS],
 )
 def test_exact_values_are_pinned(n, levi, lam, d, digest):
     got, integral, kernel = _exact_values(n, levi, lam, d, seed=3)
