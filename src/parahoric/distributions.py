@@ -80,6 +80,24 @@ def moment_matrix(
     return tuple(rows)
 
 
+def integer_moment_matrix(gamma: Mat2, k: int) -> tuple[tuple[int, ...], ...]:
+    """moment_matrix(gamma, k, k + 1) for k >= 0, expanded in ints: row j
+    holds the coefficients of (a + c z)^(k-j) (b + d z)^j."""
+    _check_monoid(gamma, None)
+    a, b, c, d = gamma
+    rows = []
+    for j in range(k + 1):
+        A = [comb(k - j, t) * a ** (k - j - t) * c**t for t in range(k - j + 1)]
+        row = [0] * (k + 1)
+        for s in range(j + 1):
+            B = comb(j, s) * b ** (j - s) * d**s
+            if B:
+                for t, x in enumerate(A):
+                    row[s + t] += B * x
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def moment_matrix_mod(
     gamma: Mat2, k: int, mlen: int, p: int, mod: int
 ) -> list[list[int]]:

@@ -192,6 +192,11 @@ def power_traces_mod(a: list[list], count: int, mod: int) -> list:
     rounded up to whole bytes, so no slot carries into the next (nor does an
     inner sum, which is smaller), and unpacking a row is one to_bytes and a
     from_bytes per slot.
+
+    The slot width follows mod, so a smaller modulus makes every product
+    cheaper: the U_p series calls this on U/p^E mod p^Kt, only the digits
+    its readings keep, not on the model matrix mod p^Kbig
+    (ocsymbols._read_series).
     """
     n = len(a)
     scalar = n == 0 or isinstance(a[0][0], int)

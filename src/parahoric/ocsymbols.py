@@ -48,6 +48,7 @@ from .linalg import (
 from .manin import IDENTITY, ManinSystem, Mat2, SolvedPresentation, is_prime, mat_inv, mat_mul
 from .distributions import (
     family_moment_matrix,
+    integer_moment_matrix,
     moment_matrix,
     solve_error_profile,
     tail_solve_matrix,
@@ -126,8 +127,7 @@ class ClassicalSpace:
             acc = [[0] * len(cols[0]) for _ in range(d)]
             for y, sgn, m in terms:
                 if m not in self._moments:
-                    self._moments[m] = tuple(tuple(int(c) for c in row)
-                                             for row in moment_matrix(m, self.k, d))
+                    self._moments[m] = integer_moment_matrix(m, self.k)
                 src = cols[y * d:(y + 1) * d]
                 for a, row in zip(acc, self._moments[m]):
                     for e, v in zip(row, src):
@@ -994,12 +994,15 @@ def random_initial_lift_pair(
 # U_p characteristic series over R_T (one weight at T = 1)
 #
 # Model: a symbol is coordinatized by the mlen moments of each free edge plus
-# the top moment of the tail value; U_p becomes an n x n matrix over R_T. All
-# work happens on the p^D-scaled integral matrix mod p^Kbig. Certification is
-# two-sided: (representative) Newton's identities lose v_p(r) digits per
-# division, tracked per coefficient; (model vs truth) discarding moments
-# beyond mlen perturbs coefficient r by at least (mlen - S_sol) plus the sum
-# of the r-1 smallest column valuation floors, read off the matrix itself.
+# the top moment of the tail value; U_p becomes an n x n matrix over R_T. The
+# table build and the U_p apply produce the p^D-scaled integral matrix mod
+# p^Kbig. Certification is two-sided: (representative) Newton's identities
+# lose v_p(r) digits per division, tracked per coefficient; (model vs truth)
+# discarding moments beyond mlen perturbs coefficient r by at least
+# (mlen - S_sol) plus the sum of the r-1 smallest column valuation floors,
+# read off the matrix itself. Both bounds are known before any trace, so the
+# traces and Newton's identities run on U/p^E mod p^Kt, only the digits the
+# readings keep (_read_series).
 
 
 @dataclass
@@ -1100,16 +1103,26 @@ def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[t
     return [list(zip(*(bun.slots(img[r][t * mlen + i]) for t in range(T)))) for r, i in coords]
 
 
-def _elementary_from_traces(
-    traces: list[tuple[int, ...]], xdeg: int, p: int, mod: int
-) -> tuple[list[list[int]], list[int]]:
-    """Newton's identities over R_T mod p^K with per-coefficient division-loss budget."""
+def _newton_losses(xdeg: int, p: int) -> list[int]:
+    """nloss[r - 1] for r = 1 .. xdeg: the p-adic digits that Newton's
+    identities lose by coefficient r. Coefficient r divides by r, losing
+    v_p(r) digits on top of the worst loss among its inputs,
+    nloss[r] = max(nloss[< r]) + v_p(r); the losses grow with r, so this is
+    v_p(r!). It depends only on r and p, so it is known before any trace."""
+    out, loss = [], 0
+    for r in range(1, xdeg + 1):
+        loss += valuation(r, p)
+        out.append(loss)
+    return out
+
+
+def _elementary_from_traces(traces: list[tuple[int, ...]], p: int, mod: int) -> list[list[int]]:
+    """Newton's identities over R_T mod p^K: e_1 .. e_count from the power
+    traces. Coefficient r is known mod p^(K - nloss[r - 1]) (_newton_losses)."""
     T = len(traces[0])
     e: list[list[int]] = [[1] + [0] * (T - 1)]
-    nloss = [0] * (xdeg + 1)
-    for r in range(1, xdeg + 1):
+    for r in range(1, len(traces) + 1):
         acc = [0] * T
-        worst_in = 0
         for i in range(1, r + 1):
             sgn = 1 if i % 2 == 1 else -1
             er_i = e[r - i]
@@ -1119,7 +1132,6 @@ def _elementary_from_traces(
                 if es:
                     for t in range(T - s):
                         acc[s + t] += sgn * es * pi[t]
-            worst_in = max(worst_in, nloss[r - i])
         vr = valuation(r, p)
         inv_rr = pow(r // p**vr, -1, mod)
         out = []
@@ -1129,8 +1141,7 @@ def _elementary_from_traces(
                 raise CertificationError("Newton numerator lost required divisibility")
             out.append(a // p**vr * inv_rr % mod)
         e.append(out)
-        nloss[r] = worst_in + vr
-    return e[1:], nloss[1:]
+    return e[1:]
 
 
 def _check_positive(**sizes: int) -> None:
@@ -1139,50 +1150,55 @@ def _check_positive(**sizes: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: int):
-    """Certified initial segment of det(1 - X U_p) over R_T.
+def _column_valuations(U: list[list[tuple[int, ...]]], p: int, cap: int) -> list[int]:
+    """Valuation of each column of U over R_T, from one gcd per column; cap
+    for a column that is zero mod p^cap."""
+    return [min(cap, valuation(math.gcd(*(c for row in U for c in row[l])), p))
+            for l in range(len(U))]
 
-    Coefficient r of the model charpoly is read mod p^Kbig, unscaled by
-    p^(rD), and certified against both the representative budget and the
-    model-truncation bound. Returns (xdeg, model_dim, sorted column floors,
-    truncation floor, readings [r][t] of the w^t part of coefficient r, Newton
-    polygon of the w^0 layer).
+
+def _read_series(
+    U: list[list[tuple[int, ...]]], p: int, D: int, E: int, Kbig: int, kappas: list[int]
+) -> tuple[list[list[CoefficientReading]], NewtonPolygon]:
+    """Readings [r][t] of coefficients 0 .. len(kappas) of det(1 - X U/p^D)
+    over R_T, and the Newton polygon of the w^0 layer, from the p^D-scaled
+    model matrix U mod p^Kbig.
+
+    kappas[r - 1] is the model-truncation precision of coefficient r, and
+    Kbig - nloss_r - rD its representative precision; both are known before
+    any trace, and so is prec_r, the smaller of the two. Every entry of U is
+    divisible by p^E (E <= D, checked here) and e_r(U) = p^(rE) e_r(U/p^E),
+    so the traces and Newton's identities run on U1 = U/p^E mod p^Kt and
+    coefficient r is read as c_r = e_r(U1)/p^(r(D-E)), known mod
+    p^(Kt - nloss_r - r(D-E)). Kt is the fewest digits that keep this at
+    least prec_r for every r; it never exceeds Kbig - E, the digits U1 has.
+    U is overwritten with U1, row by row, so no second copy is held.
     """
-    _check_positive(M=M, T=T, xdeg=xdeg)
-    if k < 0:
-        raise ValueError(f"k must be at least 0, got {k}")
-    mlen = M + pad
-    ctx = oc_context(N, p, k, mlen)
-    D, S = ctx.D, ctx.S_sol
-    n = ctx.n_model
-    xdeg = min(xdeg, n)
-    Kbig = mlen + xdeg * (D + 1) + 16
-    mod = p**Kbig
-    U = up_model_matrix(ctx, MomentCache(ctx, Kbig, T), mod)
-
-    # empirical column valuation floors of the unscaled operator
-    floors = []
-    for l in range(n):
-        v = min([Kbig] + [valuation(c, p) for row in U for c in row[l]])
-        floors.append(min(v - D, mlen - S))
-    floors.sort()
-
-    traces = power_traces_mod(U, xdeg, mod)
-    elem, nloss = _elementary_from_traces(traces, xdeg, p, mod)
+    T = len(U[0][0])
+    nloss = _newton_losses(len(kappas), p)
+    precs = [min(kappa, Kbig - loss - r * D)
+             for r, (kappa, loss) in enumerate(zip(kappas, nloss), 1)]
+    Kt = max([1] + [max(prec, 0) + loss + r * (D - E)
+                    for r, (prec, loss) in enumerate(zip(precs, nloss), 1)])
+    mod, pE = p**Kt, p**E
+    for i, row in enumerate(U):
+        if any(c % pE for cell in row for c in cell):
+            raise CertificationError("scaled model matrix lost p^E")
+        U[i] = [tuple(c // pE % mod for c in cell) for cell in row]
+    elem = _elementary_from_traces(power_traces_mod(U, len(kappas), mod), p, mod)
 
     readings = [[CoefficientReading(0, 0, Kbig, True, 1)]
                 + [CoefficientReading(0, None, Kbig, True, 0) for _ in range(T - 1)]]
     points = [PolygonPoint(0, 0, True)]
-    for r in range(1, xdeg + 1):
-        kappa = (mlen - S) + sum(floors[: r - 1])
-        rep_prec = Kbig - nloss[r - 1] - r * D
-        prec = min(kappa, rep_prec)
+    for r, (prec, e_r) in enumerate(zip(precs, elem), 1):
+        shift = p ** (r * (D - E))
         row = []
-        for x in elem[r - 1]:
+        for x in e_r:
             rep = (-1) ** r * x % mod
-            if rep % p ** (r * D):
+            # the p^(rD) check on e_r(U), read on e_r(U1)
+            if rep % shift:
                 raise CertificationError("scaled coefficient lost p^(rD)")
-            c = rep // p ** (r * D) % mod
+            c = rep // shift
             v = valuation(c, p)
             if prec > 0 and v < prec:
                 row.append(CoefficientReading(r, v, prec, True, c % p**prec))
@@ -1194,7 +1210,37 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
             points.append(PolygonPoint(r, row[0].valuation, True))
         else:
             points.append(PolygonPoint(r, max(prec, 0), False))
-    return xdeg, n, floors, mlen - S, readings, NewtonPolygon(points)
+    return readings, NewtonPolygon(points)
+
+
+def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: int):
+    """Certified initial segment of det(1 - X U_p) over R_T.
+
+    The table build and the U_p apply run mod p^Kbig. Coefficient r of the
+    model charpoly, unscaled by p^(rD), is certified against both the
+    representative budget (Kbig less the Newton losses) and the
+    model-truncation bound; the traces and Newton's identities then run on
+    U/p^E mod p^Kt, the digits those precisions need (_read_series). Returns
+    (xdeg, model_dim, sorted column floors, truncation floor, readings [r][t]
+    of the w^t part of coefficient r, Newton polygon of the w^0 layer).
+    """
+    _check_positive(M=M, T=T, xdeg=xdeg)
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
+    mlen = M + pad
+    ctx = oc_context(N, p, k, mlen)
+    D, S = ctx.D, ctx.S_sol
+    n = ctx.n_model
+    xdeg = min(xdeg, n)
+    Kbig = mlen + xdeg * (D + 1) + 16
+    U = up_model_matrix(ctx, MomentCache(ctx, Kbig, T), p**Kbig)
+
+    # empirical valuation floors of the unscaled operator's columns
+    vals = _column_valuations(U, p, Kbig)
+    floors = sorted(min(v - D, mlen - S) for v in vals)
+    kappas = [(mlen - S) + sum(floors[: r - 1]) for r in range(1, xdeg + 1)]
+    readings, polygon = _read_series(U, p, D, min([D] + vals), Kbig, kappas)
+    return xdeg, n, floors, mlen - S, readings, polygon
 
 
 def charpoly_up(

@@ -270,10 +270,22 @@ GOLDEN_JSON_K2 = [
 ]
 
 
+# long series whose representative budget, not the truncation bound, sets
+# some precisions, recorded before the power traces moved from U mod p^Kbig
+# to U/p^E mod p^Kt
+GOLDEN_JSON_BUDGET = [
+    (("charpoly", "--N", "3", "--p", "2", "--k", "0", "--M", "4", "--xdeg", "40"),
+     "8b056873c6f2df74fddcd11e584c0b8809aae2dc7a7d446c7c519108904b72ca"),
+    (("charpoly", "--N", "2", "--p", "3", "--disc-center", "0", "--M", "4", "--T", "4",
+      "--xdeg", "20"),
+     "f3a977c8c4543f74c9dd28f3d6c1c4a89eb12832ba4175bedb2845439572f159"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, digest, fmt",
     [(a, d, "json") for a, d in GOLDEN_JSON] + [(a, d, "csv") for a, d in GOLDEN_CSV]
-    + [(a, d, "json") for a, d in GOLDEN_JSON_K2],
+    + [(a, d, "json") for a, d in GOLDEN_JSON_K2 + GOLDEN_JSON_BUDGET],
 )
 def test_cli_json_matches_golden_digest(capsys, argv, digest, fmt):
     code, out, _ = run(capsys, *argv, "--format", fmt)

@@ -3,12 +3,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from parahoric.distributions import (
     apply_moments,
     family_moment_matrix,
+    integer_moment_matrix,
     iwasawa_log,
     moment_matrix,
     moment_matrix_mod,
@@ -239,3 +240,19 @@ def test_moment_matrix_mod_rejects_like_exact(p, k, mlen, gamma):
         assert got == want
     else:
         assert got == [[frac_mod(x, mod) for x in row] for row in want]
+
+
+@given(st.integers(0, 8), st.integers(-40, 40), st.integers(-40, 40),
+       st.integers(-40, 40), st.integers(-40, 40))
+def test_integer_moment_matrix_is_moment_matrix(k, a, b, c, d):
+    """The int expansion of the classical (k + 1)-moment matrix equals the
+    Fraction moment_matrix for any nonsingular integer matrix."""
+    assume(a * d - b * c != 0)
+    got = integer_moment_matrix((a, b, c, d), k)
+    assert all(type(x) is int for row in got for x in row)
+    assert got == moment_matrix((a, b, c, d), k, k + 1)
+
+
+def test_integer_moment_matrix_rejects_singular():
+    with pytest.raises(ValueError, match="singular"):
+        integer_moment_matrix((2, 4, 1, 2), 3)

@@ -334,6 +334,85 @@ def test_lift_checks_survive_python_O():
     assert proc.stdout.split("\n") == ["debug False", "raised classical layer mismatch", ""]
 
 
+SERIES_CORRUPTION_SCRIPT = """
+import series_reference as ref
+from parahoric import ocsymbols
+from parahoric.ocsymbols import _column_valuations, _read_series
+from parahoric.padics import CertificationError
+
+p, D, T, n = 3, 2, 2, 6
+Kbig = n * (D + 1) + 16
+kappas = [Kbig] * n
+
+
+def engine(U, x):
+    E = min([D] + _column_valuations(U, p, Kbig))
+    _read_series(U, p, D, E, Kbig, kappas[:x])
+
+
+def reference(U, x):
+    ref.read_series(U, p, D, Kbig, kappas[:x])
+
+
+def first_failure(read, U):
+    for x in range(1, n + 1):
+        try:
+            read([list(row) for row in U], x)
+        except CertificationError as exc:
+            return f"r={x} {exc}"
+    return "none"
+
+
+def corrupt_trace(orig):
+    def traces(a, count, mod):
+        out = orig(a, count, mod)
+        if count >= p:
+            out[p - 1] = (out[p - 1][0] + 1,) + out[p - 1][1:]
+        return out
+    return traces
+
+
+print("debug", __debug__)
+clean = ref.scaled_matrix(7, n, T, p, D, Kbig)
+diagonal = [list(row) for row in clean]
+diagonal[0][0] = (p ** (D - 1),) + clean[0][0][1:]
+pair = [list(row) for row in clean]
+pair[0][1] = (p ** (D - 1),) + clean[0][1][1:]
+pair[1][0] = (p ** (D - 1),) + clean[1][0][1:]
+for name, U in (("clean", clean), ("diagonal", diagonal), ("pair", pair)):
+    print(name, first_failure(reference, U), "|", first_failure(engine, U))
+ocsymbols.power_traces_mod = corrupt_trace(ocsymbols.power_traces_mod)
+ref.power_traces_mod = corrupt_trace(ref.power_traces_mod)
+print("trace", first_failure(reference, clean), "|", first_failure(engine, clean))
+try:
+    _read_series([list(row) for row in diagonal], p, D, D, Kbig, kappas)
+except CertificationError as exc:
+    print("wrong E", exc)
+"""
+
+
+def test_corrupted_series_fails_where_the_reference_does_under_python_O():
+    """The U_p series, which reads its traces on U/p^E mod p^Kt, raises its
+    p^(rD) and Newton-numerator failures at the same coefficient as the Kbig
+    path of series_reference, with assert stripped. No integer matrix breaks
+    a Newton numerator, so that case corrupts the p-th power trace instead."""
+    tests = str(Path(__file__).resolve().parent)
+    proc = _run_optimized(f"import sys\nsys.path.insert(0, {tests!r})\n"
+                          + SERIES_CORRUPTION_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    lost = "scaled coefficient lost p^(rD)"
+    newton = "Newton numerator lost required divisibility"
+    assert proc.stdout.split("\n") == [
+        "debug False",
+        "clean none | none",
+        f"diagonal r=1 {lost} | r=1 {lost}",
+        f"pair r=2 {lost} | r=2 {lost}",
+        f"trace r=3 {newton} | r=3 {newton}",
+        "wrong E scaled model matrix lost p^E",
+        "",
+    ]
+
+
 def _model_matrix_per_column(ctx, cache, mod):
     """up_model_matrix as one table build and one U_p apply per unit column."""
     T, mlen = cache.T, ctx.mlen
