@@ -21,7 +21,7 @@ go through a single table build and a single U_p apply as column bundles
 (ColumnBundles): each coordinate of a value is one Python int that holds the
 n columns side by side in fixed-width slots, so one integer dot product per
 matrix row serves every column, and each output coordinate is reduced mod
-p^K once, slot by slot. A single table, as in the lift, packs the other
+p^K once, every slot in a few whole-int operations. A single table, as in the lift, packs the other
 axis: each column of a U_p composite is one int holding the output moments
 in slots, so a term costs one big-int multiply-add per input moment instead
 of one small product per matrix entry, and each coset is reduced once.
@@ -35,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .linalg import (
     charpoly_berkowitz,
@@ -562,9 +562,22 @@ class ColumnBundles:
     also covers a residue plus one product (the tail top moment, the p^D
     scaling). reduce adds off, the
     multiple of mod at or just above lim, to every slot of pos - neg, so each
-    slot lies in [0, 2 * lim + mod) and no borrow or carry crosses a slot
-    boundary; sb is the byte length of that bound. Unpacking a coordinate is
-    one to_bytes and one from_bytes per slot.
+    slot x_s lies in [0, 2 * lim + mod) and no borrow or carry crosses a slot
+    boundary; sb is the byte length of that bound, and a slot is W = 8 * sb
+    bits. Unpacking a coordinate is one to_bytes and one from_bytes per slot.
+
+    reduce works on whole ints, by Barrett reduction in every slot at once.
+    With t the bit length of 2 * lim + mod (t <= W) and R = 2^t // mod, the
+    quotient estimate q_s = (x_s * R) >> t lies in {x_s // mod - 1,
+    x_s // mod}. x_s * R < 2^(2t) takes two slots, so the even slots
+    (x & even) and the odd slots moved down one slot ((x >> W) & even) are
+    multiplied by R apart, each product with an empty slot above it; after
+    the shift by t, the mask keeps q_s in its own slot. r = x - q * mod then
+    holds r_s in [0, 2 * mod) in every slot, without borrows, and one
+    conditional subtraction ends it: with h the bit length of 2 * mod, bit h
+    of r_s + 2^h - mod is set exactly when r_s >= mod, and that sum stays
+    below 2^(h + 1) <= 2^W, inside its slot. Construction raises
+    CertificationError if t > W or h >= W.
     """
 
     def __init__(self, ctx: OCContext, cache: MomentCache, mod: int, cols: int = 1):
@@ -574,11 +587,21 @@ class ColumnBundles:
         self.sb = 0
         if cols > 1:
             m = max(mod, cache.mod)
-            lim = (ctx.fan * self.width + 1) * (m - 1) ** 2
+            self.lim = lim = (ctx.fan * self.width + 1) * (m - 1) ** 2
             off = -(-lim // mod) * mod
-            self.sb = (2 * lim + mod).bit_length() + 7 >> 3
-            self.off = int.from_bytes(off.to_bytes(self.sb, "little") * cols, "little")
-            self.starts = range(0, self.sb * cols, self.sb)
+            self.t = (2 * lim + mod).bit_length()
+            self.h = (2 * mod).bit_length()
+            self.sb = sb = self.t + 7 >> 3
+            self.W = W = 8 * sb
+            if self.t > W or self.h >= W:
+                raise CertificationError("slot too narrow for the packed reduction")
+            self.R = (1 << self.t) // mod
+            self.ones = ones = int.from_bytes((1).to_bytes(sb, "little") * cols, "little")
+            self.off = off * ones
+            self.fix = ((1 << self.h) - mod) * ones
+            pattern = (b"\xff" * sb + bytes(sb)) * (cols + 1 >> 1)
+            self.even = int.from_bytes(pattern[:sb * cols], "little")
+            self.starts = range(0, sb * cols, sb)
 
     def unit(self, c: int) -> int:
         """The bundle holding 1 in column c and 0 elsewhere."""
@@ -603,10 +626,11 @@ class ColumnBundles:
         mod = self.mod
         if self.cols == 1:
             return (pos - neg) % mod
-        sb, unpack = self.sb, int.from_bytes
-        buf = (pos + self.off - neg).to_bytes(sb * self.cols, "little")
-        return unpack(b"".join([(unpack(buf[o:o + sb], "little") % mod).to_bytes(sb, "little")
-                                for o in self.starts]), "little")
+        W, t, R, even = self.W, self.t, self.R, self.even
+        x = pos + self.off - neg
+        q = ((x & even) * R >> t & even) | (((x >> W & even) * R >> t & even) << W)
+        r = x - q * mod
+        return r - ((r + self.fix) >> self.h & self.ones) * mod
 
     def combine(
         self,
@@ -632,7 +656,8 @@ def build_tables_mod(
     mod: int,
     defect_out: list | None = None,
     cols: int = 1,
-) -> list[list[int]]:
+    read: Collection[int] | None = None,
+) -> list[list[int] | None]:
     """Value tables (scaled by p^D) from free data given in true (unscaled) units.
 
     free_values maps each free edge to its T * mlen plane residues; the
@@ -640,7 +665,9 @@ def build_tables_mod(
     twists, and the tail coset from the scaled difference-equation solve,
     with tail_top added to its top moment on the w^0 plane. With cols > 1
     every value and tail_top are column bundles (ColumnBundles) of residues,
-    one table per column, and every check below holds in every slot.
+    one table per column, and every check below holds in every slot. When
+    read is given, a partner that needs a twist of its leader is built only
+    if its coset is in read, and is None otherwise.
 
     At k = 0 the moment-0 row of every transport is trivial, so the tail
     consistency nu_0 = 0 holds identically on every plane and is checked. At
@@ -681,10 +708,15 @@ def build_tables_mod(
     v0[mlen - 1] = bun.reduce(v0[mlen - 1] + tail_top * sD_res)
     vals[tail.x0] = v0
     # partners
-    tables: list[list[int]] = []
+    tables: list[list[int] | None] = []
     for x in range(ctx.ms.index):
         ld, sgn, tw = ctx.ms.value_resolution(x)
-        tables.append(vals[ld] if tw is None else bun.combine([(ld, sgn, tw)], cache.gamma, vals))
+        if tw is None:
+            tables.append(vals[ld])
+        elif read is None or x in read:
+            tables.append(bun.combine([(ld, sgn, tw)], cache.gamma, vals))
+        else:
+            tables.append(None)
     return tables
 
 
@@ -996,8 +1028,9 @@ def random_initial_lift_pair(
 # Model: a symbol is coordinatized by the mlen moments of each free edge plus
 # the top moment of the tail value; U_p becomes an n x n matrix over R_T. The
 # table build and the U_p apply produce the p^D-scaled integral matrix mod
-# p^Kbig. Certification is two-sided: (representative) Newton's identities
-# lose v_p(r) digits per division, tracked per coefficient; (model vs truth)
+# p^K, the digits the readings below need (at most p^Kbig, _certified_series).
+# Certification is two-sided: (representative) Newton's identities lose
+# v_p(r) digits per division, tracked per coefficient; (model vs truth)
 # discarding moments beyond mlen perturbs coefficient r by at least
 # (mlen - S_sol) plus the sum of the r-1 smallest column valuation floors,
 # read off the matrix itself. Both bounds are known before any trace, so the
@@ -1081,7 +1114,9 @@ def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[t
     Cells are T-tuples of w-coefficients read off the planes. All n unit
     columns go through one table build and one U_p apply as column bundles
     (ColumnBundles): column r * mlen + i is moment i of free edge r, and the
-    last column is the tail top moment. Delta columns at k > 0, and on the
+    last column is the tail top moment. Only the U_p rows of the free edges
+    and the tail coset are read, so the build leaves out the twisted
+    partners those rows never reach. Delta columns at k > 0, and on the
     higher w-planes, sit outside the tail-consistency kernel, so the build
     routes the defect into a sink; the determinant computed from this matrix
     is the Fredholm series of U_p on the free approximation module, whose
@@ -1090,13 +1125,16 @@ def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[t
     T, mlen, n = cache.T, ctx.mlen, ctx.n_model
     bun = ColumnBundles(ctx, cache, mod, n)
     free = list(ctx.sp.free_edges)
+    rows = free + [ctx.sp.tail.x0]
     fv = {e: [bun.unit(r * mlen + i) for i in range(mlen)] + [0] * ((T - 1) * mlen)
           for r, e in enumerate(free)}
     sink: list = []
+    read = {y for x in rows for y, _, _ in ctx.up_plan[x]}
     # no name keeps the tables, so they are freed before the cells are built
     img = up_apply_mod(
-        ctx, cache, build_tables_mod(ctx, cache, fv, bun.unit(n - 1), mod, defect_out=sink, cols=n),
-        mod, cosets=free + [ctx.sp.tail.x0], cols=n,
+        ctx, cache, build_tables_mod(ctx, cache, fv, bun.unit(n - 1), mod, defect_out=sink,
+                                     cols=n, read=read),
+        mod, cosets=rows, cols=n,
     )
     # (row of the U_p image, moment): the free moments, then the tail top moment
     coords = [(r, i) for r in range(len(free)) for i in range(mlen)] + [(len(free), mlen - 1)]
@@ -1157,12 +1195,26 @@ def _column_valuations(U: list[list[tuple[int, ...]]], p: int, cap: int) -> list
             for l in range(len(U))]
 
 
+def _trace_digits(p: int, D: int, E: int, Kbig: int, kappas: list[int]) -> tuple[list[int], int]:
+    """(prec, Kt): prec[r - 1] = min(kappas[r - 1], Kbig - nloss_r - rD), the
+    certified digits of coefficient r, and Kt, the digits of U/p^E that the
+    traces and Newton's identities need to give every coefficient to them
+    (_read_series)."""
+    nloss = _newton_losses(len(kappas), p)
+    precs = [min(kappa, Kbig - loss - r * D)
+             for r, (kappa, loss) in enumerate(zip(kappas, nloss), 1)]
+    Kt = max([1] + [max(prec, 0) + loss + r * (D - E)
+                    for r, (prec, loss) in enumerate(zip(precs, nloss), 1)])
+    return precs, Kt
+
+
 def _read_series(
-    U: list[list[tuple[int, ...]]], p: int, D: int, E: int, Kbig: int, kappas: list[int]
+    U: list[list[tuple[int, ...]]], p: int, D: int, E: int, Kbig: int, kappas: list[int],
+    K: int | None = None,
 ) -> tuple[list[list[CoefficientReading]], NewtonPolygon]:
     """Readings [r][t] of coefficients 0 .. len(kappas) of det(1 - X U/p^D)
     over R_T, and the Newton polygon of the w^0 layer, from the p^D-scaled
-    model matrix U mod p^Kbig.
+    model matrix U mod p^K (K = Kbig when not given).
 
     kappas[r - 1] is the model-truncation precision of coefficient r, and
     Kbig - nloss_r - rD its representative precision; both are known before
@@ -1170,16 +1222,17 @@ def _read_series(
     divisible by p^E (E <= D, checked here) and e_r(U) = p^(rE) e_r(U/p^E),
     so the traces and Newton's identities run on U1 = U/p^E mod p^Kt and
     coefficient r is read as c_r = e_r(U1)/p^(r(D-E)), known mod
-    p^(Kt - nloss_r - r(D-E)). Kt is the fewest digits that keep this at
-    least prec_r for every r; it never exceeds Kbig - E, the digits U1 has.
-    U is overwritten with U1, row by row, so no second copy is held.
+    p^(Kt - nloss_r - r(D-E)). Kt (_trace_digits) is the fewest digits that
+    keep this at least prec_r for every r; it never exceeds Kbig - E.
+    A build mod p^K agrees with the Kbig build mod p^(K - D), so U/p^E mod
+    p^Kt is the Kbig one when K >= Kt + E + D; below that, and below Kbig,
+    this raises CertificationError. U is overwritten with U1, row by row, so
+    no second copy is held.
     """
     T = len(U[0][0])
-    nloss = _newton_losses(len(kappas), p)
-    precs = [min(kappa, Kbig - loss - r * D)
-             for r, (kappa, loss) in enumerate(zip(kappas, nloss), 1)]
-    Kt = max([1] + [max(prec, 0) + loss + r * (D - E)
-                    for r, (prec, loss) in enumerate(zip(precs, nloss), 1)])
+    precs, Kt = _trace_digits(p, D, E, Kbig, kappas)
+    if K is not None and K < min(Kbig, Kt + E + D):
+        raise CertificationError("model modulus below the digits the traces read")
     mod, pE = p**Kt, p**E
     for i, row in enumerate(U):
         if any(c % pE for cell in row for c in cell):
@@ -1216,13 +1269,24 @@ def _read_series(
 def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: int):
     """Certified initial segment of det(1 - X U_p) over R_T.
 
-    The table build and the U_p apply run mod p^Kbig. Coefficient r of the
-    model charpoly, unscaled by p^(rD), is certified against both the
-    representative budget (Kbig less the Newton losses) and the
-    model-truncation bound; the traces and Newton's identities then run on
-    U/p^E mod p^Kt, the digits those precisions need (_read_series). Returns
-    (xdeg, model_dim, sorted column floors, truncation floor, readings [r][t]
-    of the w^t part of coefficient r, Newton polygon of the w^0 layer).
+    Coefficient r of the model charpoly, unscaled by p^(rD), is certified
+    against both the representative budget (Kbig less the Newton losses) and
+    the model-truncation bound; the traces and Newton's identities run on
+    U/p^E mod p^Kt, the digits those precisions need (_read_series).
+
+    The table build and the U_p apply are ring operations mod p^K apart from
+    the exact division of nu by p^D, so a build mod p^K agrees with the Kbig
+    build mod p^(K - D). U is built mod p^K for the K the readings use: the
+    floors min(v - D, mlen - S) and E = min(D, column valuations) read
+    valuations only up to mlen - S + D, so K >= mlen - S + 2D gives them
+    exactly; K >= mlen keeps the compactness and filtration checks at full
+    strength; and the reading needs K >= Kt + E + D. The first build is at
+    K0 = min(Kbig, max(mlen, mlen - S + 2D, Kt + 2D)), Kt taken with every
+    floor 0 and E = D; if the floors and E it gives need more, U is built
+    once more at min(Kbig, Kt + E + D), so there are at most two builds. At
+    K = Kbig the build is the one of the full budget. Returns (xdeg,
+    model_dim, sorted column floors, truncation floor, readings [r][t] of
+    the w^t part of coefficient r, Newton polygon of the w^0 layer).
     """
     _check_positive(M=M, T=T, xdeg=xdeg)
     if k < 0:
@@ -1233,14 +1297,22 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
     n = ctx.n_model
     xdeg = min(xdeg, n)
     Kbig = mlen + xdeg * (D + 1) + 16
-    U = up_model_matrix(ctx, MomentCache(ctx, Kbig, T), p**Kbig)
-
-    # empirical valuation floors of the unscaled operator's columns
-    vals = _column_valuations(U, p, Kbig)
-    floors = sorted(min(v - D, mlen - S) for v in vals)
-    kappas = [(mlen - S) + sum(floors[: r - 1]) for r in range(1, xdeg + 1)]
-    readings, polygon = _read_series(U, p, D, min([D] + vals), Kbig, kappas)
-    return xdeg, n, floors, mlen - S, readings, polygon
+    trunc = mlen - S
+    Kt0 = _trace_digits(p, D, D, Kbig, [trunc] * xdeg)[1]
+    K = min(Kbig, max(mlen, trunc + 2 * D, Kt0 + 2 * D))
+    U = None
+    while U is None:
+        U = up_model_matrix(ctx, MomentCache(ctx, K, T), p**K)
+        # empirical valuation floors of the unscaled operator's columns
+        vals = _column_valuations(U, p, K)
+        floors = sorted(min(v - D, trunc) for v in vals)
+        kappas = [trunc + sum(floors[: r - 1]) for r in range(1, xdeg + 1)]
+        E = min([D] + vals)
+        need = min(Kbig, _trace_digits(p, D, E, Kbig, kappas)[1] + E + D)
+        if need > K:
+            K, U = need, None
+    readings, polygon = _read_series(U, p, D, E, Kbig, kappas, K)
+    return xdeg, n, floors, trunc, readings, polygon
 
 
 def charpoly_up(

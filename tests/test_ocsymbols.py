@@ -17,6 +17,7 @@ from parahoric.linalg import charpoly_berkowitz, matvec, solve
 from parahoric.manin import ManinSystem
 from parahoric.ocsymbols import (
     IOTA,
+    ColumnBundles,
     DivergenceError,
     MomentCache,
     auto_eigensymbol,
@@ -443,6 +444,124 @@ def test_model_matrix_bundles_match_per_column_builds(N, p, k, T):
     got = up_model_matrix(ctx, cache, p**K)
     assert len(got) == ctx.n_model and all(len(row) == ctx.n_model for row in got)
     assert got == _model_matrix_per_column(ctx, cache, p**K)
+
+
+@pytest.mark.parametrize("N, p, k, T", [
+    (11, 3, 0, 1), (11, 3, 0, 2), (11, 3, 0, 3), (11, 5, 2, 1), (11, 3, 2, 1), (3, 2, 0, 1),
+])
+def test_model_matrix_mod_K_matches_the_Kbig_build(N, p, k, T):
+    """The table build and the U_p apply are ring operations mod p^K except
+    for the exact division by p^D, so the model matrix built mod p^K agrees
+    with the Kbig build mod p^(K - D), at the moduli the series path picks
+    from (mlen, mlen - S + 2D) and above."""
+    ctx = oc_context(N, p, k, 6)
+    D = ctx.D
+    Kbig = ctx.mlen + 4 * (D + 1) + 16
+    ref = up_model_matrix(ctx, MomentCache(ctx, Kbig, T), p**Kbig)
+    for K in sorted({ctx.mlen, ctx.mlen - ctx.S_sol + 2 * D, ctx.mlen + 2 * D + 3}):
+        got = up_model_matrix(ctx, MomentCache(ctx, K, T), p**K)
+        low = p ** (K - D)
+        assert [[tuple(c % low for c in cell) for cell in row] for row in got] \
+            == [[tuple(c % low for c in cell) for cell in row] for row in ref]
+
+
+@pytest.mark.parametrize("N, p, k, skipped, twisted", [(11, 3, 0, 9, 24), (11, 5, 2, 7, 36)])
+def test_model_build_skips_only_unread_partners(N, p, k, skipped, twisted):
+    """With the cosets the model's U_p rows read, the table build leaves out
+    exactly the twisted partners outside them, and every other table is the
+    one the full build gives."""
+    ctx = oc_context(N, p, k, 5)
+    K = 12
+    cache = MomentCache(ctx, K)
+    rows = list(ctx.sp.free_edges) + [ctx.sp.tail.x0]
+    read = {y for x in rows for y, _, _ in ctx.up_plan[x]}
+    rng = random.Random(N + p + k)
+    free = {e: [rng.randrange(p**K) for _ in range(ctx.mlen)] for e in ctx.sp.free_edges}
+    full = build_tables_mod(ctx, cache, free, 7, p**K, defect_out=[])
+    part = build_tables_mod(ctx, cache, free, 7, p**K, defect_out=[], read=read)
+    twist = [x for x in range(ctx.ms.index) if ctx.ms.value_resolution(x)[2] is not None]
+    assert len(twist) == twisted
+    assert [x for x, t in enumerate(part) if t is None] == [x for x in twist if x not in read]
+    assert sum(t is None for t in part) == skipped
+    assert all(t == f for t, f in zip(part, full) if t is not None)
+
+
+@functools.lru_cache(maxsize=None)
+def _bundle_context(p):
+    return oc_context(11, p, 0, 4)
+
+
+def _slot_values(kind, cols, lim, rng):
+    if kind == "random":
+        return [rng.randint(0, lim) for _ in range(cols)]
+    if kind == "zero":
+        return [0] * cols
+    if kind == "lim":
+        return [lim] * cols
+    return [lim * ((c + (kind == "even")) % 2) for c in range(cols)]
+
+
+@given(
+    st.sampled_from([2, 3, 7, 24, 129]), st.sampled_from([2, 3, 5]),
+    st.sampled_from([1, 2, 14, 27, 74]),
+    st.sampled_from(["random", "zero", "lim", "even", "odd"]),
+    st.sampled_from(["random", "zero", "lim", "even", "odd"]),
+    st.randoms(use_true_random=False),
+)
+def test_packed_reduction_matches_per_slot_reduction(cols, p, K, pos_kind, neg_kind, rng):
+    """ColumnBundles.reduce(pos, neg) is the bundle of (pos_s + off_s - neg_s)
+    % mod, slot by slot, for slot values anywhere in [0, lim]: random, all 0,
+    all lim, and lim in alternate slots. off_s is a multiple of mod, so that
+    is (pos_s - neg_s) % mod."""
+    ctx = _bundle_context(p)
+    mod = p**K
+    bun = ColumnBundles(ctx, MomentCache(ctx, K), mod, cols)
+    pos = _slot_values(pos_kind, cols, bun.lim, rng)
+    neg = _slot_values(neg_kind, cols, bun.lim, rng)
+    want = [(a - b) % mod for a, b in zip(pos, neg)]
+    got = bun.reduce(bun.pack(pos), bun.pack(neg))
+    assert bun.slots(got) == want
+    assert got == bun.pack(want)
+
+
+MODULUS_GUARD_SCRIPT = """
+import series_reference as ref
+from parahoric.ocsymbols import _column_valuations, _read_series, _trace_digits
+from parahoric.padics import CertificationError
+
+p, D, T, n = 3, 2, 2, 6
+Kbig = n * (D + 1) + 16
+kappas = [2 + r for r in range(1, n + 1)]
+U = ref.scaled_matrix(3, n, T, p, D, Kbig)
+E = min([D] + _column_valuations(U, p, Kbig))
+need = _trace_digits(p, D, E, Kbig, kappas)[1] + E + D
+print("debug", __debug__, need < Kbig)
+want = _read_series([list(row) for row in U], p, D, E, Kbig, kappas)
+for K in (need - 1, need):
+    UK = [[tuple(c % p**K for c in cell) for cell in row] for row in U]
+    try:
+        got = _read_series(UK, p, D, E, Kbig, kappas, K)
+    except CertificationError as exc:
+        print("K - need", K - need, "raised", exc)
+    else:
+        print("K - need", K - need, "same", got[0] == want[0])
+"""
+
+
+def test_model_modulus_guard_survives_python_O():
+    """The series reading raises, with assert stripped, when the model was
+    built mod fewer digits than the traces read (K < Kt + E + D, below
+    Kbig), and reads what the Kbig matrix gives at K = Kt + E + D."""
+    tests = str(Path(__file__).resolve().parent)
+    proc = _run_optimized(f"import sys\nsys.path.insert(0, {tests!r})\n"
+                          + MODULUS_GUARD_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "debug False True",
+        "K - need -1 raised model modulus below the digits the traces read",
+        "K - need 0 same True",
+        "",
+    ]
 
 
 def _brute_integer_eigenvalues(mat, bound):

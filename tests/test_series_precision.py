@@ -4,12 +4,15 @@ p^Kt. These tests hold it to the Kbig reading path it replaced
 requests, including requests where the representative budget binds, and on
 synthetic matrices with a column of valuation D - 1 (so E < D). A test in
 test_ocsymbols checks that both raise the same certification failures, at
-the same coefficient, under python -O."""
+the same coefficient, under python -O. The engine builds the model matrix
+mod p^K, K at most Kbig, in one or two builds; a test here records those
+moduli."""
 from math import factorial
 
 import pytest
 
 import series_reference as ref
+from parahoric import ocsymbols
 from parahoric.ocsymbols import _certified_series, _column_valuations, _read_series, oc_context
 from parahoric.padics import valuation
 
@@ -83,3 +86,32 @@ def test_read_series_below_D_matches_reference(p, D, T, seed):
     got = _read_series([list(row) for row in U], p, D, E, Kbig, kappas)
     _same_readings(got, ref.read_series(U, p, D, Kbig, kappas))
     assert sum(c.certified for row in got[0][1:] for c in row) >= n
+
+
+def test_model_build_moduli(monkeypatch):
+    """Every model build of the series path is mod p^K with mlen <= K <= Kbig
+    and K >= mlen - S + 2D, a request takes one or two builds, and the grid
+    has requests of both kinds."""
+    builds = []
+    build = ocsymbols.up_model_matrix
+
+    def recorded(ctx, cache, mod):
+        builds.append(cache.K)
+        assert mod == ctx.p**cache.K
+        return build(ctx, cache, mod)
+
+    monkeypatch.setattr(ocsymbols, "up_model_matrix", recorded)
+    counts = set()
+    for req in DEFAULT_REQUESTS + RING_REQUESTS + BUDGET_REQUESTS:
+        N, p, k, M, T, xdeg, pad = req
+        ctx = oc_context(N, p, k, M + pad)
+        mlen, D, S = ctx.mlen, ctx.D, ctx.S_sol
+        Kbig = mlen + min(xdeg, ctx.n_model) * (D + 1) + 16
+        builds.clear()
+        _certified_series(*req)
+        assert 1 <= len(builds) <= 2, (req, builds)
+        assert builds == sorted(set(builds)), (req, builds)
+        for K in builds:
+            assert mlen <= K <= Kbig and K >= mlen - S + 2 * D, (req, K)
+        counts.add(len(builds))
+    assert counts == {1, 2}
