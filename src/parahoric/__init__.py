@@ -37,7 +37,7 @@ from .padics import (
 )
 from .induction import BGGReport, bgg_kernel, theta_matrix, theta_preserves_parahoric
 from .manin import ManinSystem
-from .distributions import family_moment_matrix, moment_matrix
+from .distributions import family_moment_matrix
 from .ocsymbols import (
     DivergenceError,
     Eigensymbol,

@@ -173,6 +173,10 @@ def cmd_lift(args) -> int:
     if M < args.k + 2:
         # the lift tunes moment k + 1, so it needs at least k + 2 moments
         raise ValueError(f"M must be at least k + 2 = {args.k + 2}, got {M}")
+    if slope not in (0, args.k + 1):
+        # the search splits x^2 - a_p x + p^(k+1) only when a_p is a unit,
+        # and then its roots have slopes 0 and k + 1
+        raise ValueError(f"slope must be 0 or k + 1 = {args.k + 1}, got {slope}")
     space = classical_space(args.N, args.p, args.k)
     try:
         sym = auto_eigensymbol(space, B=M + 24, slope=slope)
@@ -288,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=int, default=None,
                     help="moment precision (default PARAHORIC_PRECISION or 20)")
     sp.add_argument("--eigenvalue-choice", default="ordinary",
-                    help="'ordinary' or 'slope:<h>'")
+                    help="'ordinary' (slope 0) or 'slope:<h>' with h = 0 or k + 1")
     add_format(sp, "json")
     sp.set_defaults(func=cmd_lift)
 

@@ -1,39 +1,23 @@
 """Moment coordinates for p-adic distribution modules.
 
-A distribution is stored through its moments m_j = mu(z^j). The weight-k
-right action of an integer matrix has an exact rational moment matrix;
-truncation keeps the first mlen moments. Matrices with unit upper-left entry
-and lower-left entry divisible by p never decrease the moment filtration:
-v_p(E[j][i]) >= i - j.
+A distribution is stored through its moments m_j = mu(z^j), and truncation
+keeps the first mlen moments. The weight-k right action of an integer matrix
+has moment matrix rows (a + c z)^(k-j) (b + d z)^j. Rows j <= k are integer
+polynomials, and so is every row when c = 0 and a = +-1 (the tail twist):
+integer_moment_matrix builds those exactly. Matrices with unit upper-left
+entry and lower-left entry divisible by p have p-integral rows and never
+decrease the moment filtration, v_p(E[j][i]) >= i - j; moment_matrix_mod
+builds them mod p^K, and family_moment_matrix over Z_p[[w]]/(w^T).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Sequence
 
 from .linalg import frac_mod
 from .manin import Mat2
 from .padics import VAL_INF, CertificationError, valuation
-
-
-def _lin_pow_series(a: Fraction, c: Fraction, e: int, mlen: int) -> list[Fraction]:
-    """Coefficients of (a + c z)^e through z^{mlen-1}; needs a != 0 when e < 0."""
-    if e >= 0:
-        out = [Fraction(0)] * mlen
-        for t in range(min(e, mlen - 1) + 1):
-            out[t] = comb(e, t) * a ** (e - t) * c**t
-        return out
-    if a == 0:
-        raise ValueError("negative power of a pure monomial has no moment expansion")
-    u = c / a
-    term = a**e
-    out = [term]
-    for t in range(1, mlen):
-        term = term * Fraction(e - (t - 1), t) * u
-        out.append(term)
-    return out
 
 
 def _check_monoid(gamma: Mat2, p: int | None) -> None:
@@ -47,52 +31,31 @@ def _check_monoid(gamma: Mat2, p: int | None) -> None:
             raise ValueError("lower-left entry must be divisible by p")
 
 
-@lru_cache(maxsize=None)
-def moment_matrix(
-    gamma: Mat2, k: int, mlen: int, p: int | None = None
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Moment matrix E with (mu|gamma)(z^j) = sum_i E[j][i] mu(z^i).
+def integer_moment_matrix(
+    gamma: Mat2, k: int, mlen: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Moment matrix E with (mu|gamma)(z^j) = sum_i E[j][i] mu(z^i), in ints.
 
-    Row j expands (a + c z)^(k-j) (b + d z)^j. When p is given the matrix must
-    lie in the monoid with unit a and p | c, and the filtration bound is
-    checked.
+    Row j holds the coefficients of (a + c z)^(k-j) (b + d z)^j below z^mlen
+    (mlen defaults to k + 1). A row j > k has a negative power of a + c z,
+    which is integral only when c = 0 and a = +-1, as for the tail twist;
+    any other gamma raises CertificationError when mlen > k + 1.
     """
-    _check_monoid(gamma, p)
-    a, b, c, d = gamma
-    rows = []
-    af, bf, cf, df = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-    for j in range(mlen):
-        A = _lin_pow_series(af, cf, k - j, mlen)
-        row = [Fraction(0)] * mlen
-        for s in range(min(j, mlen - 1) + 1):
-            B = comb(j, s) * bf ** (j - s) * df**s
-            if B == 0:
-                continue
-            for i in range(s, mlen):
-                if A[i - s] != 0:
-                    row[i] += B * A[i - s]
-        rows.append(tuple(row))
-    if p is not None:
-        for j in range(mlen):
-            for i in range(j + 1, mlen):
-                if valuation(rows[j][i], p) < i - j:
-                    raise CertificationError("filtration bound violated")
-    return tuple(rows)
-
-
-def integer_moment_matrix(gamma: Mat2, k: int) -> tuple[tuple[int, ...], ...]:
-    """moment_matrix(gamma, k, k + 1) for k >= 0, expanded in ints: row j
-    holds the coefficients of (a + c z)^(k-j) (b + d z)^j."""
     _check_monoid(gamma, None)
     a, b, c, d = gamma
+    if mlen is None:
+        mlen = k + 1
+    if mlen > k + 1 and (c != 0 or abs(a) != 1):
+        raise CertificationError(f"moment rows above weight {k} of {gamma} are not integral")
     rows = []
-    for j in range(k + 1):
-        A = [comb(k - j, t) * a ** (k - j - t) * c**t for t in range(k - j + 1)]
-        row = [0] * (k + 1)
+    for j in range(mlen):
+        e = k - j
+        A = [comb(e, t) * a ** (e - t) * c**t for t in range(e + 1)] if e >= 0 else [a**-e]
+        row = [0] * mlen
         for s in range(j + 1):
             B = comb(j, s) * b ** (j - s) * d**s
             if B:
-                for t, x in enumerate(A):
+                for t, x in enumerate(A[:mlen - s]):
                     row[s + t] += B * x
         rows.append(tuple(row))
     return tuple(rows)
@@ -101,7 +64,9 @@ def integer_moment_matrix(gamma: Mat2, k: int) -> tuple[tuple[int, ...], ...]:
 def moment_matrix_mod(
     gamma: Mat2, k: int, mlen: int, p: int, mod: int
 ) -> list[list[int]]:
-    """moment_matrix(gamma, k, mlen, p) reduced modulo mod, a power of p.
+    """The weight-k moment matrix of gamma on mlen moments, modulo mod, a
+    power of p. On the monoid its entries are p-integral: a is a unit, so
+    the negative powers of a + c z in rows j > k expand over Z_p.
 
     Row 0 is (a + c z)^k and row j+1 = row j * (b + d z) / (a + c z) in
     (Z/mod)[z]/(z^mlen): O(mlen) work per row. Division by a + c z needs a
@@ -138,14 +103,8 @@ def moment_matrix_mod(
     return rows
 
 
-def apply_moments(
-    E: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]
-) -> list[Fraction]:
-    return [sum((r[i] * vec[i] for i in range(len(vec))), Fraction(0)) for r in E]
-
-
 def tail_solve(
-    E: Sequence[Sequence[Fraction]],
+    E: Sequence[Sequence[int]],
     nu: Sequence[Fraction],
     top: Fraction,
 ) -> list[Fraction]:
@@ -175,7 +134,7 @@ def tail_solve(
 
 
 def tail_solve_matrix(
-    E: Sequence[Sequence[Fraction]], mlen: int
+    E: Sequence[Sequence[int]], mlen: int
 ) -> list[list[Fraction]]:
     """Matrix Sol with (tail_solve(E, nu, 0))_j = sum_l Sol[j][l] nu_l."""
     cols = []
@@ -190,7 +149,7 @@ def tail_solve_matrix(
 
 
 def solve_error_profile(
-    E: Sequence[Sequence[Fraction]], p: int, in_prof: Sequence[int]
+    E: Sequence[Sequence[int]], p: int, in_prof: Sequence[int]
 ) -> list[int]:
     """Worst-case valuation floors for the solved moments.
 

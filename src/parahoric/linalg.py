@@ -16,17 +16,9 @@ Row = list[Fraction]
 Matrix = list[Row]
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def matvec(a: Sequence[Sequence], v: Sequence) -> list:
     """Unreduced a v over ints or Fractions; the entries of v may be column bundles."""
     return [sum(map(operator.mul, row, v)) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -101,7 +93,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
     """One solution of a x = b, or None if inconsistent."""
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    aug = [a[i][:] + [Fraction(b[i])] for i in range(nr)]
+    aug = [[*a[i], Fraction(b[i])] for i in range(nr)]
     red, pivots = rref(aug)
     if nc in pivots:
         return None

@@ -49,7 +49,6 @@ from .manin import IDENTITY, ManinSystem, Mat2, SolvedPresentation, is_prime, ma
 from .distributions import (
     family_moment_matrix,
     integer_moment_matrix,
-    moment_matrix,
     solve_error_profile,
     tail_solve_matrix,
 )
@@ -180,7 +179,7 @@ def classical_space(N: int, p: int, k: int) -> ClassicalSpace:
     ms = ManinSystem(N, p)
     d = k + 1
     n = ms.index * d
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
 
     def add_block(row_block, coset, E, sign):
         for j in range(d):
@@ -193,8 +192,8 @@ def classical_space(N: int, p: int, k: int) -> ClassicalSpace:
         gs = mat_mul(ms.lifts[x], (0, -1, 1, 0))
         y, gamma = ms.transport(gs)
         ginv = (gamma[3], -gamma[1], -gamma[2], gamma[0])
-        E = moment_matrix(ginv, k, d)
-        blk = [[Fraction(0)] * n for _ in range(d)]
+        E = integer_moment_matrix(ginv, k)
+        blk = [[0] * n for _ in range(d)]
         for j in range(d):
             blk[j][x * d + j] += 1
         add_block(blk, y, E, 1)
@@ -206,14 +205,14 @@ def classical_space(N: int, p: int, k: int) -> ClassicalSpace:
         if x in seen:
             continue
         g = ms.lifts[x]
-        blk = [[Fraction(0)] * n for _ in range(d)]
+        blk = [[0] * n for _ in range(d)]
         orbit = []
         for t in range(3):
             gt = g if t == 0 else mat_mul(g, U if t == 1 else mat_mul(U, U))
             y, gamma = ms.transport(gt)
             orbit.append(y)
             ginv = (gamma[3], -gamma[1], -gamma[2], gamma[0])
-            E = moment_matrix(ginv, k, d)
+            E = integer_moment_matrix(ginv, k)
             add_block(blk, y, E, 1)
         seen.update(orbit)
         rows.extend(blk)
@@ -419,7 +418,7 @@ class OCContext:
     sp: SolvedPresentation
     k: int
     mlen: int
-    E_W: tuple[tuple[Fraction, ...], ...]
+    E_W: tuple[tuple[int, ...], ...]
     solve_mat: list[list[Fraction]]
     D: int                      # p-denominator exponent of the tail solve
     S_sol: int                  # worst-case valuation deficit of solved values
@@ -451,7 +450,7 @@ def _context(
 ) -> OCContext:
     p = ms.p
     sp = ms.solved_presentation()
-    E_W = moment_matrix(sp.tail.W, k, mlen)
+    E_W = integer_moment_matrix(sp.tail.W, k, mlen)
     solve_mat = tail_solve_matrix(E_W, mlen)
     D = max([0] + [-valuation(c, p) for row in solve_mat for c in row])
     big = 10**6

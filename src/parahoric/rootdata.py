@@ -39,7 +39,7 @@ class RootDatum:
             for j in range(k):
                 if i != j and self.pairing(self.simple_roots[i], self.coroots[j]) > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
-        if k and linalg.rank(linalg.mat(self.simple_roots)) != k:
+        if k and linalg.rank(self.simple_roots) != k:
             raise ValueError("simple roots must be linearly independent")
         cartan = [[self.pairing(a, cv) for cv in self.coroots] for a in self.simple_roots]
         if not _finite_type(cartan):
@@ -76,8 +76,7 @@ class RootDatum:
         """Coordinates of beta in the simple-root basis, or None."""
         if not self.simple_roots:
             return None
-        cols = linalg.transpose(linalg.mat(self.simple_roots))
-        sol = linalg.solve(cols, [Fraction(x) for x in beta])
+        sol = linalg.solve(list(zip(*self.simple_roots)), beta)
         return tuple(sol) if sol is not None else None
 
     def _is_positive(self, beta: Vector) -> bool:

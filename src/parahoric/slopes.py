@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -117,9 +116,8 @@ def step_element(datum: RootDatum, simple_index: int, p: int) -> TorusElement:
     # <alpha_j, mu> = -c delta_ij with c > 0 contracts the chosen root and
     # centralizes the rest, which makes every suffix condition automatic;
     # verify_factorization still checks them downstream.
-    rows = linalg.mat(datum.simple_roots)
-    rhs = [Fraction(-int(j == simple_index)) for j in range(datum.nsimple)]
-    x = linalg.solve(rows, rhs)
+    rhs = [-int(j == simple_index) for j in range(datum.nsimple)]
+    x = linalg.solve(datum.simple_roots, rhs)
     if x is None:
         raise FactorizationError(
             f"no step element found for group {datum.name!r} root {simple_index}"

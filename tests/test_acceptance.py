@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from parahoric.distributions import apply_moments, moment_matrix
+from moment_reference import apply_moments, moment_matrix
 from parahoric.induction import NCoordinates, bgg_kernel, intertwining_check, star_action
 from parahoric.ocsymbols import (
     auto_eigensymbol,

@@ -164,10 +164,18 @@ def test_charpoly_nonpositive_size_is_usage_error(capsys, argv, name):
     (("charpoly", "--disc-center", "-1", "--M", "4", "--xdeg", "2"), 2,
      "k must be at least 0, got -1"),
     (("lift", "--k", "1", "--M", "4"), 1, "the weight-1 symbol space of level 33 is zero"),
+    (("lift", "--k", "0", "--M", "6", "--eigenvalue-choice", "slope:-1"), 2,
+     "slope must be 0 or k + 1 = 1, got -1"),
+    (("lift", "--k", "0", "--M", "6", "--eigenvalue-choice", "slope:2"), 2,
+     "slope must be 0 or k + 1 = 1, got 2"),
+    (("lift", "--k", "2", "--M", "6", "--eigenvalue-choice", "slope:1"), 2,
+     "slope must be 0 or k + 1 = 3, got 1"),
 ])
 def test_lift_and_charpoly_bad_input(capsys, argv, code, message):
     """Usage errors exit 2 with empty stdout; a space with no eigensymbol is
-    a checked failure (exit 1) with the lift's error payload."""
+    a checked failure (exit 1) with the lift's error payload. The search
+    lifts ordinary p-stabilizations, of slope 0 or k + 1, so another slope is
+    rejected before the classical space is built."""
     cmd, *rest = argv
     got, out, err = run(capsys, cmd, "--N", "11", "--p", "3", *rest, "--format", "json")
     assert got == code

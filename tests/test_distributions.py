@@ -6,18 +6,19 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from moment_reference import apply_moments, moment_matrix
 from parahoric.distributions import (
-    apply_moments,
     family_moment_matrix,
     integer_moment_matrix,
     iwasawa_log,
-    moment_matrix,
     moment_matrix_mod,
     tail_solve,
     tail_solve_matrix,
     teichmuller,
 )
 from parahoric.linalg import frac_mod
+from parahoric.manin import ManinSystem, UnsupportedLevel
+from parahoric.padics import CertificationError
 from parahoric.padics import valuation as padic_val
 
 
@@ -106,7 +107,6 @@ def test_composition_is_graded_not_exact():
 
 
 def test_tail_solve_reproduces_relation():
-    from parahoric.manin import ManinSystem
     ms = ManinSystem(11, 3)
     sp = ms.solved_presentation()
     mlen = 6
@@ -123,7 +123,6 @@ def test_tail_solve_reproduces_relation():
 
 
 def test_tail_solve_matrix_agrees_with_solver():
-    from parahoric.manin import ManinSystem
     ms = ManinSystem(11, 3)
     sp = ms.solved_presentation()
     mlen = 5
@@ -242,17 +241,45 @@ def test_moment_matrix_mod_rejects_like_exact(p, k, mlen, gamma):
         assert got == [[frac_mod(x, mod) for x in row] for row in want]
 
 
-@given(st.integers(0, 8), st.integers(-40, 40), st.integers(-40, 40),
+@given(st.integers(0, 8), st.integers(1, 12), st.integers(-40, 40), st.integers(-40, 40),
        st.integers(-40, 40), st.integers(-40, 40))
-def test_integer_moment_matrix_is_moment_matrix(k, a, b, c, d):
-    """The int expansion of the classical (k + 1)-moment matrix equals the
-    Fraction moment_matrix for any nonsingular integer matrix."""
+def test_integer_moment_matrix_is_moment_matrix(k, mlen, a, b, c, d):
+    """The int expansion equals the Fraction moment_matrix: for any
+    nonsingular integer matrix up to k + 1 moments, and past them for a
+    tail-shaped matrix, c = 0 and a = +-1."""
+    if mlen > k + 1:
+        a, c = (1 if a >= 0 else -1), 0
     assume(a * d - b * c != 0)
-    got = integer_moment_matrix((a, b, c, d), k)
+    got = integer_moment_matrix((a, b, c, d), k, mlen)
     assert all(type(x) is int for row in got for x in row)
-    assert got == moment_matrix((a, b, c, d), k, k + 1)
+    assert got == moment_matrix((a, b, c, d), k, mlen)
 
 
 def test_integer_moment_matrix_rejects_singular():
     with pytest.raises(ValueError, match="singular"):
         integer_moment_matrix((2, 4, 1, 2), 3)
+
+
+@pytest.mark.parametrize("gamma", [(1, 2, 3, 7), (-1, 0, 5, 1), (2, 1, 0, 1), (3, 1, 0, -1)])
+def test_integer_moment_matrix_rejects_rational_rows(gamma):
+    """Rows past the weight need c = 0 and a = +-1 to be integral."""
+    assert len(integer_moment_matrix(gamma, 2, 3)) == 3
+    with pytest.raises(CertificationError, match="not integral"):
+        integer_moment_matrix(gamma, 2, 4)
+
+
+def test_every_supported_tail_is_unipotent_up_to_sign():
+    """The tail twist W of every supported level has c = 0 and |a| = |d| = 1,
+    so its moment matrix is integral at every length."""
+    tails = []
+    for N in range(1, 38):
+        for p in (2, 3, 5, 7, 11):
+            if N % p == 0:
+                continue
+            try:
+                a, _, c, d = ManinSystem(N, p).solved_presentation().tail.W
+            except UnsupportedLevel:
+                continue
+            tails.append((N, p))
+            assert c == 0 and abs(a) == abs(d) == 1, (N, p)
+    assert len(tails) == 68

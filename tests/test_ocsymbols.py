@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import parahoric
-from parahoric.distributions import family_moment_matrix, moment_matrix
+from moment_reference import moment_matrix
+from parahoric.distributions import family_moment_matrix
 from parahoric.linalg import charpoly_berkowitz, matvec, solve
 from parahoric.manin import ManinSystem
 from parahoric.ocsymbols import (

@@ -1,5 +1,5 @@
-"""Repository-wide checks: invariants raise instead of asserting, and the
-example scripts run."""
+"""Repository-wide checks: invariants raise instead of asserting, no memo
+outlives a run, and the example scripts run."""
 import ast
 import os
 import subprocess
@@ -27,6 +27,29 @@ def test_no_assert_in_src():
         for path in sorted((ROOT / "src" / "parahoric").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
+    ]
+    assert found == []
+
+
+def _is_functools_cache(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (node.attr in ("lru_cache", "cache")
+                and isinstance(node.value, ast.Name) and node.value.id == "functools")
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name in ("lru_cache", "cache") for alias in node.names)
+    return False
+
+
+def test_no_module_level_memo_in_src():
+    """A functools.lru_cache or functools.cache memo lives as long as the
+    process, so it grows across every request one interpreter serves.
+    Caches that belong to one run (MomentCache, ClassicalSpace._moments)
+    are the intended design."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "parahoric").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _is_functools_cache(node)
     ]
     assert found == []
 
