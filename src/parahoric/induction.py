@@ -8,7 +8,6 @@ detected through the Levi factorization g = l(y) n(c).
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -350,19 +349,10 @@ def _levi_sample(
     return total
 
 
-def _integral(values: Iterable[int | Fraction]) -> list[int]:
-    """Rational values times the lcm of their denominators."""
-    values = list(values)
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values]
-
-
-def _primitive(vec: dict[Monomial, int | Fraction]) -> dict[Monomial, int]:
+def _coprime_support(vec: dict[Monomial, int | Fraction]) -> dict[Monomial, int]:
     """The nonzero entries of a rational vector, scaled to coprime integers."""
     vec = {m: x for m, x in vec.items() if x}
-    ints = _integral(vec.values())
-    g = math.gcd(*ints)
-    return {m: x // g for m, x in zip(vec, ints)}
+    return dict(zip(vec, linalg.primitive(vec.values())))
 
 
 def levi_module_basis(
@@ -399,7 +389,7 @@ def levi_module_basis(
         if attempts > 40 + 6 * target:
             raise ArithmeticError("failed to reach the Weyl dimension; weight not Levi-dominant?")
         v = _levi_sample(blocks, inside, lam, rng)
-        rest = _primitive(v.coeffs)
+        rest = _coprime_support(v.coeffs)
         for pm, row in echelon:
             f = rest.get(pm)
             if f:
@@ -407,7 +397,7 @@ def levi_module_basis(
                 rest = {m: piv * x for m, x in rest.items()}
                 for m, x in row.items():
                     rest[m] = rest.get(m, 0) - f * x
-                rest = _primitive(rest)
+                rest = _coprime_support(rest)
         if rest:
             echelon.append((min(rest), rest))
             vectors.append(v)
@@ -459,9 +449,8 @@ def parahoric_truncation_basis(
     clist = sorted(c_monos)
 
     vrows = [[v.coefficient(m) for m in ylist] for v in vecs]
-    # y-vectors orthogonal to the module span, scaled to integers: a
-    # constraint row times a nonzero number cuts out the same kernel
-    perp = [_integral(k) for k in linalg.nullspace(vrows)]
+    # integer y-vectors orthogonal to the module span
+    perp = linalg.nullspace(vrows)
     yindex = {ym: t for t, ym in enumerate(ylist)}
 
     constraints: list[list[int]] = []
@@ -480,7 +469,9 @@ def parahoric_truncation_basis(
     return polys, basis
 
 
-def space_rows(polys: Sequence[Poly], basis: Sequence[tuple[int, ...]]) -> list[list[Fraction]]:
+def space_rows(
+    polys: Sequence[Poly], basis: Sequence[tuple[int, ...]]
+) -> list[list[int | Fraction]]:
     return [[q.coefficient(m) for m in basis] for q in polys]
 
 

@@ -1,8 +1,10 @@
 """Dense exact linear algebra over Q, plus modular helpers.
 
 Matrices are lists of row lists of ints or Fractions. Everything here is
-exact; row reduction runs over Z and returns Fractions. Callers that want
-p-adic truncation reduce afterwards.
+exact, and row reduction runs over Z: `rref` returns one primitive integer
+row per pivot and `nullspace` primitive integer vectors, so only `solve`
+builds Fractions, for its answer. Callers that want p-adic truncation reduce
+afterwards.
 """
 from __future__ import annotations
 
@@ -10,10 +12,9 @@ import math
 import operator
 from itertools import chain
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-Row = list[Fraction]
-Matrix = list[Row]
+Matrix = Sequence[Sequence[int | Fraction]]
 
 
 def matvec(a: Sequence[Sequence], v: Sequence) -> list:
@@ -21,26 +22,27 @@ def matvec(a: Sequence[Sequence], v: Sequence) -> list:
     return [sum(map(operator.mul, row, v)) for row in a]
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The integer row divided by its content (gcd of its entries)."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def primitive(values: Iterable[int | Fraction]) -> list[int]:
+    """Rational values times the lcm of their denominators, divided by the
+    content (gcd) of the result: the primitive integer vector on their line,
+    with the same signs. All zeros stay zeros."""
+    values = list(values)
+    den = math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (den // x.denominator) for x in values]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form. Returns (R, pivot column indices).
+def rref(rows: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form. Returns (R, pivot column indices).
 
-    Entries may be ints or Fractions. Each row is scaled to a primitive
-    integer row (times the lcm of its denominators, over its content), and
-    Gauss-Jordan runs on integer rows, each divided by its content again
-    after every update, so no Fraction is built until the pivot rows are
-    divided by their pivots at the end. The RREF is unique, so this equals
-    Gauss-Jordan over Q.
+    Entries may be ints or Fractions. R has one primitive integer row per
+    pivot, positive at its pivot and zero at every other pivot column: the
+    Gauss-Jordan row over Q times its least positive integral scale, so R is
+    unique. Elimination is fraction-free, each updated row divided by its
+    content, so no Fraction is built.
     """
-    m = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    m = [primitive(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots: list[int] = []
@@ -57,23 +59,21 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
             if i != r and f:
                 g = math.gcd(pv, f)
                 a, b = pv // g, f // g
-                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], prow)])
+                m[i] = primitive([a * x - b * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    zero = Fraction(0)
-    out = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
-    out += [[zero] * nc for _ in range(nr - r)]
-    return out, pivots
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows: Matrix) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Matrix) -> list[Row]:
-    """Basis of the right kernel, one vector per free column."""
+def nullspace(rows: Matrix) -> list[list[int]]:
+    """Basis of the right kernel, one primitive integer vector per free
+    column: positive there and zero at every other free column."""
     if not rows:
         return []
     nc = len(rows[0])
@@ -81,47 +81,36 @@ def nullspace(rows: Matrix) -> list[Row]:
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+        # v[fc] = L and v[pc] = -L row[fc] / row[pc], integral for L the lcm of the pivots
+        L = math.lcm(*(row[pc] for row, pc in zip(red, pivots) if row[fc]))
+        v = [0] * nc
+        v[fc] = L
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] * (L // row[pc])
+        basis.append(primitive(v))
     return basis
 
 
-def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
+def solve(a: Matrix, b: Sequence[int | Fraction]) -> list[Fraction] | None:
     """One solution of a x = b, or None if inconsistent."""
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    aug = [[*a[i], Fraction(b[i])] for i in range(nr)]
-    red, pivots = rref(aug)
+    red, pivots = rref([[*a[i], b[i]] for i in range(nr)])
     if nc in pivots:
         return None
     x = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][nc]
+    for row, pc in zip(red, pivots):
+        x[pc] = Fraction(row[nc], row[pc])
     return x
 
 
-def row_space_canonical(rows: Matrix) -> Matrix:
-    red, pivots = rref(rows)
-    return red[: len(pivots)]
-
-
 def same_span(a: Matrix, b: Matrix) -> bool:
-    """Do the rows of a and b span the same subspace?"""
-    if not a and not b:
-        return True
-    if not a or not b:
-        return not a and not b
-    return row_space_canonical(a) == row_space_canonical(b)
+    """Do the rows of a and b span the same subspace? The echelon form is unique."""
+    return rref(a) == rref(b)
 
 
-def in_span(rows: Matrix, v: Sequence[Fraction]) -> bool:
-    if not rows:
-        return all(x == 0 for x in v)
-    red = row_space_canonical(rows)
-    return row_space_canonical(red + [list(v)]) == red
+def in_span(rows: Matrix, v: Sequence[int | Fraction]) -> bool:
+    return rank(rows) == rank([*rows, v])
 
 
 def charpoly_berkowitz(a: Matrix) -> list[Fraction]:

@@ -82,8 +82,10 @@ class P1List:
         if M < 1:
             raise ValueError("M must be positive")
         self.M = M
+        # a unit s with s u = gcd(u, M) mod M gives (u : v) = (gcd(u, M) : s v),
+        # so first coordinates 0 and the divisors of M reach every point
         seen = set()
-        for u in range(M):
+        for u in [0] + [g for g in range(1, M) if M % g == 0]:
             for v in range(M):
                 if gcd(gcd(u, v), M) == 1:
                     seen.add(self.normalize(u, v))
@@ -240,11 +242,16 @@ class ManinSystem:
         return y, gamma
 
     def _build_orbits(self) -> None:
+        """S pairs, U orbits, and the Manin relations they give: each row of
+        self.relations lists terms (coset, sign, m) with sum sign * (v_coset | m)
+        = 0, the S rows v_x + v_{xS} | gamma^{-1} first, then one row per U
+        orbit, elliptic orbits included."""
         n = self.index
         # S pairs: v_{xS} = -v_x | gamma with gamma = g_x S g_{xS}^{-1}
         self.s_partner: list[int] = [-1] * n
         self.s_twist: list[Mat2] = [IDENTITY] * n  # for partner slots
         self.torsion_s: list[int] = []
+        self.relations: list[list[tuple[int, int, Mat2]]] = []
         for x in range(n):
             gs = mat_mul(self.lifts[x], S_MAT)
             y, gamma = self.transport(gs)
@@ -252,6 +259,7 @@ class ManinSystem:
             if y == x:
                 self.torsion_s.append(x)
             self.s_twist[x] = gamma
+            self.relations.append([(x, 1, IDENTITY), (y, 1, mat_inv(gamma))])
         # leader of each S edge
         self.leader: list[int] = [min(x, self.s_partner[x]) for x in range(n)]
         self.edges: list[int] = sorted({self.leader[x] for x in range(n)})
@@ -270,6 +278,7 @@ class ManinSystem:
                 y, gamma = self.transport(gk)
                 slots.append(TriangleSlot(y, gamma))
                 orbit.append(y)
+            self.relations.append([(s.coset, 1, mat_inv(s.gamma)) for s in slots])
             if len(set(orbit)) == 1:
                 self.torsion_u.append(x)
                 seen.update(orbit)

@@ -43,9 +43,10 @@ from .linalg import (
     matvec,
     nullspace,
     power_traces_mod,
+    primitive,
     solve,
 )
-from .manin import IDENTITY, ManinSystem, Mat2, SolvedPresentation, is_prime, mat_inv, mat_mul
+from .manin import ManinSystem, Mat2, SolvedPresentation, is_prime
 from .distributions import (
     family_moment_matrix,
     integer_moment_matrix,
@@ -83,13 +84,12 @@ class ClassicalSpace:
     """Weight-k modular symbols with values in the dual of degree-k forms.
 
     A symbol is a flat vector, moment i of coset x at x * (k + 1) + i. Each
-    basis vector is the nullspace vector of its free column scaled to a
-    primitive integer vector: it is positive at its own free column and zero
-    at every other one, so the coordinates of a symbol in the space are read
-    off the free columns. The weight-k moment matrices are integral for k >=
-    0, so operators apply in integers to all basis vectors at once. Hecke
-    plans, integer moment matrices and operator matrices are built once per
-    space.
+    basis vector is the primitive integer nullspace vector of its free
+    column: it is positive at its own free column and zero at every other
+    one, so the coordinates of a symbol in the space are read off the free
+    columns. The weight-k moment matrices are integral for k >= 0, so
+    operators apply in integers to all basis vectors at once. Hecke plans,
+    integer moment matrices and operator matrices are built once per space.
     """
 
     ms: ManinSystem
@@ -178,52 +178,19 @@ def classical_space(N: int, p: int, k: int) -> ClassicalSpace:
     """Kernel of the two- and three-term relations; works at any level."""
     ms = ManinSystem(N, p)
     d = k + 1
-    n = ms.index * d
     rows: list[list[int]] = []
-
-    def add_block(row_block, coset, E, sign):
-        for j in range(d):
-            for i in range(d):
-                if E[j][i] != 0:
-                    row_block[j][coset * d + i] += sign * E[j][i]
-
-    # S relations: v_x + v_{xS} | gamma^{-1} = 0
-    for x in range(ms.index):
-        gs = mat_mul(ms.lifts[x], (0, -1, 1, 0))
-        y, gamma = ms.transport(gs)
-        ginv = (gamma[3], -gamma[1], -gamma[2], gamma[0])
-        E = integer_moment_matrix(ginv, k)
-        blk = [[0] * n for _ in range(d)]
-        for j in range(d):
-            blk[j][x * d + j] += 1
-        add_block(blk, y, E, 1)
+    for terms in ms.relations:
+        blk = [[0] * (ms.index * d) for _ in range(d)]
+        for y, sgn, m in terms:
+            for row, erow in zip(blk, integer_moment_matrix(m, k)):
+                for i, e in enumerate(erow):
+                    row[y * d + i] += sgn * e
         rows.extend(blk)
-    # triangle relations, including elliptic orbits
-    seen: set[int] = set()
-    U = mat_mul((0, -1, 1, 0), (1, 1, 0, 1))
-    for x in range(ms.index):
-        if x in seen:
-            continue
-        g = ms.lifts[x]
-        blk = [[0] * n for _ in range(d)]
-        orbit = []
-        for t in range(3):
-            gt = g if t == 0 else mat_mul(g, U if t == 1 else mat_mul(U, U))
-            y, gamma = ms.transport(gt)
-            orbit.append(y)
-            ginv = (gamma[3], -gamma[1], -gamma[2], gamma[0])
-            E = integer_moment_matrix(ginv, k)
-            add_block(blk, y, E, 1)
-        seen.update(orbit)
-        rows.extend(blk)
-    basis, free = [], []
-    for v in nullspace(rows):
-        den = math.lcm(*(c.denominator for c in v))
-        basis.append([int(c * den) for c in v])
-        # v comes from the RREF: it is 1 at its free column and nonzero
-        # elsewhere only at pivot columns left of it (an RREF row is zero
-        # before its pivot), so its free column is its last nonzero entry
-        free.append(max(q for q, c in enumerate(v) if c))
+    basis = nullspace(rows)
+    # a kernel vector is zero at every other free column and nonzero
+    # elsewhere only at pivot columns left of its own (an RREF row is zero
+    # before its pivot), so its free column is its last nonzero entry
+    free = [max(q for q, c in enumerate(v) if c) for v in basis]
     return ClassicalSpace(ms=ms, k=k, basis=basis, free=free)
 
 
@@ -275,13 +242,13 @@ class Eigensymbol:
     slope: int
 
 
-def _kernel_of(mat: Sequence[Sequence[Fraction]], shift: Fraction) -> list[list[Fraction]]:
+def _kernel_of(mat: Sequence[Sequence[Fraction]], shift: Fraction) -> list[list[int]]:
     n = len(mat)
     rows = [[mat[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)]
     return nullspace(rows)
 
 
-def _restrict(mat: Sequence[Sequence[Fraction]], sub: list[list[Fraction]]) -> list[list[Fraction]]:
+def _restrict(mat: Sequence[Sequence[Fraction]], sub: list[list[int]]) -> list[list[Fraction]]:
     n = len(mat)
     m = len(sub)
     A = [[sub[j][i] for j in range(m)] for i in range(n)]
@@ -337,16 +304,14 @@ def ordinary_eigensymbol(
         alpha = (trace - r) % mod
     else:
         raise ValueError("stabilization roots have slope 0 or k + 1")
-    # psi = (U - beta) w with beta = trace - alpha, applied to den * w and
-    # cleared of denominators by the least scale: with L the lcm of the basis
-    # denominators, W = L * den * w is integral, and that scale is
-    # L / gcd(L, content of U W - beta W)
+    # psi = (U - beta) w with beta = trace - alpha, applied to the primitive
+    # multiple of w and cleared of denominators by the least scale: with L
+    # the lcm of the basis denominators, W = L * primitive(w) is integral,
+    # and that scale is L / gcd(L, content of U W - beta W)
     beta = (trace - alpha) % mod
-    w = Wplus[0]
-    den = math.lcm(*(c.denominator for c in w))
     dens = [v[f] for v, f in zip(space.basis, space.free)]
     L = math.lcm(*dens)
-    coef = [int(c * den) * (L // dl) for c, dl in zip(w, dens)]
+    coef = [c * (L // dl) for c, dl in zip(primitive(Wplus[0]), dens)]
     W = [sum(map(operator.mul, coef, q)) for q in zip(*space.basis)]
     UW = space.apply(up_deltas(p), [[c] for c in W])
     psi = [u[0] - beta * c for u, c in zip(UW, W)]
@@ -757,17 +722,10 @@ def check_relations_mod(
     Residual moment j only carries p^(K-j) digits of meaning, so the graded
     reading is the honest one; VAL_INF means every relation holds exactly mod K.
     """
-    ms, p, mlen = ctx.ms, ctx.p, ctx.mlen
-    # S relations v_x + v_y | gamma^-1 and triangle relations, as plan rows
-    relations = []
-    for x in range(ms.index):
-        y, gamma = ms.transport(mat_mul(ms.lifts[x], (0, -1, 1, 0)))
-        relations.append([(x, 1, IDENTITY), (y, 1, mat_inv(gamma))])
-    for tri in ms.triangles:
-        relations.append([(s.coset, 1, mat_inv(s.gamma)) for s in tri.slots])
+    p, mlen = ctx.p, ctx.mlen
     bun = ColumnBundles(ctx, cache, mod)
     worst = VAL_INF
-    for terms in relations:
+    for terms in ctx.ms.relations:
         for j, c in enumerate(bun.combine(terms, cache.gamma, tables)):
             if c:
                 worst = min(worst, valuation(c, p) + j % mlen)

@@ -197,7 +197,7 @@ def _exact_values(n, levi, lam, d, seed):
     and the theta matrix at the simple root of the Levi. str() prints an int
     and the equal Fraction alike, so the text pins values, not their types.
     Also returns the Levi module and theta values, then the model values,
-    whose rows come from the Fraction RREF of linalg."""
+    whose rows are the primitive integer kernel vectors of linalg."""
     (i,) = levi
     vecs, monos = levi_module_basis(n, levi, lam, rng=random.Random(seed))
     model, basis = parahoric_truncation_basis(n, levi, lam, d, rng=random.Random(seed))

@@ -1,10 +1,20 @@
+import math
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from parahoric.linalg import charpoly_berkowitz, power_traces_mod, rref
+from parahoric.linalg import (
+    charpoly_berkowitz,
+    in_span,
+    nullspace,
+    power_traces_mod,
+    rref,
+    same_span,
+    solve,
+)
 
 
 def ring_mul(x, y, T, mod):
@@ -125,11 +135,81 @@ def rational_matrices(draw):
 @given(rational_matrices())
 @example(([], 3))
 def test_rref_matches_fraction_gauss_jordan_and_sympy(data):
+    """One primitive int row per pivot, positive at its pivot; divided by
+    the pivots and padded with zero rows it is the RREF over Q."""
     rows, nc = data
-    got = rref(rows)
+    red, pivots = rref(rows)
+    assert len(red) == len(pivots)
+    for row, c in zip(red, pivots):
+        assert all(type(x) is int for x in row)
+        assert row[c] > 0 and math.gcd(*row) == 1
+    got = ([[Fraction(x, row[c]) for x in row] for row, c in zip(red, pivots)]
+           + [[Fraction(0)] * nc for _ in range(len(rows) - len(red))], pivots)
     assert got == fraction_rref(rows)
     assert got == sympy_rref(rows, nc)
-    assert all(isinstance(x, Fraction) for row in got[0] for x in row)
+
+
+@given(rational_matrices())
+def test_nullspace_is_the_primitive_sympy_kernel(data):
+    """sympy's kernel vector of each free column (1 there, 0 at the other
+    free columns) times the lcm of its denominators is the returned vector."""
+    rows, nc = data
+    got = nullspace(rows)
+    if not rows:
+        assert got == []  # no row, no column count
+        return
+    want = []
+    for vec in sympy.Matrix(len(rows), nc, [x for row in rows for x in row]).nullspace():
+        den = math.lcm(*(int(x.q) for x in vec))
+        want.append([int(x * den) for x in vec])
+    assert got == want
+    assert len(got) == nc - len(fraction_rref(rows)[1])
+    free = [max(q for q, c in enumerate(v) if c) for v in got]
+    for v, f in zip(got, free):
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1
+        assert v[f] > 0 and [v[g] for g in free if g != f] == [0] * (len(free) - 1)
+        assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+SPAN_CASES = [
+    (same_span, [[0, 0]], [], True),
+    (same_span, [], [[0, 0]], True),
+    (same_span, [], [], True),
+    (same_span, [[1, 2], [2, 4]], [[Fraction(1, 2), 1]], True),
+    (same_span, [[1, 0], [0, 1]], [[1, 1], [1, -1]], True),
+    (same_span, [[1, 0]], [[0, 1]], False),
+    (same_span, [[1, 0], [0, 1]], [[1, 1]], False),
+    (in_span, [], [0, 0], True),
+    (in_span, [[0, 0]], [1, 0], False),
+    (in_span, [[1, 2]], [Fraction(-1, 3), Fraction(-2, 3)], True),
+    (in_span, [[1, 2], [3, 4]], [5, 7], True),
+    (in_span, [[1, 2, 3]], [1, 2, 4], False),
+]
+
+
+@pytest.mark.parametrize("func, a, b, want", SPAN_CASES)
+def test_span_comparisons(func, a, b, want):
+    assert func(a, b) is want
+
+
+def test_exact_routines_build_no_fraction(monkeypatch):
+    """rref, nullspace, same_span and in_span run in ints even on Fraction
+    input; solve builds Fractions for its answer only."""
+    rows = [[Fraction(1, 2), 3, 0, 1], [2, Fraction(-4, 3), 1, 0],
+            [Fraction(5, 2), Fraction(5, 3), 1, 1]]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    red, pivots = rref(rows)
+    kernel = nullspace(rows)
+    assert same_span(rows, red) and in_span(rows, kernel[0]) is False
+    assert built == []
+    assert solve(rows, [1, 2, 3]) is not None and built
 
 
 @given(st.integers(0, 6).flatmap(

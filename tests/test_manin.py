@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,6 +19,16 @@ def test_p1_size_multiplicative():
     assert len(P1List(33)) == 48
     assert len(P1List(15)) == 24
     assert len(P1List(11)) == 12
+
+
+def test_p1_reps_match_normalizing_every_pair():
+    """The divisor first coordinates reach every point: the reps equal the
+    normal forms of all M^2 pairs (u, v) with gcd(u, v, M) = 1."""
+    for M in range(2, 200):
+        p1 = P1List(M)
+        every = {p1.normalize(u, v) for u in range(M) for v in range(M) if gcd(gcd(u, v), M) == 1}
+        assert p1.reps == sorted(every), M
+    assert P1List(1).reps == [(0, 0)]
 
 
 def test_p1_normalization_is_orbit_invariant():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import os
 import random
@@ -679,3 +680,38 @@ def test_one_table_up_apply_matches_per_term_products(N, p, k):
     for _ in range(2):
         tables = [[rng.randrange(mod) for _ in range(ctx.mlen)] for _ in range(ctx.ms.index)]
         assert up_apply_mod(ctx, cache, tables, mod) == _up_apply_per_term(ctx, cache, tables, mod)
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of repr((basis, free)) and of repr((alpha, B, table)) of
+# auto_eigensymbol(space, B=30), recorded while rref returned Fractions and
+# every caller rescaled them; (2, 3, 4) has no eigensymbol below ell = 50
+CLASSICAL_DIGESTS = [
+    ((11, 3, 0), "ce48e8f3eb84416ea45045a2e7d026d0198e462e75b1dd5551368cf1f9a4dea4",
+     "7bcb09a6d479c4445582f1917c9a91cb41b0a53947610856161e733eed92c9a4"),
+    ((11, 5, 0), "5d9ac219ee3cc7b3fd512872fa68ddc99344fd73b934ca42be2ca66607f29473",
+     "a09939b0d142e3e45d1d46921ac2043211743551d9001c461f2f88c9cfc8b944"),
+    ((5, 3, 2), "5fff8732c87dc3c2e3c90881dcda5395ed5d0ff1c09e521ae179d7b5ed1169eb",
+     "4df7d12af7ce78f62ea77dee2ce930f38452bc292bafe7cae6c961d2eee702a4"),
+    ((7, 3, 2), "3e0451b565973fefac256ff682121e271b840a4b2341306dcf626fea3f2bad18",
+     "c2d9ae7ff7d7d2dad21797c2e62058822fa7ecfe5cc57a3829a23d79c6321b61"),
+    ((2, 3, 4), "7411dfea388bffdb1a835489ffbcc7f81f2ed748239351d42f882a3deb27c48a", None),
+    ((19, 3, 0), "c23eef1ca71b09cb8b563c8fdc595670a568dc0de86929279a7e9089d07f742d",
+     "e5e900ffb257354001a1bac6134a3b7ded1f87f428c926c7695c6d696a79120b"),
+]
+
+
+@pytest.mark.parametrize("level, basis_digest, symbol_digest", CLASSICAL_DIGESTS,
+                         ids=[str(level).replace(" ", "") for level, _, _ in CLASSICAL_DIGESTS])
+def test_classical_bases_and_eigensymbols_are_pinned(level, basis_digest, symbol_digest):
+    """The basis, its free columns and the eigensymbol table are exact
+    outputs: a basis vector or a table scaled by a unit would still pass
+    every spectral check, so their bytes are pinned."""
+    space = _space(*level)
+    assert _sha256((space.basis, space.free)) == basis_digest
+    if symbol_digest is not None:
+        sym = auto_eigensymbol(space, B=30)
+        assert _sha256((sym.alpha, sym.B, sym.table)) == symbol_digest
