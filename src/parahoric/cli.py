@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -146,8 +145,7 @@ def cmd_bgg_check(args) -> int:
         lam = _parse_weight(args.weight, n)
     else:
         raise ValueError("need --k or --weight")
-    rng = random.Random(args.seed)
-    report = bgg_kernel(n, args.i, lam, args.d, rng=rng)
+    report = bgg_kernel(n, args.i, lam, args.d)
     payload = report.as_dict()
     payload["precision"] = "exact"
     if args.format == "json":
@@ -281,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None, help="GL(n) shorthand for weight (k,0,...,0)")
     sp.add_argument("--weight", default=None)
     sp.add_argument("--d", type=int, required=True, help="polynomial degree cap")
-    sp.add_argument("--seed", type=int, default=0)
     add_format(sp, "table")
     sp.set_defaults(func=cmd_bgg_check)
 

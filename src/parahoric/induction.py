@@ -8,7 +8,6 @@ detected through the Levi factorization g = l(y) n(c).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -281,72 +280,36 @@ def levi_weyl_dimension(n: int, levi: Iterable[int], lam: Sequence[int]) -> int:
     return dim
 
 
-def _poly_principal_minor(m: list[list[Poly]], k: int) -> Poly:
-    """Exact determinant of the leading k x k block, cofactor expansion."""
-    ring = m[0][0].vars
-    if k == 0:
-        return Poly.const(ring, 1)
-    if k == 1:
-        return m[0][0]
-    out = Poly.zero(ring)
-    for perm in itertools.permutations(range(k)):
-        sign = 1
-        seen = [False] * k
-        # compute permutation sign by cycle counting
-        s = 0
-        for start in range(k):
-            if seen[start]:
-                continue
-            length = 0
-            cur = start
-            while not seen[cur]:
-                seen[cur] = True
-                cur = perm[cur]
-                length += 1
-            s += length - 1
-        sign = -1 if s % 2 else 1
-        term = Poly.const(ring, sign)
-        for r in range(k):
-            term = term * m[r][perm[r]]
-        out = out + term
+def _leading_minors(ring: tuple[str, ...], b: int) -> list[Poly]:
+    """det G[:k, :k] for k = 1..b-1 of the generic b x b matrix G whose entry
+    (r, c) is the variable ring[r * b + c]. Each minor on rows 0..s-1 and a
+    column subset is expanded along row s-1 into minors on rows 0..s-2."""
+    g = [[Poly.var(ring, ring[r * b + c]) for c in range(b)] for r in range(b)]
+    dets = {(): Poly.const(ring, 1)}
+    out = []
+    for s in range(1, b):
+        nxt = {}
+        for cols in itertools.combinations(range(b - 1), s):
+            acc = Poly.zero(ring)
+            for t, c in enumerate(cols):
+                term = g[s - 1][c] * dets[cols[:t] + cols[t + 1:]]
+                acc = acc - term if (s - 1 + t) % 2 else acc + term
+            nxt[cols] = acc
+        dets = nxt
+        out.append(dets[tuple(range(s))])
     return out
 
 
-def _levi_sample(
-    blocks: list[list[int]],
-    inside: list[Position],
-    lam: Sequence[int],
-    rng: random.Random,
-) -> Poly:
-    """y -> phi(u(y) h) for one random integral block matrix h per block."""
-    yring = tuple(var_name(p, "y") for p in inside)
-    total = Poly.const(yring, 1)
-    for blk in blocks:
-        b = len(blk)
-        w = [int(lam[i]) for i in blk]
-        while True:
-            h = [[rng.randint(-3, 3) for _ in range(b)] for _ in range(b)]
-            hm = [[Poly.const(yring, h[r][c]) for c in range(b)] for r in range(b)]
-            u = [[Poly.const(yring, 1 if r == c else 0) for c in range(b)] for r in range(b)]
-            for (a, bb) in inside:
-                if a in blk and bb in blk:
-                    u[blk.index(a)][blk.index(bb)] = Poly.var(yring, var_name((a, bb), "y"))
-            g = poly_matrix_mul(u, hm)
-            minors = [_poly_principal_minor(g, k) for k in range(1, b + 1)]
-            # det(u(y) h) = det(h), a constant
-            dval = minors[-1].coefficient((0,) * len(yring))
-            if dval == 0 or any(mi.is_zero() for mi in minors):
-                continue
-            # an int to a negative power is a float, so det(h) goes to a
-            # negative last block weight as a Fraction
-            base = dval if w[-1] >= 0 else Fraction(dval)
-            piece = Poly.const(yring, base ** w[-1])
-            for jj in range(b - 1):
-                for _ in range(w[jj] - w[jj + 1]):
-                    piece = piece * minors[jj]
-            total = total * piece
-            break
-    return total
+def _lower(f: dict[Monomial, int], b: int, i: int) -> dict[Monomial, int]:
+    """E_{i+1,i} f = sum_r G[r][i+1] df/dG[r][i]: the derivative at t = 0 of
+    f(G exp(t E_{i+1,i})), which adds t times column i+1 to column i."""
+    out: dict[Monomial, int] = {}
+    for m, c in f.items():
+        for a in range(i, b * b, b):
+            if m[a]:
+                key = m[:a] + (m[a] - 1, m[a + 1] + 1) + m[a + 2:]
+                out[key] = out.get(key, 0) + c * m[a]
+    return {m: c for m, c in out.items() if c}
 
 
 def _coprime_support(vec: dict[Monomial, int | Fraction]) -> dict[Monomial, int]:
@@ -355,55 +318,101 @@ def _coprime_support(vec: dict[Monomial, int | Fraction]) -> dict[Monomial, int]
     return dict(zip(vec, linalg.primitive(vec.values())))
 
 
+def _block_module(
+    blk: list[int], w: list[int], inside: list[Position]
+) -> list[dict[Monomial, int]]:
+    """V_w of the GL(b) block on the indices blk, restricted to u(y): the
+    block's unipotent in the y-variables of inside. Primitive integer vectors
+    keyed by y-monomials, one per dimension of the module."""
+    b = len(blk)
+    ring = tuple(f"g{r}_{c}" for r in range(b) for c in range(b))
+    # the highest-weight vector without det^(w_b), which is 1 on u(y) and
+    # killed by every lowering field
+    phi = Poly.const(ring, 1)
+    for k, minor in enumerate(_leading_minors(ring, b)):
+        for _ in range(w[k] - w[k + 1]):
+            phi = phi * minor
+    ypos = {(r, c): inside.index((blk[r], blk[c])) for r in range(b) for c in range(r + 1, b)}
+    lower_entries = [r * b + c for r in range(b) for c in range(r)]
+
+    def restrict(f: dict[Monomial, int]) -> dict[Monomial, int]:
+        out: dict[Monomial, int] = {}
+        for m, c in f.items():
+            if any(m[a] for a in lower_entries):
+                continue
+            y = [0] * len(inside)
+            for (r, cc), t in ypos.items():
+                y[t] = m[r * b + cc]
+            out[tuple(y)] = out.get(tuple(y), 0) + c
+        return out
+
+    target = weyl_dimension(w)
+    kept: list[dict[Monomial, int]] = []
+    restricted: list[dict[Monomial, int]] = []
+    # kept vectors in fraction-free echelon form: (pivot monomial, primitive
+    # integer coefficients); the pivot entry is not scaled to 1
+    echelon: list[tuple[Monomial, dict[Monomial, int]]] = []
+
+    def offer(f: dict[Monomial, int]) -> None:
+        rest = vec = _coprime_support(restrict(f))
+        for pm, row in echelon:
+            x = rest.get(pm)
+            if x:
+                piv = row[pm]
+                rest = {m: piv * v for m, v in rest.items()}
+                for m, v in row.items():
+                    rest[m] = rest.get(m, 0) - x * v
+                rest = _coprime_support(rest)
+        if rest:
+            echelon.append((min(rest), rest))
+            kept.append(f)
+            restricted.append(vec)
+
+    offer(phi.coeffs)
+    done = 0
+    while done < len(kept) < target:
+        for i in range(b - 1):
+            offer(_lower(kept[done], b, i))
+        done += 1
+    if len(kept) != target:
+        raise CertificationError(
+            f"lowering operators span {len(kept)} of the {target} dimensions of V_{tuple(w)}"
+        )
+    return restricted
+
+
 def levi_module_basis(
     n: int,
     levi: Iterable[int],
     lam: Sequence[int],
-    rng: random.Random | None = None,
 ) -> tuple[list[Poly], list[tuple[int, ...]]]:
     """Basis of V^{L_Q}_lambda restricted to N cap L_Q, in the y-variables.
 
-    Spanned by y -> phi(u(y) h) for the highest-weight minor product phi and
-    random integral block matrices h, accumulated to the Weyl dimension.
-    A sample is kept iff it is independent of those kept before: it is
-    reduced against their echelon form and kept iff something is left.
-    Returns (polynomials, y-monomial list used as coordinates).
+    Each GL(b) block's module V_w is spanned by the lowering fields applied
+    to its highest-weight vector phi' = prod_{k<b} minor_k(G)^(w_k - w_{k+1}),
+    G a generic b x b matrix and minor_k its leading k x k minor (Fulton-
+    Harris, section 15); det(G)^(w_b) is left out, being 1 on u(y). The fields
+    E_{i+1,i} f = sum_r G[r][i+1] df/dG[r][i] are applied breadth-first to
+    the kept vectors only. A vector is restricted to G = u(y), which is
+    injective on the module, and kept iff it is independent of those kept
+    before, until the Weyl dimension is reached; the simple lowering fields
+    generate U(n^-), so the kept vectors span the module. The basis is the
+    products of the block bases. Returns (polynomials, y-monomial list used
+    as coordinates).
     """
-    rng = rng or random.Random(20250814)
     levi = frozenset(levi)
     blocks = levi_blocks(n, levi)
+    inside, _ = split_positions(n, levi)
+    yring = tuple(var_name(p, "y") for p in inside)
+    vectors = [Poly.const(yring, 1)]
     for blk in blocks:
         w = [int(lam[i]) for i in blk]
         if any(w[t] < w[t + 1] for t in range(len(w) - 1)):
             raise ValueError("weight must be dominant for the Levi")
-    inside, _ = split_positions(n, levi)
-    target = levi_weyl_dimension(n, levi, lam)
-
-    vectors: list[Poly] = []
-    # kept samples in fraction-free echelon form: (pivot monomial, primitive
-    # integer coefficients); the pivot entry is not scaled to 1
-    echelon: list[tuple[Monomial, dict[Monomial, int]]] = []
-    attempts = 0
-    while True:
-        attempts += 1
-        if attempts > 40 + 6 * target:
-            raise ArithmeticError("failed to reach the Weyl dimension; weight not Levi-dominant?")
-        v = _levi_sample(blocks, inside, lam, rng)
-        rest = _coprime_support(v.coeffs)
-        for pm, row in echelon:
-            f = rest.get(pm)
-            if f:
-                piv = row[pm]
-                rest = {m: piv * x for m, x in rest.items()}
-                for m, x in row.items():
-                    rest[m] = rest.get(m, 0) - f * x
-                rest = _coprime_support(rest)
-        if rest:
-            echelon.append((min(rest), rest))
-            vectors.append(v)
-        if len(vectors) == target:
-            final_monos = sorted(set().union(*[set(q.coeffs) for q in vectors]) | {(0,) * len(inside)})
-            return vectors, final_monos
+        module = [Poly(yring, v) for v in _block_module(blk, w, inside)]
+        vectors = [v * q for v in vectors for q in module]
+    final_monos = sorted(set().union(*[set(q.coeffs) for q in vectors]) | {(0,) * len(inside)})
+    return vectors, final_monos
 
 
 def parahoric_truncation_basis(
@@ -411,13 +420,16 @@ def parahoric_truncation_basis(
     levi: Iterable[int],
     lam: Sequence[int],
     d: int,
-    rng: random.Random | None = None,
 ) -> tuple[list[Poly], list[tuple[int, ...]]]:
     """Degree-<= d part of the parabolic induction model inside A = Q[z].
 
     f belongs iff in R_n(f) = sum_m q_m(c) y^m, every c-coefficient column of
-    the y-expansion lies in the span of the Levi module. Returns a basis
-    (as z-polynomials) and the z-monomial list used for coordinates.
+    the y-expansion lies in the span of the Levi module. That module comes
+    from levi_module_basis, built by lowering operators from the highest-
+    weight minor product, so the model depends on its span only and on no
+    seed: the columns are tested against the integer kernel of its rows.
+    Returns a basis (as z-polynomials) and the z-monomial list used for
+    coordinates.
 
     For the Borel (empty Levi subset) there is no condition: every f works.
     """
@@ -428,7 +440,7 @@ def parahoric_truncation_basis(
     if not levi:
         return [Poly(zring, {m: 1}) for m in basis], basis
 
-    vecs, _ = levi_module_basis(n, levi, lam, rng=rng)
+    vecs, _ = levi_module_basis(n, levi, lam)
     inside, outside = split_positions(n, levi)
     ny, ncv = len(inside), len(outside)
 
@@ -499,9 +511,12 @@ class BGGReport:
         }
 
 
-def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: random.Random | None = None) -> BGGReport:
+def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: object = None) -> BGGReport:
     """Exactness check: ker(Theta_{alpha_i}) on degree <= d equals the
-    parabolic model for the sub-minimal parabolic generated by alpha_i."""
+    parabolic model for the sub-minimal parabolic generated by alpha_i.
+
+    rng is unused: the Levi module is built deterministically. It is
+    accepted only so that existing callers that pass one keep working."""
     if n < 2:
         raise ValueError(f"BGG checks need GL(n) with n >= 2, got n = {n}")
     if not 0 <= i <= n - 2:
@@ -510,7 +525,7 @@ def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: random.Random | 
         raise ValueError(f"degree cap d must be >= 0, got {d}")
     mat, basis = theta_matrix(n, i, lam, d)
     kernel = linalg.nullspace(mat)
-    model, basis2 = parahoric_truncation_basis(n, frozenset({i}), lam, d, rng=rng)
+    model, basis2 = parahoric_truncation_basis(n, frozenset({i}), lam, d)
     if basis != basis2:
         raise CertificationError("theta and parabolic model use different monomial bases")
     rows_model = space_rows(model, basis)
@@ -533,7 +548,6 @@ def theta_preserves_parahoric(
     i: int,
     lam: Sequence[int],
     d: int,
-    rng: random.Random | None = None,
 ) -> bool:
     """Does Theta_{alpha_i} send the Q-model at lambda into the Q-model at
     s_i * lambda? Requires alpha_i outside the Levi and a Levi-dominant
@@ -543,8 +557,8 @@ def theta_preserves_parahoric(
         raise ValueError("alpha_i must lie outside the Levi")
     datum = gl_datum(n)
     star = datum.weyl_star(lam, i)
-    src, basis = parahoric_truncation_basis(n, levi, lam, d, rng=rng)
-    dst, basis2 = parahoric_truncation_basis(n, levi, star, d, rng=rng)
+    src, basis = parahoric_truncation_basis(n, levi, lam, d)
+    dst, basis2 = parahoric_truncation_basis(n, levi, star, d)
     if basis != basis2:
         raise CertificationError("source and target models use different monomial bases")
     dst_rows = space_rows(dst, basis)

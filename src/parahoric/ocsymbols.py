@@ -194,14 +194,59 @@ def classical_space(N: int, p: int, k: int) -> ClassicalSpace:
     return ClassicalSpace(ms=ms, k=k, basis=basis, free=free)
 
 
+def _evaluate(poly: Sequence[int], x: int) -> int:
+    """poly(x) for ascending integer coefficients."""
+    val = 0
+    for c in reversed(poly):
+        val = val * x + c
+    return val
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive pseudo-remainder of a by b (ascending ints, b[-1] != 0);
+    [] when b divides a."""
+    while len(a) >= len(b) and a:
+        q, shift = a[-1], len(a) - len(b)
+        a = [b[-1] * x for x in a]
+        for t, c in enumerate(b):
+            a[shift + t] -= q * c
+        while a and not a[-1]:
+            a.pop()
+    return primitive(a) if a else []
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f'), primitive, for a nonconstant integer polynomial f:
+    the same roots, each simple. The gcd is a primitive remainder sequence,
+    and the division is exact over Z because the gcd is primitive."""
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+    g = primitive(a)
+    rest, quot = list(f), [0] * (len(f) - len(g) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rest[shift + len(g) - 1], g[-1])
+        if r:
+            raise CertificationError("gcd(f, f') does not divide f")
+        quot[shift] = q
+        for t, c in enumerate(g):
+            rest[shift + t] -= q * c
+    if any(rest):
+        raise CertificationError("gcd(f, f') does not divide f")
+    return primitive(quot)
+
+
 def integer_eigenvalues(mat: Sequence[Sequence[Fraction]], bound: int) -> list[int]:
     """Integer roots of the characteristic polynomial within [-bound, bound].
 
     The polynomial comes from the integer matrix L * mat, L the lcm of the
     denominators: its coefficient i is L^(n-i) times that of mat. It must be
-    integral (raises otherwise), so by the rational root theorem a nonzero
-    integer root divides its lowest nonzero coefficient; only those divisors
-    are evaluated, in integers.
+    integral (raises otherwise). Its nonzero roots are those of the
+    squarefree part g of the polynomial without its x-power. At the least
+    prime q where every root of g mod q is simple, each such root has one
+    lift mod q^e, q^e > 2 * bound, by Hensel's lemma, and an integer root in
+    range is the symmetric residue of the lift of its own reduction; the
+    residues that are exact roots within range are kept.
     """
     n = len(mat)
     L = math.lcm(*(c.denominator for row in mat for c in row))
@@ -210,16 +255,28 @@ def integer_eigenvalues(mat: Sequence[Sequence[Fraction]], bound: int) -> list[i
         raise CertificationError("characteristic polynomial is not integral")
     cp = [c // L ** (n - i) for i, c in enumerate(cp)]
     z = next(i for i, c in enumerate(cp) if c)
-    poly = cp[z:]
     roots = [0] if z and bound >= 0 else []
-    for a in range(1, bound + 1):
-        if poly[0] % a == 0:
-            for r in (a, -a):
-                val = 0
-                for c in reversed(poly):
-                    val = val * r + c
-                if val == 0:
-                    roots.append(r)
+    if z == n or bound < 1:
+        return roots
+    g = _squarefree_part(cp[z:])
+    dg = [i * c for i, c in enumerate(g)][1:]
+    q = 2
+    while True:
+        residues = [r for r in range(q) if _evaluate(g, r) % q == 0]
+        if all(_evaluate(dg, r) % q for r in residues):
+            break
+        q += 1
+        while not is_prime(q):
+            q += 1
+    e = 1
+    while q**e <= 2 * bound:
+        e += 1
+    mod = q**e
+    for r0 in residues:
+        r = hensel_lift_root(g, q, r0, prec=e)
+        r = r - mod if 2 * r > mod else r
+        if abs(r) <= bound and _evaluate(g, r) == 0:
+            roots.append(r)
     return sorted(roots)
 
 

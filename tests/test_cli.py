@@ -214,16 +214,19 @@ def test_certification_error_exits_one(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: x\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("--group", "GL2", "--k", "16", "--d", "16"),
-    ("--group", "GL3", "--weight", "16,0,0", "--i", "0", "--d", "4"),
-])
-def test_bgg_check_arithmetic_error_exits_one(capsys, argv):
-    """The Levi samples, block matrices with entries in [-3, 3], cannot span
-    the GL(2) module of weight (16, 0): a checked failure, not a traceback."""
-    code, out, err = run(capsys, "bgg-check", *argv)
-    assert (code, out) == (1, "")
-    assert err == "error: failed to reach the Weyl dimension; weight not Levi-dominant?\n"
+@pytest.mark.parametrize("argv, digest", [
+    (("--group", "GL2", "--k", "16", "--d", "16"),
+     "d3ba0145ee74717ec3670c8ee1b4c510d062944aa73f3b4f1933b5c9c73f98dc"),
+    (("--group", "GL3", "--weight", "16,0,0", "--i", "0", "--d", "4"),
+     "cd68d29e7faa177719b15e4c44d052bac71b3288327a158c8f790d235c3e373f"),
+], ids=["GL2-k16", "GL3-16,0,0"])
+def test_bgg_check_weight_16_matches_golden_digest(capsys, argv, digest):
+    """Weight 16 passes (dimensions 17 and 35): random Levi samples, block
+    matrices with entries in [-3, 3], could not span the GL(2) module of
+    weight (16, 0), and the lowering operators do."""
+    code, out, _ = run(capsys, "bgg-check", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of stdout, recorded from the exact Fraction-based kernels: a change

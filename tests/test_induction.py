@@ -5,20 +5,18 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from levi_reference import coefficient_rows, sampled_levi_basis
 from parahoric import linalg
 from parahoric.induction import (
     NCoordinates,
-    _levi_sample,
     apply_field,
     bgg_kernel,
     intertwining_check,
     intertwining_scalar,
-    levi_blocks,
     levi_module_basis,
     levi_weyl_dimension,
     parahoric_truncation_basis,
     space_rows,
-    split_positions,
     star_action,
     theta_apply,
     theta_matrix,
@@ -69,10 +67,9 @@ def test_bgg_report_example():
 
 
 def test_gl3_kernel_matches_parabolic_model():
-    rng = random.Random(0)
     for lam in ((1, 0, 0), (2, 1, 0)):
         for i in (0, 1):
-            rep = bgg_kernel(3, i, lam, 5, rng=rng)
+            rep = bgg_kernel(3, i, lam, 5)
             assert rep.spaces_equal, (lam, i)
 
 
@@ -137,8 +134,7 @@ def test_levi_weyl_dimension():
 
 
 def test_theta_preserves_parahoric_truncation():
-    rng = random.Random(9)
-    ok = theta_preserves_parahoric(3, {0}, 1, (2, 1, 0), 5, rng)
+    ok = theta_preserves_parahoric(3, {0}, 1, (2, 1, 0), 5)
     assert ok
 
 
@@ -148,42 +144,34 @@ def test_truncation_threshold_formula():
     assert truncation_threshold(3, 0, (2, 1, 0)) == 3
 
 
-def rank_based_levi_basis(n, levi, lam, rng):
-    """The selection loop that keeps a sample iff the rank of all kept
-    samples plus it is full, with sympy's rank as the independent oracle."""
-    blocks = levi_blocks(n, levi)
-    inside, _ = split_positions(n, levi)
-    target = levi_weyl_dimension(n, levi, lam)
-    vectors = []
-    for _ in range(40 + 6 * target):
-        cand = vectors + [_levi_sample(blocks, inside, lam, rng)]
-        cm = sorted(set().union(*[set(q.coeffs) for q in cand]) | {(0,) * len(inside)})
-        if sympy.Matrix([[q.coefficient(m) for m in cm] for q in cand]).rank() == len(cand):
-            vectors = cand
-        if len(vectors) == target:
-            return vectors
-    raise ArithmeticError("failed to reach the Weyl dimension; weight not Levi-dominant?")
-
-
 @pytest.mark.parametrize("n, levi, lam", [
     (2, {0}, (3, 0)),
     (2, {0}, (8, 0)),
     (3, {0}, (2, 1, 0)),
     (3, {1}, (2, 1, 0)),
     (3, {0, 1}, (2, 1, 0)),
+    (4, {0, 1}, (3, 1, 0, 0)),
+    (4, {0, 2}, (3, 1, 2, 0)),
 ])
 def test_levi_module_basis_matches_rank_based_selection(n, levi, lam):
-    for seed in range(4):
-        rng, ref = random.Random(seed), random.Random(seed)
-        got, _ = levi_module_basis(n, levi, lam, rng=rng)
-        assert got == rank_based_levi_basis(n, levi, lam, ref)
-        assert rng.getstate() == ref.getstate()  # the same draws were made
+    """The lowering-operator basis is independent, has the Weyl dimension,
+    and spans what random samples kept by sympy's rank span."""
+    got, monos = levi_module_basis(n, levi, lam)
+    dim = levi_weyl_dimension(n, levi, lam)
+    assert len(got) == dim
+    assert set().union(*[set(q.coeffs) for q in got]) <= set(monos)
+    assert sympy.Matrix(coefficient_rows(got)).rank() == dim
+    ref = sampled_levi_basis(n, levi, lam, seed=0)
+    assert sympy.Matrix(coefficient_rows(got + ref)).rank() == dim
 
 
-def test_gl2_weight_16_reports_the_recorded_failure():
-    with pytest.raises(ArithmeticError) as exc:
-        bgg_kernel(2, 0, (16, 0), 16, rng=random.Random(5))
-    assert str(exc.value) == "failed to reach the Weyl dimension; weight not Levi-dominant?"
+def test_gl2_weight_16_passes():
+    """The random samples could not span the weight-(16, 0) module; the
+    lowering operators reach its dimension 17."""
+    assert bgg_kernel(2, 0, (16, 0), 16).as_dict() == {
+        "group": "GL2", "simple_index": 0, "weight": [16, 0], "degree_cap": 16,
+        "threshold": 17, "dim_kernel": 17, "dim_RQ": 17, "pass": True,
+    }
 
 
 def test_weyl_dimension_raises_on_a_non_dominant_weight():
@@ -191,7 +179,7 @@ def test_weyl_dimension_raises_on_a_non_dominant_weight():
         weyl_dimension((0, 1))
 
 
-def _exact_values(n, levi, lam, d, seed):
+def _exact_values(n, levi, lam, d):
     """sha256 of every exact value one parahoric case produces, as text: the
     Levi module polynomials and monomials, the rows of the truncated Q-model,
     and the theta matrix at the simple root of the Levi. str() prints an int
@@ -199,8 +187,8 @@ def _exact_values(n, levi, lam, d, seed):
     Also returns the Levi module and theta values, then the model values,
     whose rows are the primitive integer kernel vectors of linalg."""
     (i,) = levi
-    vecs, monos = levi_module_basis(n, levi, lam, rng=random.Random(seed))
-    model, basis = parahoric_truncation_basis(n, levi, lam, d, rng=random.Random(seed))
+    vecs, monos = levi_module_basis(n, levi, lam)
+    model, basis = parahoric_truncation_basis(n, levi, lam, d)
     rows = space_rows(model, basis)
     mat, tbasis = theta_matrix(n, i, lam, d)
     text = "\n".join([
@@ -213,20 +201,21 @@ def _exact_values(n, levi, lam, d, seed):
     return hashlib.sha256(text.encode()).hexdigest(), integral, kernel
 
 
-# sha256 of _exact_values, recorded while every Poly coefficient was a
-# Fraction; (2, -1, 2) is s_1 * (2, 1, 0), and a negative last block entry
-# makes det(h) appear to a negative power
+# sha256 of _exact_values, recorded when the Levi module came to be built by
+# lowering operators (MODEL_DIGESTS pins what must not change with it);
+# (2, -1, 2) is s_1 * (2, 1, 0), and the two (2, -1, *) cases agree because
+# det^(w_b) of a block is 1 on u(y) and left out
 EXACT_VALUE_DIGESTS = [
     (3, {0}, (2, 1, 0), 6,
-     "c18dbe2159671bcd682f77dbce50c5cc6a8c424e53e8dfaeca80e03998f6c16d"),
+     "f395ade0793eb34ad446d7a917a865a095e953ef93b37c7c137b787395c5057e"),
     (3, {1}, (2, 1, 0), 6,
-     "69a021de9dd825f9010990b0c4b37a76b4d93b98691f5d426dfbbcf51085d7d7"),
+     "625f47be25c572826775b6ed4b0ba2bc242bde2c6c70e2e4c4deae9d1d32ae2e"),
     (2, {0}, (5, 0), 9,
-     "bd3117c98b4b4fae427839e09303df226fdc63647e49b44f8f66bb78f4aa32db"),
+     "ca03e6819b5e6c89248fd1174bdd827589b0bbb37fde4099b1ef49dc08609e90"),
     (3, {0}, (2, -1, 1), 5,
-     "e6e1a958252a11c8cdf42e398bb343b7bce0110072ebc3245787d52d2efc275f"),
+     "44fe0511f9ab0fb34658671395ba7e5ddc0c0089ed0398140b9c694762a6a3a4"),
     (3, {0}, (2, -1, 2), 5,
-     "b35aa2e3382e1c78c1cddd7a166f39f14c1bbc5ad6a0665fbf8b333d974c180c"),
+     "44fe0511f9ab0fb34658671395ba7e5ddc0c0089ed0398140b9c694762a6a3a4"),
 ]
 
 
@@ -236,11 +225,9 @@ EXACT_VALUE_DIGESTS = [
          for n, levi, lam, d, _ in EXACT_VALUE_DIGESTS],
 )
 def test_exact_values_are_pinned(n, levi, lam, d, digest):
-    got, integral, kernel = _exact_values(n, levi, lam, d, seed=3)
+    got, integral, kernel = _exact_values(n, levi, lam, d)
     assert got == digest
-    assert not any(isinstance(x, float) for x in integral + kernel)
-    if all(lam[j] >= lam[j + 1] for j in range(n - 1)):
-        assert {type(x) for x in integral} == {int}
+    assert {type(x) for x in integral + kernel} == {int}
 
 
 def sympy_theta_columns(n, i, lam, basis):
@@ -276,3 +263,42 @@ def test_theta_matrix_matches_sympy(lam, i, d):
     mat, basis = theta_matrix(3, i, lam, d)
     assert basis == monomials_up_to_degree(3, d)
     assert [list(col) for col in zip(*mat)] == sympy_theta_columns(3, i, lam, basis)
+
+
+# sha256 of the truncated Q-model rows and the theta matrices at each simple
+# root of the Levi, recorded while the Levi module was spanned by random
+# samples: the model and the kernel depend only on the module's span, so any
+# construction of V_lambda must leave these unchanged
+MODEL_DIGESTS = [
+    (3, {0}, (2, 1, 0), 6,
+     "950e2b1a2f905bd6ca6c4481fe06319475d9700f7c45a252998b29a1e0fc0e35"),
+    (3, {1}, (2, 1, 0), 6,
+     "857c55919384014d2cb60b8793ed9e8c425fc79d7287c70ed7bca5152dec4b75"),
+    (2, {0}, (5, 0), 9,
+     "1d094ff9d892b3f9148e2253e230e54a2870fc3a00db04e4da85e4fc0dda3671"),
+    (3, {0}, (2, -1, 1), 5,
+     "5c22b235b9b98eecbd7fad22225d12ee5bae77855299295e61b1d83be1c0f57f"),
+    (3, {0}, (2, -1, 2), 5,
+     "5c22b235b9b98eecbd7fad22225d12ee5bae77855299295e61b1d83be1c0f57f"),
+    (3, {0, 1}, (2, 1, 0), 4,
+     "44761b6318a93c617656c86f02ad9351b7e66d9cd506925a8bd3035cb4db859c"),
+    (4, {0, 1}, (3, 1, 0, 0), 3,
+     "5c6fdd4419e92d11e48937d9712e3d07fbd80dc85ce4d6840f48e13c505fa33b"),
+    (4, {0, 2}, (3, 1, 2, 0), 3,
+     "8e1023c95a0a8c6388044e5ad29720c69a6e84fd388d59ec5cbdef708e87fb59"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, levi, lam, d, digest", MODEL_DIGESTS,
+    ids=[f"GL{n}-levi{''.join(map(str, sorted(levi)))}-{lam}-d{d}".replace(" ", "")
+         for n, levi, lam, d, _ in MODEL_DIGESTS],
+)
+def test_models_and_theta_matrices_are_pinned(n, levi, lam, d, digest):
+    model, basis = parahoric_truncation_basis(n, levi, lam, d)
+    parts = [repr(basis), repr(space_rows(model, basis))]
+    for i in sorted(levi):
+        mat, tbasis = theta_matrix(n, i, lam, d)
+        assert tbasis == basis
+        parts.append(repr(mat))
+    assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == digest

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -587,9 +588,55 @@ def test_integer_eigenvalues_match_brute_force(k, ell):
     assert integer_eigenvalues(mat, bound) == _brute_integer_eigenvalues(mat, bound)
 
 
+@given(
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 3)), min_size=1, max_size=4),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.integers(0, 15),
+    st.randoms(use_true_random=False),
+)
+def test_integer_eigenvalues_with_planted_repeated_roots(planted, b, c, bound, rng):
+    """A block-triangular matrix with the planted integer eigenvalues, each
+    repeated up to three times (so not simple mod any prime), above the
+    companion block of x^2 - b x + c, conjugated by diag(1, 2, 4, ...) so
+    that its entries are Fractions."""
+    diag = [r for r, mult in planted for _ in range(mult)]
+    n = len(diag) + 2
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = rng.randint(-3, 3)
+    for i, r in enumerate(diag):
+        mat[i][i] = r
+    mat[n - 2][n - 2:] = [0, -c]
+    mat[n - 1][n - 2:] = [1, b]
+    mat = [[Fraction(x * 2**i, 2**j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    assert integer_eigenvalues(mat, bound) == _brute_integer_eigenvalues(mat, bound)
+
+
 def test_integer_eigenvalues_need_an_integral_polynomial():
     with pytest.raises(CertificationError, match="not integral"):
         integer_eigenvalues([[Fraction(1, 2)]], 3)
+
+
+def test_eigensymbol_search_with_large_bounds_is_fast(monkeypatch):
+    """At (2, 3, 4) the search probes ell up to 47, where the bound
+    ell^(k+1) + 1 is 229M; the integer roots come from Hensel lifts, not
+    from a loop up to the bound."""
+    spent = []
+
+    def timed(mat, bound):
+        t0 = time.perf_counter()
+        out = integer_eigenvalues(mat, bound)
+        spent.append(time.perf_counter() - t0)
+        return out
+
+    monkeypatch.setattr(parahoric.ocsymbols, "integer_eigenvalues", timed)
+    with pytest.raises(ValueError) as exc:
+        auto_eigensymbol(_space(2, 3, 4), B=30)
+    assert str(exc.value) == "no rational eigensymbol of slope 0 found below ell = 50"
+    assert len(spent) == 13
+    assert sum(spent) < 1.0, spent
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 """Repository-wide checks: invariants raise instead of asserting, no memo
-outlives a run, and the example scripts run."""
+outlives a run, BGG output depends on no seed, and the example scripts run."""
 import ast
 import os
 import subprocess
@@ -52,6 +52,22 @@ def test_no_module_level_memo_in_src():
         if _is_functools_cache(node)
     ]
     assert found == []
+
+
+def test_no_randomness_in_induction():
+    """BGG output must not depend on a seed or on a permutation sum: the Levi
+    modules are built by lowering operators, and nothing in induction.py
+    may import random or use itertools.permutations."""
+    tree = ast.parse((ROOT / "src" / "parahoric" / "induction.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names & {"random", "permutations"} == set()
 
 
 def test_no_unused_import_in_src():
