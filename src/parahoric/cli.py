@@ -82,14 +82,22 @@ def _load_datum(source: str) -> RootDatum:
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
-    """'2,1,0' or named 'k1=5,k2=2'; short vectors are padded with zeros."""
+    """'2,1,0' or named 'k1=5,k2=2', where k<i> must be the i-th entry;
+    short vectors are padded with zeros."""
     vals = []
+    names = set()
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
         if "=" in tok:
-            tok = tok.split("=", 1)[1].strip()
+            name, tok = (part.strip() for part in tok.split("=", 1))
+            if name in names:
+                raise ValueError(f"weight name {name} repeats")
+            names.add(name)
+            if name != f"k{len(vals) + 1}":
+                raise ValueError(f"weight entry {name}={tok} is entry {len(vals) + 1}; "
+                                 "k<i> names the i-th entry")
         vals.append(int(tok))
     if not vals:
         raise ValueError("empty weight")

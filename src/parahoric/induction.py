@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -124,9 +125,8 @@ def theta_apply(n: int, i: int, lam: Sequence[int], f: Poly) -> Poly:
     return _theta(left_translation_field(n)[i], theta_exponent(lam, i), f)
 
 
-def coefficient_degree_bound(n: int, i: int) -> int:
+def _field_degree(field: list[tuple[Position, Poly]]) -> int:
     """Max total degree among the vector-field coefficients."""
-    field = left_translation_field(n)[i]
     return max((c.total_degree() for _, c in field), default=0)
 
 
@@ -136,26 +136,52 @@ def truncation_threshold(n: int, i: int, lam: Sequence[int]) -> int:
     The operator never raises total degree here, so any cap d gives the
     truncated kernel exactly; this bound also freezes the dimension count.
     """
-    return theta_exponent(lam, i) + coefficient_degree_bound(n, i)
+    return theta_exponent(lam, i) + _field_degree(left_translation_field(n)[i])
+
+
+def _theta_rows(
+    n: int, field: list[tuple[Position, Poly]], e: int, basis: Sequence[Monomial]
+) -> list[list[int]]:
+    """Rows of D^e on basis, D the sparse integer matrix of the derivation
+    field: column j of D is field applied to the monomial basis[j]."""
+    index = {m: k for k, m in enumerate(basis)}
+    where = {p: a for a, p in enumerate(positions(n))}
+    terms = [(where[pos], list(c.coeffs.items())) for pos, c in field]
+    dcols: list[dict[int, int]] = []
+    for m in basis:
+        col: dict[int, int] = {}
+        for a, coeffs in terms:
+            if m[a]:
+                low = m[:a] + (m[a] - 1,) + m[a + 1:]
+                for cm, c in coeffs:
+                    k = index.get(tuple(map(add, low, cm)))
+                    if k is None:
+                        raise CertificationError("the derivation leaves the degree-capped basis")
+                    col[k] = col.get(k, 0) + c * m[a]
+        dcols.append({k: c for k, c in col.items() if c})
+    rows = [[0] * len(basis) for _ in basis]
+    for j in range(len(basis)):
+        vec = {j: 1}
+        for _ in range(e):
+            nxt: dict[int, int] = {}
+            for k, x in vec.items():
+                for r, c in dcols[k].items():
+                    nxt[r] = nxt.get(r, 0) + x * c
+            vec = {r: x for r, x in nxt.items() if x}
+        for r, x in vec.items():
+            rows[r][j] = x
+    return rows
 
 
 def theta_matrix(n: int, i: int, lam: Sequence[int], d: int) -> tuple[list[list[int]], list]:
-    """Integer matrix of Theta_{alpha_i} on the monomial basis of degree <= d."""
-    nc = NCoordinates(n)
-    basis = nc.monomial_basis(d)
-    index = {m: k for k, m in enumerate(basis)}
-    field = left_translation_field(n)[i]
-    e = theta_exponent(lam, i)
-    cols = []
-    for m in basis:
-        img = _theta(field, e, Poly(nc.variables, {m: 1}))
-        col = [0] * len(basis)
-        for mono, c in img.coeffs.items():
-            if sum(mono) > d:
-                raise CertificationError("theta raised total degree")
-            col[index[mono]] = c
-        cols.append(col)
-    rows = [[cols[j][r] for j in range(len(basis))] for r in range(len(basis))]
+    """Integer matrix of Theta_{alpha_i} on the monomial basis of degree <= d.
+
+    l(X_{alpha_i}) is applied once to each basis monomial, which gives a
+    sparse integer matrix D (CertificationError if an image leaves the
+    basis); Theta = D^e, e = <lambda, alpha_i^vee> + 1, is then formed one
+    column at a time by e sparse passes over the unit vector."""
+    basis = NCoordinates(n).monomial_basis(d)
+    rows = _theta_rows(n, left_translation_field(n)[i], theta_exponent(lam, i), basis)
     return rows, basis
 
 
@@ -428,6 +454,9 @@ def parahoric_truncation_basis(
     from levi_module_basis, built by lowering operators from the highest-
     weight minor product, so the model depends on its span only and on no
     seed: the columns are tested against the integer kernel of its rows.
+    The constraint rows are filled sparsely: each c-monomial lists only the
+    basis columns whose restriction involves it, with their y-entries, and a
+    row entry is one integer dot product with a kernel vector.
     Returns a basis (as z-polynomials) and the z-monomial list used for
     coordinates.
 
@@ -460,17 +489,24 @@ def parahoric_truncation_basis(
     ylist = sorted(y_monos | {(0,) * ny})
     clist = sorted(c_monos)
 
-    vrows = [[v.coefficient(m) for m in ylist] for v in vecs]
+    vrows = [[v.coeffs.get(m, 0) for m in ylist] for v in vecs]
     # integer y-vectors orthogonal to the module span
     perp = linalg.nullspace(vrows)
     yindex = {ym: t for t, ym in enumerate(ylist)}
 
+    # the nonzero (column, y-indices, coefficients) of each c-monomial
+    entries: dict[tuple[int, ...], list[tuple[int, list[int], list[int]]]] = {
+        cm: [] for cm in clist}
+    for j, table in enumerate(restricted):
+        for cm, ycol in table.items():
+            entries[cm].append((j, [yindex[ym] for ym in ycol], list(ycol.values())))
     constraints: list[list[int]] = []
     for cm in clist:
-        cols = [[(yindex[ym], c) for ym, c in table.get(cm, {}).items()]
-                for table in restricted]
         for k in perp:
-            constraints.append([sum(c * k[t] for t, c in col) for col in cols])
+            row = [0] * len(basis)
+            for j, ts, cs in entries[cm]:
+                row[j] = sum(map(mul, cs, map(k.__getitem__, ts)))
+            constraints.append(row)
     if not constraints:
         kernel = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
     else:
@@ -484,7 +520,7 @@ def parahoric_truncation_basis(
 def space_rows(
     polys: Sequence[Poly], basis: Sequence[tuple[int, ...]]
 ) -> list[list[int | Fraction]]:
-    return [[q.coefficient(m) for m in basis] for q in polys]
+    return [[q.coeffs.get(m, 0) for m in basis] for q in polys]
 
 
 @dataclass(frozen=True)
@@ -523,8 +559,10 @@ def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: object = None) -
         raise ValueError(f"simple-root index i must lie in [0, {n - 2}], got {i}")
     if d < 0:
         raise ValueError(f"degree cap d must be >= 0, got {d}")
-    mat, basis = theta_matrix(n, i, lam, d)
-    kernel = linalg.nullspace(mat)
+    field = left_translation_field(n)[i]
+    e = theta_exponent(lam, i)
+    basis = NCoordinates(n).monomial_basis(d)
+    kernel = linalg.nullspace(_theta_rows(n, field, e, basis))
     model, basis2 = parahoric_truncation_basis(n, frozenset({i}), lam, d)
     if basis != basis2:
         raise CertificationError("theta and parabolic model use different monomial bases")
@@ -535,7 +573,7 @@ def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: object = None) -
         simple_index=i,
         weight=tuple(int(x) for x in lam),
         degree_cap=d,
-        threshold=truncation_threshold(n, i, lam),
+        threshold=e + _field_degree(field),
         dim_kernel=len(kernel),
         dim_parabolic_model=len(rows_model),
         spaces_equal=equal,
@@ -561,10 +599,8 @@ def theta_preserves_parahoric(
     dst, basis2 = parahoric_truncation_basis(n, levi, star, d)
     if basis != basis2:
         raise CertificationError("source and target models use different monomial bases")
-    dst_rows = space_rows(dst, basis)
-    for f in src:
-        img = theta_apply(n, i, lam, f)
-        vec = [img.coefficient(m) for m in basis]
-        if not linalg.in_span(dst_rows, vec):
-            return False
-    return True
+    theta, _ = theta_matrix(n, i, lam, d)
+    # echelon the target once; an image lies in it iff the rank stays put
+    dst_red, pivots = linalg.rref(space_rows(dst, basis))
+    return all(linalg.rank([*dst_red, linalg.matvec(theta, row)]) == len(pivots)
+               for row in space_rows(src, basis))

@@ -3,8 +3,10 @@
 Matrices are lists of row lists of ints or Fractions. Everything here is
 exact, and row reduction runs over Z: `rref` returns one primitive integer
 row per pivot and `nullspace` primitive integer vectors, so only `solve`
-builds Fractions, for its answer. Callers that want p-adic truncation reduce
-afterwards.
+builds Fractions, for its answer. Integer data stays on an integer route:
+`primitive` reads denominators only when a Fraction is present, and each row
+that elimination updates is divided by its content, math.gcd of its entries.
+Callers that want p-adic truncation reduce afterwards.
 """
 from __future__ import annotations
 
@@ -26,10 +28,13 @@ def primitive(values: Iterable[int | Fraction]) -> list[int]:
     """Rational values times the lcm of their denominators, divided by the
     content (gcd) of the result: the primitive integer vector on their line,
     with the same signs. All zeros stay zeros."""
-    values = list(values)
-    den = math.lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (den // x.denominator) for x in values]
-    g = math.gcd(*ints)
+    ints = list(values)
+    try:
+        g = math.gcd(*ints)
+    except TypeError:  # a Fraction among them: clear the denominators first
+        den = math.lcm(*(x.denominator for x in ints))
+        ints = [x.numerator * (den // x.denominator) for x in ints]
+        g = math.gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
 
@@ -40,7 +45,7 @@ def rref(rows: Matrix) -> tuple[list[list[int]], list[int]]:
     pivot, positive at its pivot and zero at every other pivot column: the
     Gauss-Jordan row over Q times its least positive integral scale, so R is
     unique. Elimination is fraction-free, each updated row divided by its
-    content, so no Fraction is built.
+    content (the gcd of its entries), so no Fraction is built.
     """
     m = [primitive(row) for row in rows]
     nr = len(m)
@@ -59,7 +64,9 @@ def rref(rows: Matrix) -> tuple[list[list[int]], list[int]]:
             if i != r and f:
                 g = math.gcd(pv, f)
                 a, b = pv // g, f // g
-                m[i] = primitive([a * x - b * y for x, y in zip(m[i], prow)])
+                row = [a * x - b * y for x, y in zip(m[i], prow)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nr:

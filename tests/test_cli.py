@@ -24,6 +24,31 @@ def test_slopes_gsp4_siegel_example(capsys):
     assert "3" in out  # h_crit = k2 + 1
 
 
+def test_slopes_readme_named_weight_output_is_pinned(capsys):
+    code, out, _ = run(
+        capsys, "slopes", "--group", "GSp4", "--Q", "siegel",
+        "--weight", "k1=5,k2=2", "--vals", "1",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3c04598de461121c39ac55811c3c286fbedd14e6b0c80588ceff78b00d91186b")
+
+
+@pytest.mark.parametrize("weight, message", [
+    ("k2=2,k1=5", "weight entry k2=2 is entry 1; k<i> names the i-th entry"),
+    ("k1=5,k1=2", "weight name k1 repeats"),
+    ("k1=5,k9=2", "weight entry k9=2 is entry 2; k<i> names the i-th entry"),
+])
+def test_slopes_misnamed_weight_is_usage_error(capsys, weight, message):
+    """A named entry k<i> is read only as the i-th entry, never by position
+    alone."""
+    code, out, err = run(
+        capsys, "slopes", "--group", "GSp4", "--Q", "siegel",
+        "--weight", weight, "--vals", "1",
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_slopes_gl3_borel_json(capsys):
     code, out, _ = run(
         capsys, "slopes", "--group", "GL3", "--Q", "borel",
@@ -293,10 +318,21 @@ GOLDEN_JSON_BUDGET = [
 ]
 
 
+# larger BGG checks, recorded before theta became a power of one derivation
+# matrix and the constraint rows became sparse: GL(4), and GL(3) past the
+# degree the bgg benchmark reaches
+GOLDEN_JSON_BGG = [
+    (("bgg-check", "--group", "GL4", "--weight", "2,1,0,0", "--i", "0", "--d", "6"),
+     "c641473b391a61ff51305ca4b748804ec7e60f78e70d05526a99ca71258bf99e"),
+    (("bgg-check", "--group", "GL3", "--weight", "2,1,0", "--i", "0", "--d", "10"),
+     "2f0d1fefb147defde1f6c77c6cd8f684e5da99c8e9eafd9993fed2b258aacf7f"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, digest, fmt",
     [(a, d, "json") for a, d in GOLDEN_JSON] + [(a, d, "csv") for a, d in GOLDEN_CSV]
-    + [(a, d, "json") for a, d in GOLDEN_JSON_K2 + GOLDEN_JSON_BUDGET],
+    + [(a, d, "json") for a, d in GOLDEN_JSON_K2 + GOLDEN_JSON_BUDGET + GOLDEN_JSON_BGG],
 )
 def test_cli_json_matches_golden_digest(capsys, argv, digest, fmt):
     code, out, _ = run(capsys, *argv, "--format", fmt)

@@ -265,6 +265,16 @@ def test_theta_matrix_matches_sympy(lam, i, d):
     assert [list(col) for col in zip(*mat)] == sympy_theta_columns(3, i, lam, basis)
 
 
+# GL(4) has fields with two and three terms; (3, 1, 1, 0) has the exponents
+# 3, 1 and 2
+@pytest.mark.parametrize("lam", [(2, 1, 0, 0), (3, 1, 1, 0)])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_theta_matrix_matches_sympy_on_gl4(lam, i):
+    mat, basis = theta_matrix(4, i, lam, 3)
+    assert basis == monomials_up_to_degree(6, 3)
+    assert [list(col) for col in zip(*mat)] == sympy_theta_columns(4, i, lam, basis)
+
+
 # sha256 of the truncated Q-model rows and the theta matrices at each simple
 # root of the Levi, recorded while the Levi module was spanned by random
 # samples: the model and the kernel depend only on the module's span, so any

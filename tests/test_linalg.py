@@ -11,6 +11,7 @@ from parahoric.linalg import (
     in_span,
     nullspace,
     power_traces_mod,
+    primitive,
     rref,
     same_span,
     solve,
@@ -169,6 +170,22 @@ def test_nullspace_is_the_primitive_sympy_kernel(data):
         assert all(type(x) is int for x in v) and math.gcd(*v) == 1
         assert v[f] > 0 and [v[g] for g in free if g != f] == [0] * (len(free) - 1)
         assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+@given(st.lists(st.one_of(st.integers(-9, 9), st.just(0), st.integers(-10**30, 10**30)),
+                max_size=8))
+@example([])
+@example([0, 0])
+def test_primitive_of_ints_is_the_rational_route(values):
+    """On ints, primitive is what the rational route gives: times the lcm of
+    the denominators, as numerators, over their gcd."""
+    fracs = [Fraction(x) for x in values]
+    den = math.lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (den // x.denominator) for x in fracs]
+    g = math.gcd(*ints)
+    got = primitive(values)
+    assert got == ([x // g for x in ints] if g > 1 else ints)
+    assert all(type(x) is int for x in got)
 
 
 SPAN_CASES = [
