@@ -14,7 +14,7 @@ import math
 import operator
 from itertools import chain
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Matrix = Sequence[Sequence[int | Fraction]]
 
@@ -160,14 +160,100 @@ def frac_mod(x: Fraction, mod: int) -> int:
     return x.numerator % mod * pow(x.denominator, -1, mod) % mod
 
 
+def slot_reducer(mod: int, bound: int, sb: int, slots: int) -> Callable[[int], int]:
+    """Reduction mod mod of every slot of a packed int at once.
+
+    The int holds `slots` slots of sb bytes (W = 8 * sb bits, little-endian),
+    each in [0, bound], and the result holds the residue of each slot mod
+    mod. It is Barrett reduction in every slot at once. With t the bit length
+    of bound and R = 2^t // mod, the quotient estimate q_s = (x_s * R) >> t
+    lies in {x_s // mod - 1, x_s // mod}. x_s * R < 2^(2t) takes two slots,
+    so the even slots (x & even) and the odd slots moved down one slot
+    ((x >> W) & even) are multiplied by R apart, each product with an empty
+    slot above it; after the shift by t, the mask keeps q_s in its own slot.
+    r = x - q * mod then holds r_s in [0, 2 * mod) in every slot, without
+    borrows, and one conditional subtraction ends it: with h the bit length
+    of 2 * mod, bit h of r_s + 2^h - mod is set exactly when r_s >= mod, and
+    that sum stays below 2^(h + 1) <= 2^W, inside its slot. The caller picks
+    sb with t <= W and h < W.
+    """
+    W = 8 * sb
+    t = bound.bit_length()
+    h = (2 * mod).bit_length()
+    R = (1 << t) // mod
+    ones = int.from_bytes((1).to_bytes(sb, "little") * slots, "little")
+    fix = ((1 << h) - mod) * ones
+    even = int.from_bytes(((b"\xff" * sb + bytes(sb)) * (slots + 1 >> 1))[:sb * slots], "little")
+
+    def reduce(x: int) -> int:
+        q = ((x & even) * R >> t & even) | (((x >> W & even) * R >> t & even) << W)
+        r = x - q * mod
+        return r - ((r + fix) >> h & ones) * mod
+
+    return reduce
+
+
+def power_schedule(count: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """The matrix products and trace reads that give tr a^1 .. tr a^count.
+
+    products lists (c, x, y) in order: a^c = a^x a^y, where a^x and a^y are
+    a itself or earlier products. reads[m - 1] is (x, y) with x + y = m and
+    both powers computed, or (m, 0) when a^m is one: tr a^m is then the
+    Frobenius product tr(a^x a^y), or the diagonal sum of a^m.
+
+    The computed exponents are babies 1 .. b, giants 2b .. jb in steps of b,
+    and optionally tops jb + 1 .. jb + b - 1. Babies and giants sum to
+    every m up to (j + 1)b: baby-step/giant-step. The tops add every residue
+    mod b above jb, so with them the sums reach 2(j + 1)b - 2. For each b
+    the least j that reaches count is taken, and the (b, tops) pair with the
+    fewest products wins, the first one on a tie: 4 products at count 14
+    (a^2, a^4, a^6, a^7) and 3 at count 10 (a^2, a^4, a^5). b = isqrt(count)
+    without tops is baby-step/giant-step itself, so the count never exceeds
+    it. Each product's right factor is a, a^b or a^(jb). Raises
+    CertificationError if some m is left unread.
+    """
+    best = None
+    # b = isqrt(count) without tops takes at most 2 isqrt(count) - 1 products,
+    # and any b takes at least b - 1
+    for b in range(1, 2 * math.isqrt(count) + 1):
+        for tops in (0, b - 1) if b > 1 else (0,):
+            # the sums reach (j + 1) b, or 2 (j + 1) b - 2 with the tops
+            j = max(1, -(-(count + 2) // (2 * b)) - 1 if tops else -(-count // b) - 1)
+            size = (b - 1) + (j - 1) + tops
+            if best is None or size < best[0]:
+                best = (size, b, j, tops)
+    products: list[tuple[int, int, int]] = []
+    if best is not None:
+        _, b, j, tops = best
+        products = ([(c, c - 1, 1) for c in range(2, b + 1)]
+                    + [(i * b, (i - 1) * b, b) for i in range(2, j + 1)]
+                    + [(j * b + r, r, j * b) for r in range(1, tops + 1)])
+    powers = [1] + [c for c, _, _ in products]
+    reads: list[tuple[int, int] | None] = [None] * (count + 1)
+    for c in powers:
+        if c <= count:
+            reads[c] = (c, 0)
+    for i, y in enumerate(powers):
+        for x in powers[i:]:
+            if x + y <= count and reads[x + y] is None:
+                reads[x + y] = (x, y)
+    if None in reads[1:]:
+        from .padics import CertificationError   # padics imports this module
+        raise CertificationError(f"power schedule misses some m <= {count}")
+    return products, reads[1:]
+
+
 def power_traces_mod(a: list[list], count: int, mod: int) -> list:
     """Traces of a^1 .. a^count over R_T = (Z/mod)[w]/(w^T).
 
     Cells of a are ints (T = 1) or T-tuples of w-coefficients, and the traces
-    come back in the same form. Baby steps a^1 .. a^s and giant steps a^(js),
-    with s = isqrt(count), cost about 2*sqrt(count) matrix products; every
-    other trace is a Frobenius product tr(a^(js) a^i), the sum over r, l of
-    a^(js)[r][l] a^i[l][r], read as exact integer dot products.
+    come back in the same form. The matrix products are power_schedule's,
+    the fewest that its babies, giants and tops need: 4 at count 14 where
+    baby-step/giant-step takes 5. Every other trace is a Frobenius product
+    tr(a^x a^y), the sum over r, l of a^x[r][l] a^y[l][r], read as an exact
+    integer dot product with the transpose of a^y. Each power, transpose and
+    packed right factor is freed after the last product or trace that reads
+    it.
 
     A matrix is held as T coefficient planes x_0 .. x_(T-1), residues mod
     mod. Products use Kronecker substitution: row l of the right factor y is
@@ -176,9 +262,12 @@ def power_traces_mod(a: list[list], count: int, mod: int) -> list:
     each inner sum keeping only its slots b < T - u, so the shifted slot
     u + b stays inside block j and no w^T term survives. Slot (j, t) then
     holds the exact w^t coefficient of (x*y)[i][j]: a sum of at most n*T
-    products of residues, below n*T*(mod - 1)^2. W is that bound's bit length
-    rounded up to whole bytes, so no slot carries into the next (nor does an
-    inner sum, which is smaller), and unpacking a row is one to_bytes and a
+    products of residues, below lim = n*T*(mod - 1)^2. W is that bound's bit
+    length (or that of 2 * mod, if longer) rounded up to whole bytes, so no
+    slot carries into the next (nor does an inner sum, which is smaller).
+    slot_reducer reduces every slot of the row mod mod at once, and the
+    reduced row is row i of x*y packed as a right factor, so a power packs
+    its rows only if it is a itself. Unpacking a row is one to_bytes and a
     from_bytes per slot.
 
     The slot width follows mod, so a smaller modulus makes every product
@@ -191,52 +280,78 @@ def power_traces_mod(a: list[list], count: int, mod: int) -> list:
     T = 1 if scalar else len(a[0][0])
     if count <= 0:
         return []
-    sb = max(1, (n * T * (mod - 1) ** 2).bit_length() + 7 >> 3)   # slot bytes
+    products, reads = power_schedule(count)
+    lim = n * T * (mod - 1) ** 2        # the largest slot of a product row
+    sb = max(lim.bit_length(), (2 * mod).bit_length() + 1) + 7 >> 3   # slot bytes
     W = 8 * sb
+    slots = n * T
     # keep[u]: the slots b < T - u of every block
     keep = [int.from_bytes((b"\xff" * sb * (T - u) + bytes(sb * u)) * n, "little")
             for u in range(T)]
+    reduce = slot_reducer(mod, lim, sb, slots)
 
-    def matmul(x: list, y: list) -> list:
-        rows = [int.from_bytes(b"".join(c.to_bytes(sb, "little")
+    def pack(y: list) -> list[int]:
+        return [int.from_bytes(b"".join(c.to_bytes(sb, "little")
                                         for cells in zip(*(yt[l] for yt in y))
                                         for c in cells), "little")
                 for l in range(n)]
+
+    def matmul(x: list, rows: list[int]) -> tuple[list, list[int]]:
         out: list = [[] for _ in range(T)]
+        out_rows = []
         for i in range(n):
             acc = 0
             for u in range(T):
                 acc += (sum(map(operator.mul, x[u][i], rows)) & keep[u]) << (W * u)
-            buf = acc.to_bytes(n * T * sb, "little")
+            acc = reduce(acc)
+            out_rows.append(acc)
+            buf = acc.to_bytes(slots * sb, "little")
             for t in range(T):
-                out[t].append([int.from_bytes(buf[o:o + sb], "little") % mod
-                               for o in range(t * sb, n * T * sb, T * sb)])
-        return out
+                out[t].append([int.from_bytes(buf[o:o + sb], "little")
+                               for o in range(t * sb, slots * sb, T * sb)])
+        return out, out_rows
 
     def residue(c: int) -> int:
         # reduced cells keep the caller's int objects instead of a copy
         return c if 0 <= c < mod else c % mod
 
+    # the step (the products, then the reads) that last reads each power,
+    # packed right factor and transpose; none is kept after it
+    steps = [(x, y) for _, x, y in products] + reads
+    last = {e: s for s, pair in enumerate(steps) for e in pair if e}
+    last_packed = {y: s for s, (_, _, y) in enumerate(products)}
+    last_t = {y: s for s, (_, y) in enumerate(reads, len(products)) if y}
     if scalar:
-        planes = [[[residue(c) for c in row] for row in a]]
+        powers = {1: [[[residue(c) for c in row] for row in a]]}
     else:
-        planes = [[[residue(c[t]) for c in row] for row in a] for t in range(T)]
-    baby = [planes]
-    while len(baby) < math.isqrt(count):
-        baby.append(matmul(baby[-1], baby[0]))
-    s = len(baby)
+        powers = {1: [[[residue(c[t]) for c in row] for row in a] for t in range(T)]}
+    packed: dict[int, list[int]] = {}
+    trans: dict[int, list] = {}
+
+    def free(s: int, pair: tuple[int, int]) -> None:
+        for e in set(pair):
+            for kept, when in ((powers, last), (packed, last_packed), (trans, last_t)):
+                if when.get(e) == s:
+                    del kept[e]
+
+    for s, (c, x, y) in enumerate(products):
+        if y not in packed:
+            packed[y] = pack(powers[y])
+        powers[c], rows = matmul(powers[x], packed[y])
+        if c in last_packed:
+            packed[c] = rows
+        free(s, (x, y))
     traces = []
-    for m in range(1, count + 1):
-        j, i = divmod(m - 1, s)             # a^m = a^(js) a^(i+1)
-        if j == 0:
-            tr = [sum(pl[r][r] for r in range(n)) for pl in baby[i]]
+    for s, (x, y) in enumerate(reads, len(products)):
+        if y == 0:
+            tr = [sum(pl[r][r] for r in range(n)) for pl in powers[x]]
         else:
-            if i == 0:
-                giant = baby[-1] if j == 1 else matmul(giant, baby[-1])
-                # row l of the transpose pairs a^(js)[r][l] with a^(i+1)[l][r]
-                giant_t = [list(zip(*pl)) for pl in giant]
-            tr = [sum(sum(map(operator.mul, chain.from_iterable(baby[i][t - u]),
-                              chain.from_iterable(giant_t[u]))) for u in range(t + 1))
+            if y not in trans:
+                # row l of the transpose pairs a^x[r][l] with a^y[l][r]
+                trans[y] = [list(zip(*pl)) for pl in powers[y]]
+            tr = [sum(sum(map(operator.mul, chain.from_iterable(powers[x][t - u]),
+                              chain.from_iterable(trans[y][u]))) for u in range(t + 1))
                   for t in range(T)]
         traces.append(tr[0] % mod if scalar else tuple(c % mod for c in tr))
+        free(s, (x, y))
     return traces

@@ -44,12 +44,14 @@ from .linalg import (
     nullspace,
     power_traces_mod,
     primitive,
+    slot_reducer,
     solve,
 )
 from .manin import ManinSystem, Mat2, SolvedPresentation, is_prime
 from .distributions import (
     family_moment_matrix,
     integer_moment_matrix,
+    moment_matrix_mod,
     solve_error_profile,
     tail_solve_matrix,
 )
@@ -512,7 +514,9 @@ class MomentCache:
     checked there. up_columns(m, bun) is the same matrix after the same
     checks, packed by columns for the one-table U_p apply (ColumnBundles).
     solve is the p^D-scaled tail-solve matrix mod p^K, applied to each
-    plane alike.
+    plane alike. At T = 1 the matrices come from moment_matrix_mod
+    directly, which makes the monoid and filtration checks that
+    family_moment_matrix would.
     """
 
     def __init__(self, ctx: OCContext, K: int, T: int = 1):
@@ -533,6 +537,8 @@ class MomentCache:
 
     def _planes(self, m: Mat2) -> list[list[int]]:
         ctx, T, mlen = self.ctx, self.T, self.ctx.mlen
+        if T == 1:
+            return moment_matrix_mod(m, ctx.k, mlen, ctx.p, self.mod)
         E = family_moment_matrix(m, ctx.k, mlen, T, ctx.p, self.K)
         return [[E[j][i][t - u] for u in range(t + 1) for i in range(mlen)]
                 for t in range(T) for j in range(mlen)]
@@ -581,47 +587,33 @@ class ColumnBundles:
     products of width = T * mlen such pairs (combine, or the one-table U_p
     apply), so it stays at most lim = (fan * width + 1) * (m - 1)^2, which
     also covers a residue plus one product (the tail top moment, the p^D
-    scaling). reduce adds off, the
-    multiple of mod at or just above lim, to every slot of pos - neg, so each
-    slot x_s lies in [0, 2 * lim + mod) and no borrow or carry crosses a slot
-    boundary; sb is the byte length of that bound, and a slot is W = 8 * sb
-    bits. Unpacking a coordinate is one to_bytes and one from_bytes per slot.
-
-    reduce works on whole ints, by Barrett reduction in every slot at once.
-    With t the bit length of 2 * lim + mod (t <= W) and R = 2^t // mod, the
-    quotient estimate q_s = (x_s * R) >> t lies in {x_s // mod - 1,
-    x_s // mod}. x_s * R < 2^(2t) takes two slots, so the even slots
-    (x & even) and the odd slots moved down one slot ((x >> W) & even) are
-    multiplied by R apart, each product with an empty slot above it; after
-    the shift by t, the mask keeps q_s in its own slot. r = x - q * mod then
-    holds r_s in [0, 2 * mod) in every slot, without borrows, and one
-    conditional subtraction ends it: with h the bit length of 2 * mod, bit h
-    of r_s + 2^h - mod is set exactly when r_s >= mod, and that sum stays
-    below 2^(h + 1) <= 2^W, inside its slot. Construction raises
-    CertificationError if t > W or h >= W.
+    scaling). combine may hold both signs in one int: its slots are then
+    signed sums whose absolute values add up to at most lim, the same bound.
+    reduce adds off, the multiple of mod at or just above lim, to every slot
+    of pos - neg, so each slot x_s lies in [0, 2 * lim + mod) and no borrow
+    or carry crosses a slot boundary; sb is the byte length of that bound.
+    Unpacking a coordinate is one to_bytes and one from_bytes per slot.
+    reduce then works on whole ints, by Barrett reduction in every slot at
+    once (linalg.slot_reducer); construction raises CertificationError if
+    the slot cannot hold 2 * mod as well.
     """
 
     def __init__(self, ctx: OCContext, cache: MomentCache, mod: int, cols: int = 1):
         self.cols = cols
         self.mod = mod
         self.width = cache.T * ctx.mlen
+        self.fan = ctx.fan
         self.sb = 0
         if cols > 1:
             m = max(mod, cache.mod)
             self.lim = lim = (ctx.fan * self.width + 1) * (m - 1) ** 2
-            off = -(-lim // mod) * mod
-            self.t = (2 * lim + mod).bit_length()
-            self.h = (2 * mod).bit_length()
-            self.sb = sb = self.t + 7 >> 3
-            self.W = W = 8 * sb
-            if self.t > W or self.h >= W:
+            bound = 2 * lim + mod
+            self.sb = sb = bound.bit_length() + 7 >> 3
+            if (2 * mod).bit_length() >= 8 * sb:
                 raise CertificationError("slot too narrow for the packed reduction")
-            self.R = (1 << self.t) // mod
-            self.ones = ones = int.from_bytes((1).to_bytes(sb, "little") * cols, "little")
-            self.off = off * ones
-            self.fix = ((1 << self.h) - mod) * ones
-            pattern = (b"\xff" * sb + bytes(sb)) * (cols + 1 >> 1)
-            self.even = int.from_bytes(pattern[:sb * cols], "little")
+            ones = int.from_bytes((1).to_bytes(sb, "little") * cols, "little")
+            self.off = -(-lim // mod) * mod * ones
+            self._reduce = slot_reducer(mod, bound, sb, cols)
             self.starts = range(0, sb * cols, sb)
 
     def unit(self, c: int) -> int:
@@ -644,14 +636,9 @@ class ColumnBundles:
 
     def reduce(self, pos: int, neg: int = 0) -> int:
         """pos - neg with every slot reduced mod mod."""
-        mod = self.mod
         if self.cols == 1:
-            return (pos - neg) % mod
-        W, t, R, even = self.W, self.t, self.R, self.even
-        x = pos + self.off - neg
-        q = ((x & even) * R >> t & even) | (((x >> W & even) * R >> t & even) << W)
-        r = x - q * mod
-        return r - ((r + self.fix) >> self.h & self.ones) * mod
+            return (pos - neg) % self.mod
+        return self._reduce(pos + self.off - neg)
 
     def combine(
         self,
@@ -659,14 +646,29 @@ class ColumnBundles:
         matrix: Callable[[Mat2], Sequence[Sequence[int]]],
         vals: dict[int, Sequence[int]] | Sequence[Sequence[int]],
     ) -> list[int]:
-        """The sum of sign * matrix(m) vals[y] over terms (y, sign, m): each
-        term adds into the positive or the negative accumulator, and each
-        coordinate is reduced once at the end."""
-        acc = {1: [0] * self.width, -1: [0] * self.width}
+        """The sum of sign * matrix(m) vals[y] over terms (y, sign, m), each
+        coordinate reduced once at the end.
+
+        The terms that read the same source y are merged first: their signed
+        matrices are summed entry by entry, and vals[y] meets the sum in one
+        matrix-vector product. Merging only regroups the same products, so
+        with at most fan terms (checked when bundled) the absolute values in
+        a slot still add up to at most lim.
+        """
+        if self.cols > 1 and len(terms) > self.fan:
+            raise CertificationError("more terms than the slot bound allows")
+        by_source: dict[int, list[tuple[int, Sequence[Sequence[int]]]]] = {}
         for y, sgn, m in terms:
-            a = acc[sgn]
-            a[:] = map(operator.add, a, matvec(matrix(m), vals[y]))
-        return list(map(self.reduce, acc[1], acc[-1]))
+            by_source.setdefault(y, []).append((sgn, matrix(m)))
+        acc = [0] * self.width
+        for y, group in by_source.items():
+            # sgn * mat is the signed sum of the group's matrices
+            sgn, mat = group[0]
+            for g, e in group[1:]:
+                op = operator.add if g == sgn else operator.sub
+                mat = [list(map(op, r, s)) for r, s in zip(mat, e)]
+            acc[:] = map(operator.add if sgn > 0 else operator.sub, acc, matvec(mat, vals[y]))
+        return list(map(self.reduce, acc))
 
 
 def build_tables_mod(
@@ -752,10 +754,14 @@ def up_apply_mod(
     """U_p of a value table, or of cols tables held as column bundles: one
     row per coset, or per listed coset.
 
-    A single table of residues packs the output moments instead: with the
-    columns of each U_p composite stored as bundles of T * mlen slots
-    (MomentCache.up_columns), a term adds one bundle per input coordinate,
-    and each coset is reduced once, slot by slot.
+    Column bundles go through ColumnBundles.combine, which sums the matrices
+    of the terms that read one source coset before its one matrix-vector
+    product: 87 products for the 159 terms of the model rows at
+    (11, 3, 0), mlen = 16. A single table of residues packs the output
+    moments instead, term by term: with the columns of each U_p composite
+    stored as bundles of T * mlen slots (MomentCache.up_columns), a term
+    adds one bundle per input coordinate, and each coset is reduced once,
+    slot by slot.
     """
     rows = range(ctx.ms.index) if cosets is None else cosets
     if cols > 1:
@@ -1049,7 +1055,8 @@ def random_initial_lift_pair(
 # (mlen - S_sol) plus the sum of the r-1 smallest column valuation floors,
 # read off the matrix itself. Both bounds are known before any trace, so the
 # traces and Newton's identities run on U/p^E mod p^Kt, only the digits the
-# readings keep (_read_series).
+# readings keep (_read_series), and without the columns whose floor already
+# reached mlen - S_sol, which no reading needs (_settled_columns).
 
 
 @dataclass
@@ -1241,7 +1248,8 @@ def _read_series(
     A build mod p^K agrees with the Kbig build mod p^(K - D), so U/p^E mod
     p^Kt is the Kbig one when K >= Kt + E + D; below that, and below Kbig,
     this raises CertificationError. U is overwritten with U1, row by row, so
-    no second copy is held.
+    no second copy is held. U may be the model matrix without its settled
+    columns (_settled_columns); kappas and E are those of the full matrix.
     """
     T = len(U[0][0])
     precs, Kt = _trace_digits(p, D, E, Kbig, kappas)
@@ -1280,6 +1288,25 @@ def _read_series(
     return readings, NewtonPolygon(points)
 
 
+def _settled_columns(vals: list[int], D: int, trunc: int, kappas: list[int]) -> list[int]:
+    """The model columns whose floor min(v - D, trunc) has reached trunc,
+    which the readings do not need (none when some kappa_r is negative).
+
+    Coefficient r of det(1 - X U/p^D) is (-1)^r p^(-rD) times the sum of the
+    r x r principal minors of U. A minor's valuation is at least the sum of
+    its columns' valuations, and column l has valuation at least
+    D + floor_l. So a minor that holds a settled column has valuation at
+    least rD + trunc + (the sum of the r - 1 smallest floors) = rD + kappa_r,
+    and kappa_r >= prec_r. Dropping the settled columns with their rows
+    removes exactly those minors, so every reading keeps its residue mod
+    p^prec_r, its valuation below prec_r, and, when kappa_r >= 0, the
+    p^(rD) divisibility that _read_series checks.
+    """
+    if min(kappas) < 0:
+        return []
+    return [l for l, v in enumerate(vals) if v - D >= trunc]
+
+
 def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: int):
     """Certified initial segment of det(1 - X U_p) over R_T.
 
@@ -1298,9 +1325,12 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
     K0 = min(Kbig, max(mlen, mlen - S + 2D, Kt + 2D)), Kt taken with every
     floor 0 and E = D; if the floors and E it gives need more, U is built
     once more at min(Kbig, Kt + E + D), so there are at most two builds. At
-    K = Kbig the build is the one of the full budget. Returns (xdeg,
-    model_dim, sorted column floors, truncation floor, readings [r][t] of
-    the w^t part of coefficient r, Newton polygon of the w^0 layer).
+    K = Kbig the build is the one of the full budget. The floors, kappa_r
+    and E are read on all n columns; then the settled columns, whose floor
+    reached mlen - S, leave U with their rows before the traces
+    (_settled_columns), which changes no reading. Returns (xdeg, model_dim,
+    sorted column floors, truncation floor, readings [r][t] of the w^t part
+    of coefficient r, Newton polygon of the w^0 layer).
     """
     _check_positive(M=M, T=T, xdeg=xdeg)
     if k < 0:
@@ -1325,6 +1355,10 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
         need = min(Kbig, _trace_digits(p, D, E, Kbig, kappas)[1] + E + D)
         if need > K:
             K, U = need, None
+    settled = set(_settled_columns(vals, D, trunc, kappas))
+    if settled:
+        kept = [l for l in range(n) if l not in settled]
+        U = [[row[l] for l in kept] for i, row in enumerate(U) if i not in settled]
     readings, polygon = _read_series(U, p, D, E, Kbig, kappas, K)
     return xdeg, n, floors, trunc, readings, polygon
 

@@ -1,4 +1,5 @@
 import math
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from parahoric.linalg import (
     charpoly_berkowitz,
     in_span,
     nullspace,
+    power_schedule,
     power_traces_mod,
     primitive,
     rref,
@@ -75,6 +77,31 @@ def test_power_traces_match_schoolbook_powers(data, count):
         assert got == [t[0] for t in want]
     else:
         assert power_traces_mod(cells, count, mod) == want
+
+
+def test_power_schedule_reads_every_trace_with_few_products():
+    """For every count up to 400, each product multiplies two powers already
+    computed, each m in 1..count is a computed power or the sum of two, the
+    products never outnumber baby-step/giant-step's (s = isqrt(count) baby
+    steps a^2 .. a^s, then one giant step per further multiple of s), and
+    the schedule costs under a millisecond."""
+    for count in range(401):
+        products, reads = power_schedule(count)
+        powers = {1}
+        for c, x, y in products:
+            assert x in powers and y in powers and c == x + y, (count, c, x, y)
+            powers.add(c)
+        assert len(reads) == count
+        for m, (x, y) in enumerate(reads, 1):
+            assert x + y == m and x in powers and (y == 0 or y in powers), (count, m)
+        s = math.isqrt(count)
+        bsgs = (s - 1) + max(0, (count - 1) // s - 1) if count else 0
+        assert len(products) <= bsgs, count
+        cost = min(timeit.repeat(lambda: power_schedule(count), number=1, repeat=5))
+        assert cost < 1e-3, (count, cost)
+    assert [c for c, _, _ in power_schedule(14)[0]] == [2, 4, 6, 7]
+    assert [c for c, _, _ in power_schedule(10)[0]] == [2, 4, 5]
+    assert len(power_schedule(8)[0]) == 3
 
 
 def fraction_rref(rows):

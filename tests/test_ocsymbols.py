@@ -527,6 +527,60 @@ def test_packed_reduction_matches_per_slot_reduction(cols, p, K, pos_kind, neg_k
     assert got == bun.pack(want)
 
 
+@given(
+    st.sampled_from([1, 3, 24]), st.sampled_from([3, 5]), st.integers(1, 12),
+    st.sampled_from(["random", "max"]), st.randoms(use_true_random=False),
+)
+def test_combine_merges_terms_by_source(cols, p, K, kind, rng):
+    """combine, which sums the signed matrices of the terms that read one
+    source before its product, gives slot by slot the sum of the terms mod
+    p^K: for fan terms over three sources with mixed signs, and with every
+    entry at p^K - 1 and one sign, where the slots reach the bound lim.
+    With bundles, one term more than fan raises."""
+    ctx = _bundle_context(p)
+    mod = p**K
+    bun = ColumnBundles(ctx, MomentCache(ctx, K), mod, cols)
+    width = bun.width
+
+    def entry():
+        return mod - 1 if kind == "max" else rng.randrange(mod)
+
+    vals = {y: [[entry() for _ in range(cols)] for _ in range(width)] for y in range(3)}
+    mats, terms = {}, []
+    for i in range(ctx.fan):
+        key = (1, i, 0, 1)
+        mats[key] = [[entry() for _ in range(width)] for _ in range(width)]
+        terms.append((rng.randrange(3), 1 if kind == "max" else rng.choice([1, -1]), key))
+    got = bun.combine(terms, mats.__getitem__, {y: [bun.pack(v) for v in vals[y]]
+                                                for y in vals})
+    want = [[sum(sgn * sum(e * vals[y][i][c] for i, e in enumerate(mats[m][j]))
+                 for y, sgn, m in terms) % mod for c in range(cols)]
+            for j in range(width)]
+    assert [bun.slots(x) for x in got] == want
+    if cols > 1:
+        with pytest.raises(CertificationError, match="slot bound"):
+            bun.combine(terms + terms[:1], mats.__getitem__, {})
+
+
+def test_charpoly_golden_digest_survives_python_O():
+    """charpoly --N 11 --p 5 --k 2 --M 5 --xdeg 6 prints its golden digest
+    under python -O as well, where assert is stripped."""
+    from test_cli import GOLDEN_JSON
+
+    argv = ("charpoly", "--N", "11", "--p", "5", "--k", "2", "--M", "5", "--xdeg", "6")
+    script = (
+        "import contextlib, hashlib, io\n"
+        "from parahoric.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main({[*argv, '--format', 'json']!r})\n"
+        "print('debug', __debug__, code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [f"debug False 0 {dict(GOLDEN_JSON)[argv]}", ""]
+
+
 MODULUS_GUARD_SCRIPT = """
 import series_reference as ref
 from parahoric.ocsymbols import _column_valuations, _read_series, _trace_digits

@@ -6,7 +6,8 @@ synthetic matrices with a column of valuation D - 1 (so E < D). A test in
 test_ocsymbols checks that both raise the same certification failures, at
 the same coefficient, under python -O. The engine builds the model matrix
 mod p^K, K at most Kbig, in one or two builds; a test here records those
-moduli."""
+moduli. Another checks that the columns the engine drops before its traces
+(their floor reached mlen - S) change no reading."""
 from math import factorial
 
 import pytest
@@ -54,6 +55,32 @@ def test_series_matches_kbig_reference(req):
     want = ref.certified_series(*req)
     assert got[:4] == want[:4]
     _same_readings(got[4:], want[4:])
+
+
+# columns of the benchmark requests whose floor reaches mlen - S
+SETTLED = {(11, 3, 0, 12, 1, 14, 4): 17, (11, 5, 2, 8, 1, 10, 4): 13}
+
+
+@pytest.mark.parametrize("req", DEFAULT_REQUESTS + RING_REQUESTS + BUDGET_REQUESTS)
+def test_settled_columns_change_no_reading(req, monkeypatch):
+    """Dropping the columns whose floor reached mlen - S, with their rows,
+    leaves the floors, every reading and the polygon as the full model
+    matrix gives them."""
+    settled = ocsymbols._settled_columns
+    dropped = []
+
+    def recorded(*args):
+        cols = settled(*args)
+        dropped.extend(cols)
+        return cols
+
+    monkeypatch.setattr(ocsymbols, "_settled_columns", recorded)
+    got = _certified_series(*req)
+    monkeypatch.setattr(ocsymbols, "_settled_columns", lambda *args: [])
+    want = _certified_series(*req)
+    assert got[:4] == want[:4]
+    _same_readings(got[4:], want[4:])
+    assert len(dropped) == SETTLED.get(req, len(dropped))
 
 
 @pytest.mark.parametrize("req", BUDGET_REQUESTS)
