@@ -41,19 +41,16 @@ from .slopes import q_noncritical
 # output plumbing
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _print_csv(rows: list[list[str]]) -> None:
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerows(rows)
-
-
-def _print_table(rows: list[list[str]]) -> None:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+def _emit(fmt: str, payload, rows: list[list[str]]) -> None:
+    """Print payload as canonical JSON, or rows as CSV or an aligned table."""
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+        for r in rows:
+            print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
 
 
 def _dict_rows(payload: dict) -> list[list[str]]:
@@ -125,20 +122,14 @@ def cmd_slopes(args) -> int:
     report = q_noncritical(datum, levi, lam, vals, args.p)
     payload = report.as_dict()
     payload["precision"] = "exact"
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        rows = [["step", "root", "h_crit", "valuation", "strict"]]
-        for i, s in enumerate(report.steps):
-            rows.append([
-                str(i), str(list(s.root)), str(s.h_crit), str(s.valuation),
-                str(s.ok).lower(),
-            ])
-        rows.append(["verdict", "", "", "", "noncritical" if report.passed else "critical"])
-        if args.format == "csv":
-            _print_csv(rows)
-        else:
-            _print_table(rows)
+    rows = [["step", "root", "h_crit", "valuation", "strict"]]
+    for i, s in enumerate(report.steps):
+        rows.append([
+            str(i), str(list(s.root)), str(s.h_crit), str(s.valuation),
+            str(s.ok).lower(),
+        ])
+    rows.append(["verdict", "", "", "", "noncritical" if report.passed else "critical"])
+    _emit(args.format, payload, rows)
     return 0 if report.passed else 1
 
 
@@ -156,12 +147,7 @@ def cmd_bgg_check(args) -> int:
     report = bgg_kernel(n, args.i, lam, args.d)
     payload = report.as_dict()
     payload["precision"] = "exact"
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv(_dict_rows(payload))
-    else:
-        _print_table(_dict_rows(payload))
+    _emit(args.format, payload, _dict_rows(payload))
     return 0 if report.spaces_equal else 1
 
 
@@ -189,20 +175,12 @@ def cmd_lift(args) -> int:
         report = lift_symbol(space, sym, M)
     except (ValueError, DivergenceError) as e:
         payload = {"converged": False, "error": str(e)}
-        if args.format == "json":
-            _print_json(payload)
-        else:
-            _print_table(_dict_rows(payload))
+        _emit(args.format, payload, _dict_rows(payload))
         return 1
     payload = report.as_dict()
     # identify which eigensystem was lifted: the U_p quadratic of its block
     payload["stabilization"] = {"trace": sym.trace, "norm": sym.norm, "slope": sym.slope}
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv(_dict_rows(payload))
-    else:
-        _print_table(_dict_rows(payload))
+    _emit(args.format, payload, _dict_rows(payload))
     return 0 if report.converged and report.specialization_ok else 1
 
 
@@ -214,12 +192,7 @@ def cmd_charpoly(args) -> int:
         )
     else:
         data = charpoly_up(args.N, args.p, args.k, M, xdeg=args.xdeg)
-    if args.format == "json":
-        _print_json(data.as_dict())
-    elif args.format == "table":
-        _print_table(data.csv_rows())
-    else:
-        _print_csv(data.csv_rows())
+    _emit(args.format, data.as_dict(), data.csv_rows())
     return 0
 
 
@@ -242,18 +215,13 @@ def cmd_catalog(args) -> int:
             "coroots": "list of rank-length int vectors, paired <a_i, a_i^vee> = 2",
         },
     }
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        rows = [["name", "rank", "simple_roots"]]
-        for g in payload["groups"]:
-            rows.append([g["name"], str(g["rank"]), json.dumps(g["simple_roots"])])
-        if args.format == "csv":
-            _print_csv(rows)
-        else:
-            _print_table(rows)
-            print("custom groups: pass --group a JSON file with fields "
-                  "name, rank, simple_roots, coroots")
+    rows = [["name", "rank", "simple_roots"]]
+    for g in payload["groups"]:
+        rows.append([g["name"], str(g["rank"]), json.dumps(g["simple_roots"])])
+    _emit(args.format, payload, rows)
+    if args.format == "table":
+        print("custom groups: pass --group a JSON file with fields "
+              "name, rank, simple_roots, coroots")
     return 0
 
 

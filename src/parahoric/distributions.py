@@ -7,7 +7,8 @@ polynomials, and so is every row when c = 0 and a = +-1 (the tail twist):
 integer_moment_matrix builds those exactly. Matrices with unit upper-left
 entry and lower-left entry divisible by p have p-integral rows and never
 decrease the moment filtration, v_p(E[j][i]) >= i - j; moment_matrix_mod
-builds them mod p^K, and family_moment_matrix over Z_p[[w]]/(w^T).
+builds them mod p^K, and family_moment_matrix over Z_p[[w]]/(w^T), as one
+plane of int rows per power of w.
 """
 from __future__ import annotations
 
@@ -218,21 +219,22 @@ def _zconv(u: Sequence[int], v: Sequence[int], mlen: int, mod: int) -> list[int]
 
 def family_moment_matrix(
     gamma: Mat2, k0: int, mlen: int, T: int, p: int, K: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Moment matrix over Z_p[[w]]/(w^T), entries as w-coefficient tuples mod p^K.
+) -> list[list[list[int]]]:
+    """Moment matrix over Z_p[[w]]/(w^T) as T w-coefficient planes mod p^K:
+    plane t is the w^t layer, a list of mlen int rows.
 
     The action multiplies the weight-k0 row by exp(w log<a + c z>); the log of
-    the 1-unit part splits as log<a> + log(1 + (c/a) z). Internal precision is
+    the 1-unit part splits as log<a> + log(1 + (c/a) z), so row j of plane t
+    is the weight-k0 row P_j times G_t = L^t / t! in z. Internal precision is
     padded so the divisions by t! keep K true digits. At T = 1 only the w^0
-    layer survives: the weight-k0 matrix itself, which needs no logarithm and
+    plane survives: the weight-k0 matrix itself, which needs no logarithm and
     so also serves p = 2.
     """
     a, b, c, d = gamma
     if a % p == 0 or c % p != 0:
         raise ValueError("matrix outside the p-adic monoid")
     if T == 1:
-        return tuple(tuple((x,) for x in row)
-                     for row in moment_matrix_mod(gamma, k0, mlen, p, p**K))
+        return [moment_matrix_mod(gamma, k0, mlen, p, p**K)]
     if p == 2:
         raise ValueError("family coefficients need p odd")
     vfact = valuation(factorial(max(T - 1, 1)), p)
@@ -265,18 +267,5 @@ def family_moment_matrix(
         cur = div
         Gs.append(cur)
     mK = p**K
-    rows = []
-    for Pj in moment_matrix_mod(gamma, k0, mlen, p, mw):
-        row = []
-        for i in range(mlen):
-            wco = []
-            for t in range(T):
-                acc = 0
-                Gt = Gs[t]
-                for s in range(i + 1):
-                    acc += Pj[s] * Gt[i - s]
-                wco.append(acc % mK)
-            row.append(tuple(wco))
-        rows.append(tuple(row))
-    return tuple(rows)
-
+    P = moment_matrix_mod(gamma, k0, mlen, p, mw)
+    return [[_zconv(Pj, Gt, mlen, mK) for Pj in P] for Gt in Gs]

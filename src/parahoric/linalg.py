@@ -16,6 +16,8 @@ from itertools import chain
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .padics import CertificationError
+
 Matrix = Sequence[Sequence[int | Fraction]]
 
 
@@ -238,29 +240,33 @@ def power_schedule(count: int) -> tuple[list[tuple[int, int, int]], list[tuple[i
             if x + y <= count and reads[x + y] is None:
                 reads[x + y] = (x, y)
     if None in reads[1:]:
-        from .padics import CertificationError   # padics imports this module
         raise CertificationError(f"power schedule misses some m <= {count}")
     return products, reads[1:]
 
 
-def power_traces_mod(a: list[list], count: int, mod: int) -> list:
+def power_traces_mod(
+    a: Sequence[Sequence[Sequence[int]]], count: int, mod: int
+) -> list[tuple[int, ...]]:
     """Traces of a^1 .. a^count over R_T = (Z/mod)[w]/(w^T).
 
-    Cells of a are ints (T = 1) or T-tuples of w-coefficients, and the traces
-    come back in the same form. The matrix products are power_schedule's,
-    the fewest that its babies, giants and tops need: 4 at count 14 where
-    baby-step/giant-step takes 5. Every other trace is a Frobenius product
+    a is given by its T w-coefficient planes a_0 .. a_(T-1), each n x n
+    int rows; entries outside [0, mod) are reduced first, so no slot below
+    can overflow. Each trace comes back as the T-tuple of its
+    w-coefficients, residues mod mod. The matrix products are
+    power_schedule's, the fewest that its babies, giants and tops need: 4 at
+    count 14 where baby-step/giant-step takes 5. Every other trace is a Frobenius product
     tr(a^x a^y), the sum over r, l of a^x[r][l] a^y[l][r], read as an exact
     integer dot product with the transpose of a^y. Each power, transpose and
     packed right factor is freed after the last product or trace that reads
     it.
 
-    A matrix is held as T coefficient planes x_0 .. x_(T-1), residues mod
-    mod. Products use Kronecker substitution: row l of the right factor y is
-    one Python int, with coefficient b of cell j at slot T*j + b of W bits.
-    Row i of x*y is the sum over u < T of (sum_l x_u[i][l] * row_l) << W*u,
-    each inner sum keeping only its slots b < T - u, so the shifted slot
-    u + b stays inside block j and no w^T term survives. Slot (j, t) then
+    Each power is held the same way, as T planes x_0 .. x_(T-1) of residues
+    mod mod. Products use Kronecker substitution: row l of the right factor
+    y is one Python int, with coefficient b of cell j at slot T*j + b of W
+    bits. Row i of x*y is the sum over u < T of
+    (sum_l x_u[i][l] * row_l) << W*u, each inner sum keeping only its slots
+    b < T - u, so the shifted slot u + b stays inside block j and no w^T
+    term survives. Slot (j, t) then
     holds the exact w^t coefficient of (x*y)[i][j]: a sum of at most n*T
     products of residues, below lim = n*T*(mod - 1)^2. W is that bound's bit
     length (or that of 2 * mod, if longer) rounded up to whole bytes, so no
@@ -275,9 +281,7 @@ def power_traces_mod(a: list[list], count: int, mod: int) -> list:
     its readings keep, not on the model matrix mod p^Kbig
     (ocsymbols._read_series).
     """
-    n = len(a)
-    scalar = n == 0 or isinstance(a[0][0], int)
-    T = 1 if scalar else len(a[0][0])
+    T, n = len(a), len(a[0])
     if count <= 0:
         return []
     products, reads = power_schedule(count)
@@ -312,7 +316,7 @@ def power_traces_mod(a: list[list], count: int, mod: int) -> list:
         return out, out_rows
 
     def residue(c: int) -> int:
-        # reduced cells keep the caller's int objects instead of a copy
+        # reduced entries keep the caller's int objects instead of a copy
         return c if 0 <= c < mod else c % mod
 
     # the step (the products, then the reads) that last reads each power,
@@ -321,10 +325,7 @@ def power_traces_mod(a: list[list], count: int, mod: int) -> list:
     last = {e: s for s, pair in enumerate(steps) for e in pair if e}
     last_packed = {y: s for s, (_, _, y) in enumerate(products)}
     last_t = {y: s for s, (_, y) in enumerate(reads, len(products)) if y}
-    if scalar:
-        powers = {1: [[[residue(c) for c in row] for row in a]]}
-    else:
-        powers = {1: [[[residue(c[t]) for c in row] for row in a] for t in range(T)]}
+    powers = {1: [[[residue(c) for c in row] for row in plane] for plane in a]}
     packed: dict[int, list[int]] = {}
     trans: dict[int, list] = {}
 
@@ -352,6 +353,6 @@ def power_traces_mod(a: list[list], count: int, mod: int) -> list:
             tr = [sum(sum(map(operator.mul, chain.from_iterable(powers[x][t - u]),
                               chain.from_iterable(trans[y][u]))) for u in range(t + 1))
                   for t in range(T)]
-        traces.append(tr[0] % mod if scalar else tuple(c % mod for c in tr))
+        traces.append(tuple(c % mod for c in tr))
         free(s, (x, y))
     return traces

@@ -241,6 +241,16 @@ class ManinSystem:
             raise CertificationError("transport left Gamma_0(M)")
         return y, gamma
 
+    def _triangle_slots(self, x: int) -> list[TriangleSlot]:
+        """The U orbit of coset x as slots: g_x U^k = gamma_k g_(y_k) for
+        k = 0, 1, 2."""
+        g = self.lifts[x]
+        slots = []
+        for k in range(3):
+            gk = g if k == 0 else mat_mul(g, U_MAT if k == 1 else mat_mul(U_MAT, U_MAT))
+            slots.append(TriangleSlot(*self.transport(gk)))
+        return slots
+
     def _build_orbits(self) -> None:
         """S pairs, U orbits, and the Manin relations they give: each row of
         self.relations lists terms (coset, sign, m) with sum sign * (v_coset | m)
@@ -270,14 +280,8 @@ class ManinSystem:
         for x in range(n):
             if x in seen:
                 continue
-            slots = []
-            g = self.lifts[x]
-            orbit = []
-            for k in range(3):
-                gk = g if k == 0 else mat_mul(g, U_MAT if k == 1 else mat_mul(U_MAT, U_MAT))
-                y, gamma = self.transport(gk)
-                slots.append(TriangleSlot(y, gamma))
-                orbit.append(y)
+            slots = self._triangle_slots(x)
+            orbit = [s.coset for s in slots]
             self.relations.append([(s.coset, 1, mat_inv(s.gamma)) for s in slots])
             if len(set(orbit)) == 1:
                 self.torsion_u.append(x)
@@ -310,20 +314,18 @@ class ManinSystem:
             raise CertificationError("S does not pair (0:1) with (1:0)")
         tail_edge = self.leader[x0]
 
-        identity_tri = None
         others = []
         for tri in self.triangles:
             cosets = {s.coset for s in tri.slots}
             if x0 in cosets or partner in cosets:
                 if not (x0 in cosets and partner in cosets):
                     raise UnsupportedLevel("tail cosets split across triangles")
-                identity_tri = tri
-                continue
-            others.append(tri)
-        if identity_tri is None:
+            else:
+                others.append(tri)
+        if len(others) == len(self.triangles):
             raise UnsupportedLevel("no folded identity triangle at this level")
 
-        tail = self._tail_data(identity_tri, x0, partner)
+        tail = self._tail_data(x0, partner)
 
         # Dual graph: non-identity triangles joined along shared S-edges. Every
         # edge class borders two triangle slots, except the one pendant edge
@@ -384,16 +386,9 @@ class ManinSystem:
             raise CertificationError("elimination program misses an edge")
         return SolvedPresentation(free_edges=free, steps=steps, tail=tail)
 
-    def _tail_data(self, tri: Triangle, x0: int, partner: int) -> IdentityTail:
-        # rebuild the triangle from base x0 so slot 0 carries the identity twist
-        del tri
-        g = self.lifts[x0]
-        slots = []
-        for k in range(3):
-            gk = g if k == 0 else mat_mul(g, U_MAT if k == 1 else mat_mul(U_MAT, U_MAT))
-            y, gamma = self.transport(gk)
-            slots.append(TriangleSlot(y, gamma))
-        s0, s1, s2 = slots
+    def _tail_data(self, x0: int, partner: int) -> IdentityTail:
+        # the identity triangle from base x0, so slot 0 carries the identity twist
+        s0, s1, s2 = self._triangle_slots(x0)
         if s0.coset != x0 or s0.gamma != IDENTITY:
             raise CertificationError("identity triangle does not start at (0:1)")
         if s2.coset != partner or s1.coset in (x0, partner):

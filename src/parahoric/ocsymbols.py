@@ -7,14 +7,17 @@ improves the filtration: its composite matrices satisfy v_p(E[j][i]) >= i,
 which is checked on every matrix built here.
 
 One engine serves a single weight and a disc in weight space: values lie in
-R_T = (Z/p^K)[w]/(w^T), and a single weight is the case T = 1. A value is
-stored as its T w-coefficient planes laid end to end (T * mlen residues, the
-w^t part of moment i at index t * mlen + i), and a moment matrix over R_T as
-the block lower-triangular Toeplitz integer matrix whose (t, u) block is the
-w^(t-u) layer of that matrix. Multiplying by w^s moves a plane s places down
-and w^T falls off the end, so an R_T matrix-vector product is an integer one:
-table builds, U_p and relation checks are the same integer code for every T,
-and only MomentCache knows the ring.
+R_T = (Z/p^K)[w]/(w^T), and a single weight is the case T = 1. Everything
+over R_T is kept as w-coefficient planes, the w^t layer as plain ints. A
+matrix over R_T is its T planes of int rows: family_moment_matrix returns a
+moment matrix so, at every T, and the U_p model matrix goes to the power
+traces so. A value is stored as its T planes laid end to end (T * mlen
+residues, the w^t part of moment i at index t * mlen + i), and a moment
+matrix acts on it as the block lower-triangular Toeplitz integer matrix
+whose (t, u) block is plane t - u. Multiplying by w^s moves a plane s places
+down and w^T falls off the end, so an R_T matrix-vector product is an
+integer one: table builds, U_p and relation checks are the same integer code
+for every T, and only MomentCache knows the ring.
 
 The U_p model matrix has one unit column per free coordinate, and all of them
 go through a single table build and a single U_p apply as column bundles
@@ -51,7 +54,6 @@ from .manin import ManinSystem, Mat2, SolvedPresentation, is_prime
 from .distributions import (
     family_moment_matrix,
     integer_moment_matrix,
-    moment_matrix_mod,
     solve_error_profile,
     tail_solve_matrix,
 )
@@ -500,8 +502,8 @@ class MomentCache:
     """Moment matrices over R_T = (Z/p^K)[w]/(w^T) for one model, built once per run.
 
     gamma(m) is the integer matrix of m on the plane layout (module
-    docstring): block (t, u) holds the w^(t-u) layer of family_moment_matrix
-    for t >= u and is zero above the diagonal, so at T = 1 it is the weight-k
+    docstring): block (t, u) holds plane t - u of family_moment_matrix for
+    t >= u and is zero above the diagonal, so at T = 1 it is the weight-k
     moment matrix mod p^K. The ring product is then an integer product on
     the planes, so no code outside this class does ring arithmetic. A row of
     plane t stops after block t: the blocks above the diagonal are left out,
@@ -514,9 +516,7 @@ class MomentCache:
     checked there. up_columns(m, bun) is the same matrix after the same
     checks, packed by columns for the one-table U_p apply (ColumnBundles).
     solve is the p^D-scaled tail-solve matrix mod p^K, applied to each
-    plane alike. At T = 1 the matrices come from moment_matrix_mod
-    directly, which makes the monoid and filtration checks that
-    family_moment_matrix would.
+    plane alike. Every matrix, at every T, comes from family_moment_matrix.
     """
 
     def __init__(self, ctx: OCContext, K: int, T: int = 1):
@@ -536,12 +536,10 @@ class MomentCache:
         return self._gm[m]
 
     def _planes(self, m: Mat2) -> list[list[int]]:
-        ctx, T, mlen = self.ctx, self.T, self.ctx.mlen
-        if T == 1:
-            return moment_matrix_mod(m, ctx.k, mlen, ctx.p, self.mod)
-        E = family_moment_matrix(m, ctx.k, mlen, T, ctx.p, self.K)
-        return [[E[j][i][t - u] for u in range(t + 1) for i in range(mlen)]
-                for t in range(T) for j in range(mlen)]
+        ctx = self.ctx
+        E = family_moment_matrix(m, ctx.k, ctx.mlen, self.T, ctx.p, self.K)
+        return [[x for u in range(t + 1) for x in E[t - u][j]]
+                for t in range(self.T) for j in range(ctx.mlen)]
 
     def _checked_up(self, m: Mat2) -> list[list[int]]:
         _check_up_monoid(m, self.ctx.p)
@@ -903,6 +901,27 @@ def _tuned_initial_tables(
     return base
 
 
+def _lift_setup(
+    space: ClassicalSpace, sym: Eigensymbol, M: int
+) -> tuple[OCContext, MomentCache, int, int]:
+    """(ctx, cache, mod, alpha^-1 mod mod) for lifting sym to M moments. The
+    tables live mod p^Kint, Kint = M + 2D + 4, which sym must carry with two
+    digits to spare."""
+    ctx = _context(space.ms, space.plan(up_deltas(sym.p)), sym.k, M)
+    Kint = M + 2 * ctx.D + 4
+    if sym.B < Kint + 2:
+        raise ValueError(f"eigensymbol precision B={sym.B} too small for M={M}")
+    mod = sym.p**Kint
+    return ctx, MomentCache(ctx, Kint), mod, pow(sym.alpha, -1, mod)
+
+
+def _lift_step(
+    ctx: OCContext, cache: MomentCache, tables: Sequence[Sequence[int]], mod: int, ainv: int
+) -> list[list[int]]:
+    """One lift iterate: Phi <- alpha^-1 (Phi | U_p)."""
+    return [[c * ainv % mod for c in row] for row in up_apply_mod(ctx, cache, tables, mod)]
+
+
 def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
     """Lift a slope-0 eigensymbol to an overconvergent U_p eigensymbol.
 
@@ -919,15 +938,9 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
         )
     if v_alpha != 0:
         raise ValueError("only the slope-0 iteration is implemented")
-    ctx = _context(space.ms, space.plan(up_deltas(p)), k, M)
+    ctx, cache, mod, ainv = _lift_setup(space, sym, M)
     D = ctx.D
-    Kint = M + 2 * D + 4
-    if sym.B < Kint + 2:
-        raise ValueError(f"eigensymbol precision B={sym.B} too small for M={M}")
-    mod = p**Kint
     sD = p**D
-    cache = MomentCache(ctx, Kint)
-    ainv = pow(sym.alpha, -1, mod)
 
     higher = {e: [0] * (M - k - 1) for e in ctx.sp.free_edges}
     tables = _tuned_initial_tables(ctx, cache, sym, mod, higher, 0)
@@ -936,8 +949,7 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
     converged = False
     cap = 4 * M
     while iterations < cap:
-        nxt = up_apply_mod(ctx, cache, tables, mod)
-        nxt = [[c * ainv % mod for c in row] for row in nxt]
+        nxt = _lift_step(ctx, cache, tables, mod, ainv)
         iterations += 1
         ok = True
         for x in range(ctx.ms.index):
@@ -1007,15 +1019,12 @@ def random_initial_lift_pair(
     """Iterate two random-tail initial lifts of the same eigensymbol; returns
     (agree, worst graded valuation of the difference). Uniqueness of the
     slope-0 eigenlift makes agreement at the filtration moduli the oracle.
+    sym needs the precision that lift_symbol asks for.
     """
     import random
 
     p, k = sym.p, sym.k
-    ctx = _context(space.ms, space.plan(up_deltas(p)), k, M)
-    Kint = M + 2 * ctx.D + 4
-    mod = p**Kint
-    cache = MomentCache(ctx, Kint)
-    ainv = pow(sym.alpha, -1, mod)
+    ctx, cache, mod, ainv = _lift_setup(space, sym, M)
     rng = random.Random(seed)
     outs = []
     for _ in range(2):
@@ -1024,8 +1033,7 @@ def random_initial_lift_pair(
         }
         tables = _tuned_initial_tables(ctx, cache, sym, mod, higher, rng.randrange(mod))
         for _ in range(4 * M):
-            tables = up_apply_mod(ctx, cache, tables, mod)
-            tables = [[c * ainv % mod for c in row] for row in tables]
+            tables = _lift_step(ctx, cache, tables, mod, ainv)
         outs.append(tables)
     a, b = outs
     S = max(ctx.loss_profile[:M])
@@ -1129,10 +1137,9 @@ class UpSpectralData:
         return _csv_rows(((str(c.index), c) for c in self.coefficients), self.polygon)
 
 
-def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[tuple[int, ...]]]:
-    """p^D-scaled matrix of U_p in the free-moment coordinates over R_T.
-
-    Cells are T-tuples of w-coefficients read off the planes. All n unit
+def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[list[int]]]:
+    """p^D-scaled matrix of U_p in the free-moment coordinates over R_T, as
+    T w-coefficient planes: plane t is the n x n w^t layer. All n unit
     columns go through one table build and one U_p apply as column bundles
     (ColumnBundles): column r * mlen + i is moment i of free edge r, and the
     last column is the tail top moment. Only the U_p rows of the free edges
@@ -1151,7 +1158,7 @@ def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[t
           for r, e in enumerate(free)}
     sink: list = []
     read = {y for x in rows for y, _, _ in ctx.up_plan[x]}
-    # no name keeps the tables, so they are freed before the cells are built
+    # no name keeps the tables, so they are freed before the planes are read
     img = up_apply_mod(
         ctx, cache, build_tables_mod(ctx, cache, fv, bun.unit(n - 1), mod, defect_out=sink,
                                      cols=n, read=read),
@@ -1159,7 +1166,7 @@ def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[t
     )
     # (row of the U_p image, moment): the free moments, then the tail top moment
     coords = [(r, i) for r in range(len(free)) for i in range(mlen)] + [(len(free), mlen - 1)]
-    return [list(zip(*(bun.slots(img[r][t * mlen + i]) for t in range(T)))) for r, i in coords]
+    return [[bun.slots(img[r][t * mlen + i]) for r, i in coords] for t in range(T)]
 
 
 def _newton_losses(xdeg: int, p: int) -> list[int]:
@@ -1209,11 +1216,11 @@ def _check_positive(**sizes: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _column_valuations(U: list[list[tuple[int, ...]]], p: int, cap: int) -> list[int]:
-    """Valuation of each column of U over R_T, from one gcd per column; cap
-    for a column that is zero mod p^cap."""
-    return [min(cap, valuation(math.gcd(*(c for row in U for c in row[l])), p))
-            for l in range(len(U))]
+def _column_valuations(U: list[list[list[int]]], p: int, cap: int) -> list[int]:
+    """Valuation of each column of the planes U over R_T, from one gcd per
+    column; cap for a column that is zero mod p^cap."""
+    return [min(cap, valuation(math.gcd(*(row[l] for plane in U for row in plane)), p))
+            for l in range(len(U[0]))]
 
 
 def _trace_digits(p: int, D: int, E: int, Kbig: int, kappas: list[int]) -> tuple[list[int], int]:
@@ -1230,12 +1237,12 @@ def _trace_digits(p: int, D: int, E: int, Kbig: int, kappas: list[int]) -> tuple
 
 
 def _read_series(
-    U: list[list[tuple[int, ...]]], p: int, D: int, E: int, Kbig: int, kappas: list[int],
+    U: list[list[list[int]]], p: int, D: int, E: int, Kbig: int, kappas: list[int],
     K: int | None = None,
 ) -> tuple[list[list[CoefficientReading]], NewtonPolygon]:
     """Readings [r][t] of coefficients 0 .. len(kappas) of det(1 - X U/p^D)
-    over R_T, and the Newton polygon of the w^0 layer, from the p^D-scaled
-    model matrix U mod p^K (K = Kbig when not given).
+    over R_T, and the Newton polygon of the w^0 layer, from the planes of
+    the p^D-scaled model matrix U mod p^K (K = Kbig when not given).
 
     kappas[r - 1] is the model-truncation precision of coefficient r, and
     Kbig - nloss_r - rD its representative precision; both are known before
@@ -1247,19 +1254,20 @@ def _read_series(
     keep this at least prec_r for every r; it never exceeds Kbig - E.
     A build mod p^K agrees with the Kbig build mod p^(K - D), so U/p^E mod
     p^Kt is the Kbig one when K >= Kt + E + D; below that, and below Kbig,
-    this raises CertificationError. U is overwritten with U1, row by row, so
-    no second copy is held. U may be the model matrix without its settled
+    this raises CertificationError. Each plane of U is overwritten with that
+    of U1, row by row, so no second copy is held. U may be the model matrix without its settled
     columns (_settled_columns); kappas and E are those of the full matrix.
     """
-    T = len(U[0][0])
+    T = len(U)
     precs, Kt = _trace_digits(p, D, E, Kbig, kappas)
     if K is not None and K < min(Kbig, Kt + E + D):
         raise CertificationError("model modulus below the digits the traces read")
     mod, pE = p**Kt, p**E
-    for i, row in enumerate(U):
-        if any(c % pE for cell in row for c in cell):
-            raise CertificationError("scaled model matrix lost p^E")
-        U[i] = [tuple(c // pE % mod for c in cell) for cell in row]
+    for plane in U:
+        for i, row in enumerate(plane):
+            if any(c % pE for c in row):
+                raise CertificationError("scaled model matrix lost p^E")
+            plane[i] = [c // pE % mod for c in row]
     elem = _elementary_from_traces(power_traces_mod(U, len(kappas), mod), p, mod)
 
     readings = [[CoefficientReading(0, 0, Kbig, True, 1)]
@@ -1358,7 +1366,8 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
     settled = set(_settled_columns(vals, D, trunc, kappas))
     if settled:
         kept = [l for l in range(n) if l not in settled]
-        U = [[row[l] for l in kept] for i, row in enumerate(U) if i not in settled]
+        U = [[[row[l] for l in kept] for i, row in enumerate(plane) if i not in settled]
+             for plane in U]
     readings, polygon = _read_series(U, p, D, E, Kbig, kappas, K)
     return xdeg, n, floors, trunc, readings, polygon
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import frac_mod
-
 INF = math.inf          # height of a zero coefficient in a Newton polygon
 VAL_INF = 10**9         # valuation(0): an int, so residue arithmetic stays in ints
 
@@ -182,25 +180,22 @@ def newton_polygon_of_poly(coeffs: Sequence, p: int) -> NewtonPolygon:
     return NewtonPolygon(pts)
 
 
-def hensel_lift_root(coeffs: Sequence, p: int, r0: int, prec: int | None = None) -> int:
+def hensel_lift_root(coeffs: Sequence[int], p: int, r0: int, prec: int) -> int:
     """Lift a simple root mod p to a root mod p^prec by Newton iteration.
 
-    coeffs are exact integers/rationals (ascending). Requires f(r0) = 0 and
-    f'(r0) != 0 mod p.
+    coeffs are integers (ascending). Requires f(r0) = 0 and f'(r0) != 0 mod p.
     """
-    m = default_precision() if prec is None else prec
-    cs = [Fraction(c) for c in coeffs]
 
     def f(x: int, mod: int) -> int:
         tot = 0
-        for c in reversed(cs):
-            tot = (tot * x + frac_mod(c, mod)) % mod
+        for c in reversed(coeffs):
+            tot = (tot * x + c) % mod
         return tot
 
     def fprime(x: int, mod: int) -> int:
         tot = 0
-        for i in range(len(cs) - 1, 0, -1):
-            tot = (tot * x + i * frac_mod(cs[i], mod)) % mod
+        for i in range(len(coeffs) - 1, 0, -1):
+            tot = (tot * x + i * coeffs[i]) % mod
         return tot
 
     if f(r0, p) % p != 0:
@@ -209,11 +204,11 @@ def hensel_lift_root(coeffs: Sequence, p: int, r0: int, prec: int | None = None)
         raise ValueError("root is not simple mod p; Hensel lifting does not apply")
     r = r0 % p
     k = 1
-    while k < m:
-        k = min(2 * k, m)
+    while k < prec:
+        k = min(2 * k, prec)
         mod = p ** k
         r = (r - f(r, mod) * pow(fprime(r, mod), -1, mod)) % mod
-    if f(r, p ** m):
+    if f(r, p**prec):
         raise CertificationError("Hensel iterate is not a root mod p^prec")
-    return r % p ** m
+    return r % p**prec
 

@@ -47,7 +47,7 @@ def elementary_from_traces(traces, xdeg, p, mod):
 def read_series(U, p, D, Kbig, kappas):
     """Readings [r][t] and the w^0 polygon from the p^D-scaled matrix U mod
     p^Kbig, where kappas[r - 1] is the truncation precision of coefficient r."""
-    T = len(U[0][0])
+    T = len(U)
     xdeg = len(kappas)
     mod = p**Kbig
     traces = power_traces_mod(U, xdeg, mod)
@@ -93,7 +93,7 @@ def certified_series(N, p, k, M, T, xdeg, pad):
     U = up_model_matrix(ctx, MomentCache(ctx, Kbig, T), mod)
     floors = []
     for l in range(n):
-        v = min([Kbig] + [valuation(c, p) for row in U for c in row[l]])
+        v = min([Kbig] + [valuation(row[l], p) for plane in U for row in plane])
         floors.append(min(v - D, mlen - S))
     floors.sort()
     kappas = [(mlen - S) + sum(floors[: r - 1]) for r in range(1, xdeg + 1)]
@@ -102,7 +102,7 @@ def certified_series(N, p, k, M, T, xdeg, pad):
 
 
 def scaled_matrix(seed, n, T, p, D, K, low_column=None):
-    """An n x n matrix over R_T = (Z/p^K)[w]/(w^T), cells as T-tuples, whose
+    """An n x n matrix over R_T = (Z/p^K)[w]/(w^T), as T planes, whose
     characteristic polynomial has e_r divisible by p^(rD).
 
     It is A = p^D * (random) conjugated by diag(1, .., p, .., 1) at
@@ -119,4 +119,4 @@ def scaled_matrix(seed, n, T, p, D, K, low_column=None):
             if i != low_column:
                 A[i][low_column] = [c // p for c in A[i][low_column]]
                 A[low_column][i] = [c * p for c in A[low_column][i]]
-    return [[tuple(c % p**K for c in cell) for cell in row] for row in A]
+    return [[[row[j][t] % p**K for j in range(n)] for row in A] for t in range(T)]

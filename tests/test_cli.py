@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -132,6 +134,18 @@ def test_lift_critical_choice_rejected(capsys):
     payload = json.loads(out)
     assert payload["converged"] is False
     assert "noncritical" in payload["error"]
+
+
+def test_lift_failure_csv_parses_as_field_value_rows(capsys):
+    """A failed lift prints CSV when CSV is asked for, as a converged one does."""
+    code, out, _ = run(
+        capsys, "lift", "--N", "11", "--p", "3", "--k", "0", "--M", "4",
+        "--eigenvalue-choice", "slope:1", "--format", "csv",
+    )
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[:2] == [["field", "value"], ["converged", "False"]]
+    assert len(rows) == 3 and rows[2][0] == "error" and "noncritical" in rows[2][1]
 
 
 def test_lift_env_precision(capsys, monkeypatch):

@@ -163,7 +163,7 @@ def test_family_matrix_center_layer_is_classical():
     mod = p**K
     for j in range(mlen):
         for i in range(mlen):
-            assert fam[j][i][0] == (int(cls[j][i]) % mod)
+            assert fam[0][j][i] == (int(cls[j][i]) % mod)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -180,7 +180,7 @@ def test_family_matrix_at_one_layer_is_the_weight_matrix(p):
         ref = moment_matrix_mod(gamma, k0, mlen, p, p**K)
         for j in range(mlen):
             for i in range(mlen):
-                assert fam[j][i] == (ref[j][i],)
+                assert fam[0][j][i] == ref[j][i]
 
 
 def test_family_matrix_rejects_bad_input():
@@ -200,7 +200,7 @@ def test_family_matrix_w_layer_scales_like_log():
     mod = p**K
     # gamma diagonal: row j col j carries d^j; w-layer multiplies by kappa
     for j in range(mlen):
-        assert fam[j][j][1] == fam[j][j][0] * kappa % mod
+        assert fam[1][j][j] == fam[0][j][j] * kappa % mod
 
 
 def _outcome(build):

@@ -72,11 +72,18 @@ def ring_matrices(draw):
 def test_power_traces_match_schoolbook_powers(data, count):
     cells, T, mod = data
     want = schoolbook_traces(cells, count, T, mod)
-    if T == 1:
-        got = power_traces_mod([[c[0] for c in row] for row in cells], count, mod)
-        assert got == [t[0] for t in want]
-    else:
-        assert power_traces_mod(cells, count, mod) == want
+    planes = [[[c[t] for c in row] for row in cells] for t in range(T)]
+    assert power_traces_mod(planes, count, mod) == want
+
+
+@given(ring_matrices(), st.integers(1, 17), st.integers(-3, 3))
+def test_power_traces_reduce_their_input(data, count, shift):
+    """Planes with entries outside [0, mod), as an unreduced caller passes
+    them, give the traces of their residues: no slot overflows."""
+    cells, T, mod = data
+    planes = [[[c[t] for c in row] for row in cells] for t in range(T)]
+    far = [[[c + shift * mod**2 for c in row] for row in plane] for plane in planes]
+    assert power_traces_mod(far, count, mod) == power_traces_mod(planes, count, mod)
 
 
 def test_power_schedule_reads_every_trace_with_few_products():

@@ -281,7 +281,7 @@ def _context(p, k):
 )
 def test_cache_block_matrix_is_the_ring_action(p, k, T, K, a, b, c, d, rng):
     """The cache's integer block matrix on the plane layout equals the
-    schoolbook product over (Z/p^K)[w]/(w^T) of family_moment_matrix cells."""
+    schoolbook product over (Z/p^K)[w]/(w^T) of family_moment_matrix planes."""
     a = a * p + 1
     c *= p
     if a * d == b * c:
@@ -289,15 +289,15 @@ def test_cache_block_matrix_is_the_ring_action(p, k, T, K, a, b, c, d, rng):
     gamma = (a, b, c, d)
     ctx = _context(p, k)
     mlen, mod = ctx.mlen, p**K
-    cells = family_moment_matrix(gamma, k, mlen, T, p, K)
+    fam = family_moment_matrix(gamma, k, mlen, T, p, K)
     vec = [[rng.randrange(mod) for _ in range(T)] for _ in range(mlen)]   # [i][t]
     ring = []
-    for row in cells:
+    for j in range(mlen):
         acc = [0] * T
-        for cell, x in zip(row, vec):
+        for i, x in enumerate(vec):
             for s in range(T):
                 for t in range(T - s):
-                    acc[s + t] += cell[s] * x[t]
+                    acc[s + t] += fam[s][j][i] * x[t]
         ring.append([v % mod for v in acc])
     planes = [vec[i][t] for t in range(T) for i in range(mlen)]
     block = MomentCache(ctx, K, T).gamma(gamma)
@@ -378,11 +378,11 @@ def corrupt_trace(orig):
 
 print("debug", __debug__)
 clean = ref.scaled_matrix(7, n, T, p, D, Kbig)
-diagonal = [list(row) for row in clean]
-diagonal[0][0] = (p ** (D - 1),) + clean[0][0][1:]
-pair = [list(row) for row in clean]
-pair[0][1] = (p ** (D - 1),) + clean[0][1][1:]
-pair[1][0] = (p ** (D - 1),) + clean[1][0][1:]
+diagonal = [[list(row) for row in plane] for plane in clean]
+diagonal[0][0][0] = p ** (D - 1)
+pair = [[list(row) for row in plane] for plane in clean]
+pair[0][0][1] = p ** (D - 1)
+pair[0][1][0] = p ** (D - 1)
 for name, U in (("clean", clean), ("diagonal", diagonal), ("pair", pair)):
     print(name, first_failure(reference, U), "|", first_failure(engine, U))
 ocsymbols.power_traces_mod = corrupt_trace(ocsymbols.power_traces_mod)
@@ -431,8 +431,8 @@ def _model_matrix_per_column(ctx, cache, mod):
             fv[free[r0]][i0] = 1
         tables = build_tables_mod(ctx, cache, fv, int(r0 == len(free)), mod, defect_out=sink)
         img = up_apply_mod(ctx, cache, tables, mod, cosets=cosets)
-        cols.append([tuple(img[r][t * mlen + i] for t in range(T)) for r, i in coords])
-    return [list(row) for row in zip(*cols)]
+        cols.append([[img[r][t * mlen + i] for r, i in coords] for t in range(T)])
+    return [[list(row) for row in zip(*(col[t] for col in cols))] for t in range(T)]
 
 
 @pytest.mark.parametrize("N, p, k, T", [
@@ -445,7 +445,9 @@ def test_model_matrix_bundles_match_per_column_builds(N, p, k, T):
     K = ctx.mlen + 4 * (ctx.D + 1) + 16
     cache = MomentCache(ctx, K, T)
     got = up_model_matrix(ctx, cache, p**K)
-    assert len(got) == ctx.n_model and all(len(row) == ctx.n_model for row in got)
+    assert len(got) == T and all(len(plane) == ctx.n_model
+                                 and all(len(row) == ctx.n_model for row in plane)
+                                 for plane in got)
     assert got == _model_matrix_per_column(ctx, cache, p**K)
 
 
@@ -464,8 +466,8 @@ def test_model_matrix_mod_K_matches_the_Kbig_build(N, p, k, T):
     for K in sorted({ctx.mlen, ctx.mlen - ctx.S_sol + 2 * D, ctx.mlen + 2 * D + 3}):
         got = up_model_matrix(ctx, MomentCache(ctx, K, T), p**K)
         low = p ** (K - D)
-        assert [[tuple(c % low for c in cell) for cell in row] for row in got] \
-            == [[tuple(c % low for c in cell) for cell in row] for row in ref]
+        assert [[[c % low for c in row] for row in plane] for plane in got] \
+            == [[[c % low for c in row] for row in plane] for plane in ref]
 
 
 @pytest.mark.parametrize("N, p, k, skipped, twisted", [(11, 3, 0, 9, 24), (11, 5, 2, 7, 36)])
@@ -595,7 +597,7 @@ need = _trace_digits(p, D, E, Kbig, kappas)[1] + E + D
 print("debug", __debug__, need < Kbig)
 want = _read_series([list(row) for row in U], p, D, E, Kbig, kappas)
 for K in (need - 1, need):
-    UK = [[tuple(c % p**K for c in cell) for cell in row] for row in U]
+    UK = [[[c % p**K for c in row] for row in plane] for plane in U]
     try:
         got = _read_series(UK, p, D, E, Kbig, kappas, K)
     except CertificationError as exc:

@@ -1,5 +1,6 @@
 """Repository-wide checks: invariants raise instead of asserting, no memo
-outlives a run, BGG output depends on no seed, and the example scripts run."""
+outlives a run, BGG output depends on no seed, the environment is read only
+at the CLI boundary, and the example scripts run."""
 import ast
 import os
 import subprocess
@@ -87,6 +88,38 @@ def test_no_unused_import_in_src():
                           for alias in node.names
                           if (alias.asname or alias.name).split(".")[0] not in used]
     assert found == []
+
+
+def _scoped_nodes(tree: ast.AST):
+    """(name of the innermost enclosing function, or "", node) for every node."""
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def test_environment_is_read_at_the_cli_boundary():
+    """Only cli.py calls default_precision, and only padics.default_precision
+    reads the environment, so no library routine depends on
+    PARAHORIC_PRECISION."""
+    callers, readers = set(), set()
+    for path in sorted((ROOT / "src" / "parahoric").glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "default_precision":
+                    callers.add(path.name)
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                readers.add(f"{path.stem}.{scope}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers.add(f"{path.stem}: from os import")
+    assert callers == {"cli.py"}
+    assert readers == {"padics.default_precision"}
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
