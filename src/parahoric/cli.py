@@ -140,10 +140,8 @@ def cmd_bgg_check(args) -> int:
     n = datum.rank
     if args.k is not None:
         lam = (args.k,) + (0,) * (n - 1)
-    elif args.weight is not None:
-        lam = _parse_weight(args.weight, n)
     else:
-        raise ValueError("need --k or --weight")
+        lam = _parse_weight(args.weight, n)
     report = bgg_kernel(n, args.i, lam, args.d)
     payload = report.as_dict()
     payload["precision"] = "exact"
@@ -252,8 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bgg-check", help="theta-kernel vs parabolic-model truncation")
     sp.add_argument("--group", default="GL2")
     sp.add_argument("--i", type=int, default=0, help="simple-root index of the theta operator")
-    sp.add_argument("--k", type=int, default=None, help="GL(n) shorthand for weight (k,0,...,0)")
-    sp.add_argument("--weight", default=None)
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--k", type=int, help="GL(n) shorthand for weight (k,0,...,0)")
+    which.add_argument("--weight", help="dominant weight, e.g. 2,1,0 or k1=5,k2=2")
     sp.add_argument("--d", type=int, required=True, help="polynomial degree cap")
     add_format(sp, "table")
     sp.set_defaults(func=cmd_bgg_check)

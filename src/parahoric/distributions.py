@@ -246,9 +246,9 @@ def family_moment_matrix(
     L = [kappa % mw]
     for s in range(1, mlen):
         L.append(frac_mod(Fraction((-1) ** (s + 1), s) * u**s, mw))
-    # G_t = L^t / t!, dividing out p-powers exactly as they appear
-    Gs: list[list[int]] = [[1] + [0] * (mlen - 1)]
-    cur = Gs[0]
+    # G_t = L^t / t! for t >= 1, dividing out p-powers exactly as they appear
+    cur = [1] + [0] * (mlen - 1)
+    Gs: list[list[int]] = []
     lost = 0
     for t in range(1, T):
         nxt = _zconv(cur, L, mlen, mw)
@@ -268,4 +268,6 @@ def family_moment_matrix(
         Gs.append(cur)
     mK = p**K
     P = moment_matrix_mod(gamma, k0, mlen, p, mw)
-    return [[_zconv(Pj, Gt, mlen, mK) for Pj in P] for Gt in Gs]
+    # G_0 = 1, so plane 0 is the weight-k0 matrix itself
+    return [[[x % mK for x in Pj] for Pj in P]] + [
+        [_zconv(Pj, Gt, mlen, mK) for Pj in P] for Gt in Gs]

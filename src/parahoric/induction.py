@@ -4,14 +4,21 @@ Algebraic inductions are modelled through their restriction to the upper
 unitriangular subgroup N: a weight-lambda induction from a parabolic Q sits
 inside polynomials in the coordinates z_{ij} (i < j), and membership is
 detected through the Levi factorization g = l(y) n(c).
+
+The field l(X_{alpha_i}) has the closed form
+-d/dz_{i,i+1} - sum_{b > i+1} z_{i+1,b} d/dz_{i,b}, and one derivation,
+with integer coefficients, serves theta_apply on polynomials and the sparse
+matrix of theta_matrix and bgg_kernel alike. The Q-model of
+parahoric_truncation_basis is returned as primitive integer kernel rows, the
+form bgg_kernel and theta_preserves_parahoric compare directly.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .padics import CertificationError
@@ -55,55 +62,54 @@ class NCoordinates:
             m[pos[0]][pos[1]] = val
         return m
 
-    def generic_matrix(self, ring: Sequence[str] | None = None) -> list[list[Poly]]:
-        ring = self.variables if ring is None else ring
-        return self.unitriangular(
-            ring, {p: Poly.var(ring, var_name(p)) for p in self.positions}
-        )
-
     def monomial_basis(self, d: int) -> list[tuple[int, ...]]:
         return monomials_up_to_degree(len(self.positions), d)
 
 
-def left_translation_field(n: int) -> dict[int, list[tuple[Position, Poly]]]:
-    """Derivations l(X_{alpha_i}) f = d/dt f(exp(-t X_{alpha_i}) z) at t = 0.
+def _derivation(n: int, i: int) -> Callable[[Monomial], dict[Monomial, int]]:
+    """D = l(X_{alpha_i}), f -> d/dt f(exp(-t X_{alpha_i}) z) at t = 0.
 
-    Derived from the symbolic product (I - t E_{i,i+1}) Z; returns, per simple
-    index i, the list of (position, coefficient) pairs of the vector field.
+    (I - t E_{i,i+1}) Z moves only row i, by -t times row i+1 of Z, so
+    D = -d/dz_{i,i+1} - sum_{b > i+1} z_{i+1,b} d/dz_{i,b}. Returns the map
+    sending an exponent tuple m to the images of z^m under D: each term
+    lowers the exponent at (i, b), raises the one at (i+1, b) if b > i+1,
+    and has the integer coefficient -m_{i,b}.
     """
-    nc = NCoordinates(n)
-    ring = nc.variables + ("t",)
-    t = Poly.var(ring, "t")
-    z = nc.generic_matrix(ring)
-    out: dict[int, list[tuple[Position, Poly]]] = {}
-    for i in range(n - 1):
-        # M = (I - t E_{i,i+1}) Z; row i is the only one that moves
-        coeffs: list[tuple[Position, Poly]] = []
-        for b in range(i + 1, n):
-            deriv = -t * z[i + 1][b]
-            # d/dt at 0: extract the linear-in-t part as a z-polynomial
-            lin: dict = {}
-            for mono, c in deriv.coeffs.items():
-                if mono[-1] == 1:
-                    lin[mono[:-1]] = c
-                elif mono[-1] > 1:
-                    continue
-            pol = Poly(nc.variables, lin)
-            if not pol.is_zero():
-                coeffs.append(((i, b), pol))
-        out[i] = coeffs
-    return out
+    if not 0 <= i <= n - 2:
+        raise ValueError(f"simple-root index i must lie in [0, {n - 2}], got {i}")
+    where = {p: a for a, p in enumerate(positions(n))}
+    terms = [(where[(i, b)], where.get((i + 1, b))) for b in range(i + 1, n)]
+
+    def images(m: Monomial) -> dict[Monomial, int]:
+        out = {}
+        for a, c in terms:
+            if m[a]:
+                v = list(m)
+                v[a] -= 1
+                if c is not None:
+                    v[c] += 1
+                out[tuple(v)] = -m[a]
+        return out
+
+    return images
 
 
-def _derive(field: list[tuple[Position, Poly]], f: Poly) -> Poly:
-    out = Poly.zero(f.vars)
-    for pos, coeff in field:
-        out = out + coeff * f.diff(var_name(pos))
-    return out
+def _field_power(n: int, i: int, e: int, f: Poly) -> Poly:
+    """l(X_{alpha_i})^e f, for f in the coordinates z_ij of GL(n)."""
+    if f.vars != NCoordinates(n).variables:
+        raise ValueError(f"polynomial is not in the GL({n}) coordinates z_ij")
+    images = _derivation(n, i)
+    for _ in range(e):
+        out: dict = {}
+        for m, c in f.coeffs.items():
+            for mm, x in images(m).items():
+                out[mm] = out.get(mm, 0) + c * x
+        f = Poly(f.vars, out)
+    return f
 
 
 def apply_field(n: int, i: int, f: Poly) -> Poly:
-    return _derive(left_translation_field(n)[i], f)
+    return _field_power(n, i, 1, f)
 
 
 def theta_exponent(lam: Sequence[int], i: int) -> int:
@@ -114,51 +120,36 @@ def theta_exponent(lam: Sequence[int], i: int) -> int:
     return e
 
 
-def _theta(field: list[tuple[Position, Poly]], e: int, f: Poly) -> Poly:
-    for _ in range(e):
-        f = _derive(field, f)
-    return f
-
-
 def theta_apply(n: int, i: int, lam: Sequence[int], f: Poly) -> Poly:
     """Theta_{alpha_i} = l(X_{alpha_i})^{<lambda,alpha_i^vee>+1}."""
-    return _theta(left_translation_field(n)[i], theta_exponent(lam, i), f)
-
-
-def _field_degree(field: list[tuple[Position, Poly]]) -> int:
-    """Max total degree among the vector-field coefficients."""
-    return max((c.total_degree() for _, c in field), default=0)
+    return _field_power(n, i, theta_exponent(lam, i), f)
 
 
 def truncation_threshold(n: int, i: int, lam: Sequence[int]) -> int:
-    """Degree above which truncated kernels provably stabilize.
+    """Degree above which truncated kernels provably stabilize: the exponent
+    plus the degree of the field coefficients, which is 1 when the field has
+    a z_{i+1,b} term (i + 2 < n) and 0 otherwise.
 
     The operator never raises total degree here, so any cap d gives the
     truncated kernel exactly; this bound also freezes the dimension count.
     """
-    return theta_exponent(lam, i) + _field_degree(left_translation_field(n)[i])
+    return theta_exponent(lam, i) + (1 if i + 2 < n else 0)
 
 
-def _theta_rows(
-    n: int, field: list[tuple[Position, Poly]], e: int, basis: Sequence[Monomial]
-) -> list[list[int]]:
-    """Rows of D^e on basis, D the sparse integer matrix of the derivation
-    field: column j of D is field applied to the monomial basis[j]."""
+def _theta_rows(n: int, i: int, e: int, basis: Sequence[Monomial]) -> list[list[int]]:
+    """Rows of D^e on basis, D the sparse integer matrix of l(X_{alpha_i}):
+    column j of D holds the images of the monomial basis[j]."""
+    images = _derivation(n, i)
     index = {m: k for k, m in enumerate(basis)}
-    where = {p: a for a, p in enumerate(positions(n))}
-    terms = [(where[pos], list(c.coeffs.items())) for pos, c in field]
     dcols: list[dict[int, int]] = []
     for m in basis:
         col: dict[int, int] = {}
-        for a, coeffs in terms:
-            if m[a]:
-                low = m[:a] + (m[a] - 1,) + m[a + 1:]
-                for cm, c in coeffs:
-                    k = index.get(tuple(map(add, low, cm)))
-                    if k is None:
-                        raise CertificationError("the derivation leaves the degree-capped basis")
-                    col[k] = col.get(k, 0) + c * m[a]
-        dcols.append({k: c for k, c in col.items() if c})
+        for mm, c in images(m).items():
+            k = index.get(mm)
+            if k is None:
+                raise CertificationError("the derivation leaves the degree-capped basis")
+            col[k] = c
+        dcols.append(col)
     rows = [[0] * len(basis) for _ in basis]
     for j in range(len(basis)):
         vec = {j: 1}
@@ -181,8 +172,7 @@ def theta_matrix(n: int, i: int, lam: Sequence[int], d: int) -> tuple[list[list[
     basis); Theta = D^e, e = <lambda, alpha_i^vee> + 1, is then formed one
     column at a time by e sparse passes over the unit vector."""
     basis = NCoordinates(n).monomial_basis(d)
-    rows = _theta_rows(n, left_translation_field(n)[i], theta_exponent(lam, i), basis)
-    return rows, basis
+    return _theta_rows(n, i, theta_exponent(lam, i), basis), basis
 
 
 # the star action of p-power torus points
@@ -446,7 +436,7 @@ def parahoric_truncation_basis(
     levi: Iterable[int],
     lam: Sequence[int],
     d: int,
-) -> tuple[list[Poly], list[tuple[int, ...]]]:
+) -> tuple[list[list[int]], list[Monomial]]:
     """Degree-<= d part of the parabolic induction model inside A = Q[z].
 
     f belongs iff in R_n(f) = sum_m q_m(c) y^m, every c-coefficient column of
@@ -457,21 +447,18 @@ def parahoric_truncation_basis(
     The constraint rows are filled sparsely: each c-monomial lists only the
     basis columns whose restriction involves it, with their y-entries, and a
     row entry is one integer dot product with a kernel vector.
-    Returns a basis (as z-polynomials) and the z-monomial list used for
-    coordinates.
+    Returns the model as rows over the z-monomial list, the primitive
+    integer kernel vectors of linalg.nullspace, and that list.
 
-    For the Borel (empty Levi subset) there is no condition: every f works.
+    For the Borel (empty Levi subset) the module is trivial and there is no
+    condition: every f works. Then, as whenever no constraint arises, the
+    rows are the identity rows.
     """
     levi = frozenset(levi)
-    nc = NCoordinates(n)
-    basis = nc.monomial_basis(d)
-    zring = nc.variables
-    if not levi:
-        return [Poly(zring, {m: 1}) for m in basis], basis
-
+    basis = NCoordinates(n).monomial_basis(d)
     vecs, _ = levi_module_basis(n, levi, lam)
-    inside, outside = split_positions(n, levi)
-    ny, ncv = len(inside), len(outside)
+    inside, _ = split_positions(n, levi)
+    ny = len(inside)
 
     restricted = []
     y_monos: set[tuple[int, ...]] = set()
@@ -508,19 +495,8 @@ def parahoric_truncation_basis(
                 row[j] = sum(map(mul, cs, map(k.__getitem__, ts)))
             constraints.append(row)
     if not constraints:
-        kernel = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
-    else:
-        kernel = linalg.nullspace(constraints)
-    polys = [
-        Poly(zring, {m: c for m, c in zip(basis, vec) if c != 0}) for vec in kernel
-    ]
-    return polys, basis
-
-
-def space_rows(
-    polys: Sequence[Poly], basis: Sequence[tuple[int, ...]]
-) -> list[list[int | Fraction]]:
-    return [[q.coeffs.get(m, 0) for m in basis] for q in polys]
+        return [[int(i == j) for j in range(len(basis))] for i in range(len(basis))], basis
+    return linalg.nullspace(constraints), basis
 
 
 @dataclass(frozen=True)
@@ -559,23 +535,20 @@ def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: object = None) -
         raise ValueError(f"simple-root index i must lie in [0, {n - 2}], got {i}")
     if d < 0:
         raise ValueError(f"degree cap d must be >= 0, got {d}")
-    field = left_translation_field(n)[i]
-    e = theta_exponent(lam, i)
-    basis = NCoordinates(n).monomial_basis(d)
-    kernel = linalg.nullspace(_theta_rows(n, field, e, basis))
+    theta, basis = theta_matrix(n, i, lam, d)
+    kernel = linalg.nullspace(theta)
     model, basis2 = parahoric_truncation_basis(n, frozenset({i}), lam, d)
     if basis != basis2:
         raise CertificationError("theta and parabolic model use different monomial bases")
-    rows_model = space_rows(model, basis)
-    equal = linalg.same_span(kernel, rows_model)
+    equal = linalg.same_span(kernel, model)
     return BGGReport(
         group=f"GL{n}",
         simple_index=i,
         weight=tuple(int(x) for x in lam),
         degree_cap=d,
-        threshold=e + _field_degree(field),
+        threshold=truncation_threshold(n, i, lam),
         dim_kernel=len(kernel),
-        dim_parabolic_model=len(rows_model),
+        dim_parabolic_model=len(model),
         spaces_equal=equal,
     )
 
@@ -601,6 +574,6 @@ def theta_preserves_parahoric(
         raise CertificationError("source and target models use different monomial bases")
     theta, _ = theta_matrix(n, i, lam, d)
     # echelon the target once; an image lies in it iff the rank stays put
-    dst_red, pivots = linalg.rref(space_rows(dst, basis))
+    dst_red, pivots = linalg.rref(dst)
     return all(linalg.rank([*dst_red, linalg.matvec(theta, row)]) == len(pivots)
-               for row in space_rows(src, basis))
+               for row in src)

@@ -100,21 +100,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def total_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(sum(m) for m in self.coeffs)
-
-    def diff(self, name: str) -> "Poly":
-        i = list(self.vars).index(name)
-        out: Coeffs = {}
-        for m, c in self.coeffs.items():
-            if m[i] == 0:
-                continue
-            m2 = m[:i] + (m[i] - 1,) + m[i + 1:]
-            out[m2] = out.get(m2, 0) + c * m[i]
-        return Poly._from_terms(self.vars, out)
-
     def coefficient(self, m: Monomial) -> int | Fraction:
         return self.coeffs.get(tuple(m), 0)
 

@@ -122,9 +122,7 @@ def step_element(datum: RootDatum, simple_index: int, p: int) -> TorusElement:
         raise FactorizationError(
             f"no step element found for group {datum.name!r} root {simple_index}"
         )
-    den = 1
-    for c in x:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in x))
     return TorusElement(datum, tuple(int(c * den) for c in x), p)
 
 

@@ -111,6 +111,18 @@ def test_bgg_check_bad_input_is_usage_error(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--group", "GL3", "--k", "2", "--weight", "5,1,0", "--d", "3"),
+    ("--group", "GL3", "--d", "3"),
+])
+def test_bgg_check_requires_one_weight_choice(argv):
+    """--k and --weight form one required mutually exclusive group: both
+    flags, or neither, is a usage error, not a silently dropped --weight."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bgg-check", *argv])
+    assert exc.value.code == 2
+
+
 def test_lift_ordinary_example(capsys):
     code, out, _ = run(
         capsys, "lift", "--N", "11", "--p", "3", "--k", "0", "--M", "6",

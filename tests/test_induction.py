@@ -16,7 +16,6 @@ from parahoric.induction import (
     levi_module_basis,
     levi_weyl_dimension,
     parahoric_truncation_basis,
-    space_rows,
     star_action,
     theta_apply,
     theta_matrix,
@@ -138,10 +137,41 @@ def test_theta_preserves_parahoric_truncation():
     assert ok
 
 
+def test_borel_model_is_every_polynomial():
+    """The Borel puts no Levi condition on f: its model is the identity rows."""
+    rows, basis = parahoric_truncation_basis(3, (), (2, 1, 0), 3)
+    assert rows == [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+
+
 def test_truncation_threshold_formula():
     assert truncation_threshold(2, 0, (3, 0)) == 4
     # exponent 2 plus the degree-1 field coefficients of GL(3)
     assert truncation_threshold(3, 0, (2, 1, 0)) == 3
+    # at i = n - 2 the field is -d/dz_{i,i+1} alone, of degree 0
+    assert truncation_threshold(3, 1, (2, 1, 0)) == 2
+    assert truncation_threshold(4, 2, (3, 1, 1, 0)) == 2
+    for n, i, lam, d in [
+        (2, 0, (3, 0), 4), (3, 0, (2, 1, 0), 3), (3, 1, (2, 1, 0), 3),
+        (4, 1, (3, 1, 1, 0), 2), (4, 2, (3, 1, 1, 0), 2),
+    ]:
+        assert bgg_kernel(n, i, lam, d).threshold == truncation_threshold(n, i, lam)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_apply_matches_theta_matrix(n):
+    """The two public Theta entry points agree: theta_apply on a polynomial
+    is theta_matrix applied to its coefficient vector, at every simple root."""
+    nc = NCoordinates(n)
+    lam = (3, 1) + (0,) * (n - 2)  # exponents 3, 2 and 1 where they exist
+    rng = random.Random(n)
+    for i in range(n - 1):
+        mat, basis = theta_matrix(n, i, lam, 4)
+        for _ in range(5):
+            f = random_poly(nc, 4, rng)
+            got = theta_apply(n, i, lam, f)
+            assert set(got.coeffs) <= set(basis)
+            want = linalg.matvec(mat, [f.coefficient(m) for m in basis])
+            assert [got.coefficient(m) for m in basis] == want
 
 
 @pytest.mark.parametrize("n, levi, lam", [
@@ -188,8 +218,7 @@ def _exact_values(n, levi, lam, d):
     whose rows are the primitive integer kernel vectors of linalg."""
     (i,) = levi
     vecs, monos = levi_module_basis(n, levi, lam)
-    model, basis = parahoric_truncation_basis(n, levi, lam, d)
-    rows = space_rows(model, basis)
+    rows, basis = parahoric_truncation_basis(n, levi, lam, d)
     mat, tbasis = theta_matrix(n, i, lam, d)
     text = "\n".join([
         repr(vecs), repr(monos), repr(basis), repr(tbasis),
@@ -197,7 +226,7 @@ def _exact_values(n, levi, lam, d):
         repr([[str(x) for x in row] for row in mat]),
     ])
     integral = [c for v in vecs for c in v.coeffs.values()] + [x for row in mat for x in row]
-    kernel = [c for q in model for c in q.coeffs.values()]
+    kernel = [x for row in rows for x in row]
     return hashlib.sha256(text.encode()).hexdigest(), integral, kernel
 
 
@@ -306,7 +335,7 @@ MODEL_DIGESTS = [
 )
 def test_models_and_theta_matrices_are_pinned(n, levi, lam, d, digest):
     model, basis = parahoric_truncation_basis(n, levi, lam, d)
-    parts = [repr(basis), repr(space_rows(model, basis))]
+    parts = [repr(basis), repr(model)]
     for i in sorted(levi):
         mat, tbasis = theta_matrix(n, i, lam, d)
         assert tbasis == basis

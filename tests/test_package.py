@@ -90,6 +90,25 @@ def test_no_unused_import_in_src():
     assert found == []
 
 
+def test_no_unreferenced_private_function_in_src():
+    """Every private (_name) top-level function, and every private method of
+    a top-level class, is referenced in its own module, so a helper does not
+    outlive its last caller."""
+    found = []
+    for path in sorted((ROOT / "src" / "parahoric").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defs += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        found += [f"{path.name}:{node.lineno} {node.name}" for node in defs
+                  if node.name.startswith("_") and not node.name.endswith("__")
+                  and node.name not in used]
+    assert found == []
+
+
 def _scoped_nodes(tree: ast.AST):
     """(name of the innermost enclosing function, or "", node) for every node."""
     stack = [("", tree)]
