@@ -230,9 +230,8 @@ def family_moment_matrix(
     plane survives: the weight-k0 matrix itself, which needs no logarithm and
     so also serves p = 2.
     """
+    _check_monoid(gamma, p)
     a, b, c, d = gamma
-    if a % p == 0 or c % p != 0:
-        raise ValueError("matrix outside the p-adic monoid")
     if T == 1:
         return [moment_matrix_mod(gamma, k0, mlen, p, p**K)]
     if p == 2:

@@ -7,7 +7,6 @@ Gamma_0(M) twists only, so every transport stays in the Hecke monoid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -38,18 +37,6 @@ def mat_inv(m: Mat2) -> Mat2:
         raise ValueError("only determinant-one inverses supported")
     a, b, c, d = m
     return (d, -b, -c, a)
-
-
-def mobius(m: Mat2, x: Fraction | None) -> Fraction | None:
-    """Action on P^1(Q); None encodes infinity."""
-    a, b, c, d = m
-    if x is None:
-        return None if c == 0 else Fraction(a, c)
-    num = a * x + b
-    den = c * x + d
-    if den == 0:
-        return None
-    return Fraction(num, den)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -329,9 +316,11 @@ class ManinSystem:
 
         # Dual graph: non-identity triangles joined along shared S-edges. Every
         # edge class borders two triangle slots, except the one pendant edge
-        # whose partner slot sits in the identity triangle. Rooting a spanning
-        # tree at the pendant owner gives an elimination order in which each
-        # triangle solves for the edge shared with its parent.
+        # whose partner slot sits in the identity triangle. A breadth-first
+        # spanning tree rooted at the pendant owner gives the elimination
+        # program: each triangle solves for the edge shared with its parent,
+        # and in reverse BFS order it comes after its children, whose parent
+        # edges are its other tree edges.
         occ: dict[int, list[int]] = {}
         for ti, tri in enumerate(others):
             leaders = [self.leader[s.coset] for s in tri.slots]
@@ -348,39 +337,24 @@ class ManinSystem:
 
         root = occ[w_edge][0]
         parent_edge: dict[int, int] = {root: w_edge}
-        children: dict[int, list[int]] = {ti: [] for ti in range(len(others))}
-        visited = {root}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            u_edges = sorted(
-                self.leader[s.coset] for s in others[u].slots
-            )
-            for e in u_edges:
+        order = [root]
+        for u in order:  # BFS: order grows while it is read
+            for e in sorted(self.leader[s.coset] for s in others[u].slots):
                 for v in occ[e]:
-                    if v not in visited:
-                        visited.add(v)
+                    if v not in parent_edge:
                         parent_edge[v] = e
-                        children[u].append(v)
-                        queue.append(v)
-        if len(visited) < len(others):
+                        order.append(v)
+        if len(order) < len(others):
             raise UnsupportedLevel("triangle adjacency graph is disconnected")
 
-        tree_edges = {parent_edge[v] for v in visited if v != root}
+        tree_edges = {parent_edge[v] for v in order[1:]}
         free = sorted(e for e, ts in occ.items() if len(ts) == 2 and e not in tree_edges)
 
         determined: set[int] = set(free)
         steps: list[ProgramStep] = []
-        stack: list[tuple[int, bool]] = [(root, False)]
-        while stack:
-            u, expanded = stack.pop()
-            if expanded:
-                steps.append(self._solve_triangle(others[u], parent_edge[u], determined))
-                determined.add(parent_edge[u])
-            else:
-                stack.append((u, True))
-                for v in reversed(children[u]):
-                    stack.append((v, False))
+        for u in reversed(order):
+            steps.append(self._solve_triangle(others[u], parent_edge[u], determined))
+            determined.add(parent_edge[u])
 
         if determined | {tail_edge} != set(self.edges):
             raise CertificationError("elimination program misses an edge")
@@ -437,15 +411,16 @@ class ManinSystem:
     # path decomposition
 
     def path_terms(
-        self, r: Fraction | None, s: Fraction | None
+        self, r: tuple[int, int], s: tuple[int, int]
     ) -> list[tuple[int, Mat2, int]]:
         """Terms (coset, gamma_inv, sign) with {r -> s} = sum sign * gamma path(g_coset).
 
-        The value of a symbol on {r -> s} is sum sign * (v_coset | gamma_inv).
+        The cusps are integer pairs (num, den), den = 0 for infinity. The
+        value of a symbol on {r -> s} is sum sign * (v_coset | gamma_inv).
         """
         out = []
         for q, sgn in ((s, 1), (r, -1)):
-            for g in unimodular_pieces(q):
+            for g in unimodular_pieces(*q):
                 y, gamma = self.transport(g)
                 out.append((y, mat_inv(gamma), sgn))
         return out
@@ -455,28 +430,32 @@ class ManinSystem:
         equal to sum sign * (v_y | m).
 
         m = gamma^{-1} delta stays in the Sigma_0 monoid when the deltas do.
+        The path of x is {g 0 -> g oo} for g = delta g_x = (a, b, c, d), whose
+        cusps are its columns (b, d) and (a, c).
         """
         plan: list[list[tuple[int, int, Mat2]]] = []
         for x in range(self.index):
             terms: list[tuple[int, int, Mat2]] = []
             for delta in deltas:
-                g = mat_mul(delta, self.lifts[x])
-                r = mobius(g, Fraction(0))
-                s = mobius(g, None)
-                for y, ginv, sgn in self.path_terms(r, s):
+                a, b, c, d = mat_mul(delta, self.lifts[x])
+                for y, ginv, sgn in self.path_terms((b, d), (a, c)):
                     terms.append((y, sgn, mat_mul(ginv, delta)))
             plan.append(terms)
         return plan
 
 
-def unimodular_pieces(q: Fraction | None) -> list[Mat2]:
-    """Determinant-one matrices whose basic paths compose to {oo -> q}."""
-    if q is None:
+def unimodular_pieces(num: int, den: int) -> list[Mat2]:
+    """Determinant-one matrices whose basic paths compose to {oo -> num/den};
+    none for den = 0, the cusp oo.
+
+    The floor quotients of Euclid's algorithm on (num, den) are those on
+    (k num, k den) for every nonzero k, negative k included, so the pair
+    need not be reduced.
+    """
+    if den == 0:
         return []
-    q = Fraction(q)
     # continued fraction convergents, floor variant
     a = []
-    num, den = q.numerator, q.denominator
     while True:
         fl = num // den
         a.append(fl)

@@ -17,17 +17,21 @@ matrix acts on it as the block lower-triangular Toeplitz integer matrix
 whose (t, u) block is plane t - u. Multiplying by w^s moves a plane s places
 down and w^T falls off the end, so an R_T matrix-vector product is an
 integer one: table builds, U_p and relation checks are the same integer code
-for every T, and only MomentCache knows the ring.
+for every T, and only MomentCache knows the ring. A MomentCache is also the
+model handle: its ctx, K, T and modulus p^K are the model's, so the engine
+calls (table build, U_p apply, relation check, model matrix) take the cache
+and no context or modulus beside it.
 
 The U_p model matrix has one unit column per free coordinate, and all of them
 go through a single table build and a single U_p apply as column bundles
 (ColumnBundles): each coordinate of a value is one Python int that holds the
 n columns side by side in fixed-width slots, so one integer dot product per
 matrix row serves every column, and each output coordinate is reduced mod
-p^K once, every slot in a few whole-int operations. A single table, as in the lift, packs the other
-axis: each column of a U_p composite is one int holding the output moments
-in slots, so a term costs one big-int multiply-add per input moment instead
-of one small product per matrix entry, and each coset is reduced once.
+p^K once, every slot in a few whole-int operations. A single table, as in
+the lift, packs the other axis: each column of a U_p composite is one int
+holding the output moments in slots, so a term costs one big-int
+multiply-add per input moment instead of one small product per matrix
+entry, and each coset is reduced once.
 
 Classical symbols (ClassicalSpace) are exact: integer basis vectors, integer
 moment matrices, and operator matrices over Q read off free columns.
@@ -140,13 +144,15 @@ class ClassicalSpace:
         return out
 
     def operator_matrix(self, deltas: Sequence[Mat2]) -> tuple[tuple[Fraction, ...], ...]:
-        """Matrix of the double-coset operator in the stored basis.
+        """Matrix of the double-coset operator on the normalized basis
+        basis[f] / basis[f][free[f]], which is 1 at its own free column.
 
-        The image of basis vector f has coordinate img[free[g]] / basis[f][free[g]]
-        on basis vector g, and lies in the space iff it equals the combination
-        of the basis those coordinates give, checked in integers. Computed
-        once per delta tuple and kept on the space; rows are tuples, so no
-        caller can change the kept copy.
+        With img_f the image of basis[f], entry (g, f) is the coordinate
+        img_f[free[g]] / basis[f][free[f]] of the image of normalized vector
+        f on normalized vector g. The image lies in the space iff it equals
+        the combination of the basis those coordinates give, checked in
+        integers. Computed once per delta tuple and kept on the space; rows
+        are tuples, so no caller can change the kept copy.
         """
         key = tuple(deltas)
         if key not in self._operators:
@@ -444,16 +450,19 @@ class OCContext:
     sp: SolvedPresentation
     k: int
     mlen: int
-    E_W: tuple[tuple[int, ...], ...]
     solve_mat: list[list[Fraction]]
     D: int                      # p-denominator exponent of the tail solve
-    S_sol: int                  # worst-case valuation deficit of solved values
     loss_profile: list[int]     # per-moment precision loss of the tail solve
     up_plan: list[list[tuple[int, int, Mat2]]]  # U_p terms (y, sign, m) per coset
 
     @property
     def p(self) -> int:
         return self.ms.p
+
+    @property
+    def S_sol(self) -> int:
+        """Worst-case valuation deficit of solved values."""
+        return max(self.loss_profile)
 
     @property
     def n_model(self) -> int:
@@ -479,17 +488,11 @@ def _context(
     E_W = integer_moment_matrix(sp.tail.W, k, mlen)
     solve_mat = tail_solve_matrix(E_W, mlen)
     D = max([0] + [-valuation(c, p) for row in solve_mat for c in row])
-    big = 10**6
-    floors = solve_error_profile(E_W, p, [big - j for j in range(mlen)])
-    S_sol = 0
-    for j in range(mlen - 1):
-        if floors[j] < big:
-            S_sol = max(S_sol, (big - j) - floors[j])
     graded = solve_error_profile(E_W, p, [mlen - j for j in range(mlen)])
     loss = [max(0, (mlen - j) - graded[j]) if graded[j] < VAL_INF else 0 for j in range(mlen)]
     return OCContext(
-        ms=ms, sp=sp, k=k, mlen=mlen, E_W=E_W, solve_mat=solve_mat,
-        D=D, S_sol=S_sol, loss_profile=loss, up_plan=up_plan,
+        ms=ms, sp=sp, k=k, mlen=mlen, solve_mat=solve_mat,
+        D=D, loss_profile=loss, up_plan=up_plan,
     )
 
 
@@ -570,41 +573,40 @@ class ColumnBundles:
     """Layout of cols values side by side, one int per coordinate.
 
     Column c of a coordinate lives in slot c, bytes c*sb .. (c+1)*sb - 1 of
-    the int (little-endian), as a residue mod mod. Sums of bundles and
-    products with one integer act on every slot at once while no slot
-    overflows. The model matrix bundles its n unit columns, so a
-    matrix-vector product over all of them is one integer dot product per
-    row. A single table, as in the lift, bundles the other way: with
-    cols = width, slot j holds output coordinate j, the columns of each U_p
-    composite are bundles (MomentCache.up_columns), and the product is one
-    dot product of the input coordinates with those columns. With one column
-    the slot is the int itself and reduction is a plain % mod.
+    the int (little-endian), as a residue mod mod = cache.mod, the model's
+    one modulus. Sums of bundles and products with one integer act on every
+    slot at once while no slot overflows. The model matrix bundles its n
+    unit columns, so a matrix-vector product over all of them is one integer
+    dot product per row. A single table, as in the lift, bundles the other
+    way: with cols = width, slot j holds output coordinate j, the columns of
+    each U_p composite are bundles (MomentCache.up_columns), and the product
+    is one dot product of the input coordinates with those columns. With one
+    column the slot is the int itself and reduction is a plain % mod.
 
-    Slot size: matrix and vector entries are residues below m = max(mod,
-    cache modulus). A slot of pos or neg sums at most fan = ctx.fan dot
-    products of width = T * mlen such pairs (combine, or the one-table U_p
-    apply), so it stays at most lim = (fan * width + 1) * (m - 1)^2, which
-    also covers a residue plus one product (the tail top moment, the p^D
-    scaling). combine may hold both signs in one int: its slots are then
-    signed sums whose absolute values add up to at most lim, the same bound.
-    reduce adds off, the multiple of mod at or just above lim, to every slot
-    of pos - neg, so each slot x_s lies in [0, 2 * lim + mod) and no borrow
-    or carry crosses a slot boundary; sb is the byte length of that bound.
-    Unpacking a coordinate is one to_bytes and one from_bytes per slot.
-    reduce then works on whole ints, by Barrett reduction in every slot at
-    once (linalg.slot_reducer); construction raises CertificationError if
-    the slot cannot hold 2 * mod as well.
+    Slot size: matrix and vector entries are residues below mod. A slot of
+    pos or neg sums at most fan = ctx.fan dot products of width = T * mlen
+    such pairs (combine, or the one-table U_p apply), so it stays at most
+    lim = (fan * width + 1) * (mod - 1)^2, which also covers a residue plus
+    one product (the tail top moment, the p^D scaling). combine may hold
+    both signs in one int: its slots are then signed sums whose absolute
+    values add up to at most lim, the same bound. reduce adds off, the
+    multiple of mod at or just above lim, to every slot of pos - neg, so
+    each slot x_s lies in [0, 2 * lim + mod) and no borrow or carry crosses
+    a slot boundary; sb is the byte length of that bound. Unpacking a
+    coordinate is one to_bytes and one from_bytes per slot. reduce then
+    works on whole ints, by Barrett reduction in every slot at once
+    (linalg.slot_reducer); construction raises CertificationError if the
+    slot cannot hold 2 * mod as well.
     """
 
-    def __init__(self, ctx: OCContext, cache: MomentCache, mod: int, cols: int = 1):
+    def __init__(self, cache: MomentCache, cols: int = 1):
         self.cols = cols
-        self.mod = mod
-        self.width = cache.T * ctx.mlen
-        self.fan = ctx.fan
+        self.mod = mod = cache.mod
+        self.width = cache.T * cache.ctx.mlen
+        self.fan = cache.ctx.fan
         self.sb = 0
         if cols > 1:
-            m = max(mod, cache.mod)
-            self.lim = lim = (ctx.fan * self.width + 1) * (m - 1) ** 2
+            self.lim = lim = (self.fan * self.width + 1) * (mod - 1) ** 2
             bound = 2 * lim + mod
             self.sb = sb = bound.bit_length() + 7 >> 3
             if (2 * mod).bit_length() >= 8 * sb:
@@ -670,11 +672,9 @@ class ColumnBundles:
 
 
 def build_tables_mod(
-    ctx: OCContext,
     cache: MomentCache,
     free_values: dict[int, Sequence[int]],
     tail_top: int,
-    mod: int,
     defect_out: list | None = None,
     cols: int = 1,
     read: Collection[int] | None = None,
@@ -697,11 +697,12 @@ def build_tables_mod(
     dimension by one); model columns that feed arbitrary deltas must pass
     defect_out to collect nu_0 of each plane instead.
     """
+    ctx = cache.ctx
     p, mlen = ctx.p, ctx.mlen
-    bun = ColumnBundles(ctx, cache, mod, cols)
+    bun = ColumnBundles(cache, cols)
     width = bun.width
     sD = p**ctx.D
-    sD_res = sD % mod   # a residue, so scaled slots stay within the slot bound
+    sD_res = sD % cache.mod   # a residue, so scaled slots stay within the slot bound
     vals: dict[int, list[int]] = {}
     for e in ctx.sp.free_edges:
         mv = free_values[e]
@@ -742,10 +743,8 @@ def build_tables_mod(
 
 
 def up_apply_mod(
-    ctx: OCContext,
     cache: MomentCache,
     tables: Sequence[Sequence[int]],
-    mod: int,
     cosets: Sequence[int] | None = None,
     cols: int = 1,
 ) -> list[list[int]]:
@@ -761,11 +760,12 @@ def up_apply_mod(
     adds one bundle per input coordinate, and each coset is reduced once,
     slot by slot.
     """
+    ctx = cache.ctx
     rows = range(ctx.ms.index) if cosets is None else cosets
     if cols > 1:
-        bun = ColumnBundles(ctx, cache, mod, cols)
+        bun = ColumnBundles(cache, cols)
         return [bun.combine(ctx.up_plan[x], cache.up, tables) for x in rows]
-    bun = ColumnBundles(ctx, cache, mod, cache.T * ctx.mlen)
+    bun = ColumnBundles(cache, cache.T * ctx.mlen)
     out = []
     for x in rows:
         acc = {1: 0, -1: 0}
@@ -775,16 +775,16 @@ def up_apply_mod(
     return out
 
 
-def check_relations_mod(
-    ctx: OCContext, cache: MomentCache, tables: Sequence[Sequence[int]], mod: int
-) -> int:
-    """Minimum graded valuation v_p(residual_j) + j over all relations.
+def check_relations_mod(cache: MomentCache, tables: Sequence[Sequence[int]]) -> int:
+    """Minimum graded valuation v_p(residual_j) + j over all relations, the
+    residuals read mod the cache modulus p^K.
 
     Residual moment j only carries p^(K-j) digits of meaning, so the graded
     reading is the honest one; VAL_INF means every relation holds exactly mod K.
     """
+    ctx = cache.ctx
     p, mlen = ctx.p, ctx.mlen
-    bun = ColumnBundles(ctx, cache, mod)
+    bun = ColumnBundles(cache)
     worst = VAL_INF
     for terms in ctx.ms.relations:
         for j, c in enumerate(bun.combine(terms, cache.gamma, tables)):
@@ -845,12 +845,7 @@ class DivergenceError(RuntimeError):
 
 
 def _tuned_initial_tables(
-    ctx: OCContext,
-    cache: MomentCache,
-    sym: Eigensymbol,
-    mod: int,
-    higher: dict[int, list[int]],
-    top: int,
+    cache: MomentCache, sym: Eigensymbol, higher: dict[int, list[int]], top: int
 ) -> list[list[int]]:
     """Relation-exact initial table whose classical layer equals sym exactly.
 
@@ -858,6 +853,7 @@ def _tuned_initial_tables(
     moment-(k+1) coordinate is then adjusted so the solved tail moment k
     matches the eigensymbol.
     """
+    ctx, mod = cache.ctx, cache.mod
     p, k, D = ctx.p, sym.k, ctx.D
     sD = p**D
     free = ctx.sp.free_edges
@@ -868,7 +864,7 @@ def _tuned_initial_tables(
             fv[e] = list(sym.table[e]) + list(higher[e])
         for e, t in tune.items():
             fv[e][k + 1] = (fv[e][k + 1] + t) % mod
-        return build_tables_mod(ctx, cache, fv, top, mod)
+        return build_tables_mod(cache, fv, top)
 
     base = assemble({})
     x0 = ctx.sp.tail.x0
@@ -901,25 +897,24 @@ def _tuned_initial_tables(
     return base
 
 
-def _lift_setup(
-    space: ClassicalSpace, sym: Eigensymbol, M: int
-) -> tuple[OCContext, MomentCache, int, int]:
-    """(ctx, cache, mod, alpha^-1 mod mod) for lifting sym to M moments. The
-    tables live mod p^Kint, Kint = M + 2D + 4, which sym must carry with two
-    digits to spare."""
+def _lift_setup(space: ClassicalSpace, sym: Eigensymbol, M: int) -> tuple[MomentCache, int]:
+    """(cache, alpha^-1 mod p^Kint) for lifting sym to M moments. The tables
+    live mod p^Kint, Kint = M + 2D + 4, which sym must carry with two digits
+    to spare."""
     ctx = _context(space.ms, space.plan(up_deltas(sym.p)), sym.k, M)
     Kint = M + 2 * ctx.D + 4
     if sym.B < Kint + 2:
         raise ValueError(f"eigensymbol precision B={sym.B} too small for M={M}")
-    mod = sym.p**Kint
-    return ctx, MomentCache(ctx, Kint), mod, pow(sym.alpha, -1, mod)
+    cache = MomentCache(ctx, Kint)
+    return cache, pow(sym.alpha, -1, cache.mod)
 
 
 def _lift_step(
-    ctx: OCContext, cache: MomentCache, tables: Sequence[Sequence[int]], mod: int, ainv: int
+    cache: MomentCache, tables: Sequence[Sequence[int]], ainv: int
 ) -> list[list[int]]:
     """One lift iterate: Phi <- alpha^-1 (Phi | U_p)."""
-    return [[c * ainv % mod for c in row] for row in up_apply_mod(ctx, cache, tables, mod)]
+    mod = cache.mod
+    return [[c * ainv % mod for c in row] for row in up_apply_mod(cache, tables)]
 
 
 def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
@@ -938,18 +933,19 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
         )
     if v_alpha != 0:
         raise ValueError("only the slope-0 iteration is implemented")
-    ctx, cache, mod, ainv = _lift_setup(space, sym, M)
+    cache, ainv = _lift_setup(space, sym, M)
+    ctx, mod = cache.ctx, cache.mod
     D = ctx.D
     sD = p**D
 
     higher = {e: [0] * (M - k - 1) for e in ctx.sp.free_edges}
-    tables = _tuned_initial_tables(ctx, cache, sym, mod, higher, 0)
+    tables = _tuned_initial_tables(cache, sym, higher, 0)
 
     iterations = 0
     converged = False
     cap = 4 * M
     while iterations < cap:
-        nxt = _lift_step(ctx, cache, tables, mod, ainv)
+        nxt = _lift_step(cache, tables, ainv)
         iterations += 1
         ok = True
         for x in range(ctx.ms.index):
@@ -967,14 +963,14 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
     if not converged:
         raise DivergenceError(f"no convergence after {cap} iterations")
 
-    rel_val = check_relations_mod(ctx, cache, tables, p ** (M + D))
+    rel_val = check_relations_mod(cache, tables)
     if rel_val < M + D:
         raise CertificationError("iterate lost the symbol relations")
 
     # eigenvalue certificate: eig - alpha_true is controlled by the convergence
     # modulus p^(M+D) and the measured moment-0 residual of U Phi - eig Phi
     best = next(x for x in range(ctx.ms.index) if valuation(tables[x][0], p) == D)
-    img = up_apply_mod(ctx, cache, tables, mod)
+    img = up_apply_mod(cache, tables)
     a0 = tables[best][0] // sD
     b0 = img[best][0]
     if b0 % sD:
@@ -1024,16 +1020,17 @@ def random_initial_lift_pair(
     import random
 
     p, k = sym.p, sym.k
-    ctx, cache, mod, ainv = _lift_setup(space, sym, M)
+    cache, ainv = _lift_setup(space, sym, M)
+    ctx, mod = cache.ctx, cache.mod
     rng = random.Random(seed)
     outs = []
     for _ in range(2):
         higher = {
             e: [rng.randrange(mod) for _ in range(M - k - 1)] for e in ctx.sp.free_edges
         }
-        tables = _tuned_initial_tables(ctx, cache, sym, mod, higher, rng.randrange(mod))
+        tables = _tuned_initial_tables(cache, sym, higher, rng.randrange(mod))
         for _ in range(4 * M):
-            tables = _lift_step(ctx, cache, tables, mod, ainv)
+            tables = _lift_step(cache, tables, ainv)
         outs.append(tables)
     a, b = outs
     S = max(ctx.loss_profile[:M])
@@ -1137,7 +1134,7 @@ class UpSpectralData:
         return _csv_rows(((str(c.index), c) for c in self.coefficients), self.polygon)
 
 
-def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[list[int]]]:
+def up_model_matrix(cache: MomentCache) -> list[list[list[int]]]:
     """p^D-scaled matrix of U_p in the free-moment coordinates over R_T, as
     T w-coefficient planes: plane t is the n x n w^t layer. All n unit
     columns go through one table build and one U_p apply as column bundles
@@ -1150,8 +1147,9 @@ def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[l
     is the Fredholm series of U_p on the free approximation module, whose
     w = 0 layer is the single-weight model.
     """
+    ctx = cache.ctx
     T, mlen, n = cache.T, ctx.mlen, ctx.n_model
-    bun = ColumnBundles(ctx, cache, mod, n)
+    bun = ColumnBundles(cache, n)
     free = list(ctx.sp.free_edges)
     rows = free + [ctx.sp.tail.x0]
     fv = {e: [bun.unit(r * mlen + i) for i in range(mlen)] + [0] * ((T - 1) * mlen)
@@ -1160,9 +1158,8 @@ def up_model_matrix(ctx: OCContext, cache: MomentCache, mod: int) -> list[list[l
     read = {y for x in rows for y, _, _ in ctx.up_plan[x]}
     # no name keeps the tables, so they are freed before the planes are read
     img = up_apply_mod(
-        ctx, cache, build_tables_mod(ctx, cache, fv, bun.unit(n - 1), mod, defect_out=sink,
-                                     cols=n, read=read),
-        mod, cosets=rows, cols=n,
+        cache, build_tables_mod(cache, fv, bun.unit(n - 1), defect_out=sink, cols=n, read=read),
+        cosets=rows, cols=n,
     )
     # (row of the U_p image, moment): the free moments, then the tail top moment
     coords = [(r, i) for r in range(len(free)) for i in range(mlen)] + [(len(free), mlen - 1)]
@@ -1354,7 +1351,7 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
     K = min(Kbig, max(mlen, trunc + 2 * D, Kt0 + 2 * D))
     U = None
     while U is None:
-        U = up_model_matrix(ctx, MomentCache(ctx, K, T), p**K)
+        U = up_model_matrix(MomentCache(ctx, K, T))
         # empirical valuation floors of the unscaled operator's columns
         vals = _column_valuations(U, p, K)
         floors = sorted(min(v - D, trunc) for v in vals)

@@ -89,8 +89,7 @@ def certified_series(N, p, k, M, T, xdeg, pad):
     n = ctx.n_model
     xdeg = min(xdeg, n)
     Kbig = mlen + xdeg * (D + 1) + 16
-    mod = p**Kbig
-    U = up_model_matrix(ctx, MomentCache(ctx, Kbig, T), mod)
+    U = up_model_matrix(MomentCache(ctx, Kbig, T))
     floors = []
     for l in range(n):
         v = min([Kbig] + [valuation(row[l], p) for plane in U for row in plane])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -79,15 +80,59 @@ def test_transport_is_gamma0_equivariant():
 
 def test_unimodular_pieces_telescope():
     """Continued-fraction pieces chain from infinity to q with det 1."""
-    from parahoric.manin import mobius
+    def cusp(m, x):  # m x on P^1(Q), None for infinity
+        num, den = (m[0], m[2]) if x is None else (m[0] * x + m[1], m[2] * x + m[3])
+        return None if den == 0 else Fraction(num, den)
     for q in (Fraction(3, 7), Fraction(-5, 11), Fraction(22, 7)):
-        pieces = unimodular_pieces(q)
+        pieces = unimodular_pieces(q.numerator, q.denominator)
         assert all(mat_det(m) == 1 for m in pieces)
-        ends = [(mobius(m, Fraction(0)), mobius(m, None)) for m in pieces]
+        ends = [(cusp(m, 0), cusp(m, None)) for m in pieces]
         for (_, b), (c, _) in zip(ends, ends[1:]):
             assert b == c
         assert ends[0][0] is None  # the cusp at infinity
         assert ends[-1][1] == q
+
+
+def test_unimodular_pieces_ignore_the_scale_of_the_pair():
+    """A cusp is an unreduced integer pair: (k num, k den) gives the pieces
+    of (num, den) for every nonzero k, negative k included, and den = 0 is
+    the cusp at infinity, which has none."""
+    rng = random.Random(19)
+    for _ in range(200):
+        num = rng.randint(-500, 500)
+        den = rng.choice([-1, 1]) * rng.randint(1, 500)
+        for k in (-3, -1, 2, 7):
+            assert unimodular_pieces(k * num, k * den) == unimodular_pieces(num, den)
+    for num in (1, -1, 5, -12):
+        assert unimodular_pieces(num, 0) == []
+
+
+def _supported_presentations(max_N, primes):
+    for N in range(1, max_N):
+        for p in primes:
+            if N % p:
+                ms = ManinSystem(N, p)
+                try:
+                    yield ms, ms.solved_presentation()
+                except UnsupportedLevel:
+                    continue
+
+
+def test_elimination_program_is_ordered_at_every_supported_level():
+    """At every supported level with N < 40 and p <= 7, each step reads only
+    free edges and the targets of earlier steps, and the free edges, the
+    step targets and the tail edge partition the edges."""
+    levels = 0
+    for ms, sp in _supported_presentations(40, (2, 3, 5, 7)):
+        levels += 1
+        known = set(sp.free_edges)
+        for st in sp.steps:
+            assert {y for y, _, _ in st.terms} <= known, (ms.N, ms.p, st.target)
+            assert st.target not in known
+            known.add(st.target)
+        parts = sp.free_edges + [st.target for st in sp.steps] + [ms.leader[sp.tail.x0]]
+        assert sorted(parts) == ms.edges, (ms.N, ms.p)
+    assert levels == 52
 
 
 def test_hecke_plan_terms_stay_in_sigma0():

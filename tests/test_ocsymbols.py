@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 
 import parahoric
 from moment_reference import moment_matrix
-from parahoric.distributions import family_moment_matrix
+from parahoric.distributions import (
+    family_moment_matrix,
+    integer_moment_matrix,
+    solve_error_profile,
+)
 from parahoric.linalg import charpoly_berkowitz, matvec, solve
-from parahoric.manin import ManinSystem
+from parahoric.manin import ManinSystem, UnsupportedLevel
 from parahoric.ocsymbols import (
     IOTA,
     ColumnBundles,
@@ -140,7 +144,7 @@ def test_tail_consistency_identity_at_weight_zero():
     cache = MomentCache(ctx, 12)
     rng = random.Random(5)
     free = {e: [rng.randrange(mod) for _ in range(5)] for e in ctx.sp.free_edges}
-    tables = build_tables_mod(ctx, cache, free, 0, mod)
+    tables = build_tables_mod(cache, free, 0)
     assert len(tables) == ctx.ms.index
 
 
@@ -156,11 +160,39 @@ def test_tail_consistency_is_a_condition_at_higher_weight():
     for _ in range(4):
         free = {e: [rng.randrange(mod) for _ in range(5)] for e in ctx.sp.free_edges}
         sink: list = []
-        build_tables_mod(ctx, cache, free, 0, mod, defect_out=sink)
+        build_tables_mod(cache, free, 0, defect_out=sink)
         defects.append(sink[0] % mod)
         if sink[0] % mod:
             hit += 1
     assert hit >= 3
+
+
+@pytest.mark.parametrize("N", [2, 5, 11, 14])
+def test_solve_deficit_is_the_largest_solve_loss(N):
+    """S_sol = max(loss_profile) equals the worst deficit of the error
+    profile read on the sentinel input 10^6 - j, the definition S_sol had
+    before it became a property: the error-profile recursion commutes with
+    a constant shift of its input."""
+    big = 10**6
+    deficits = set()
+    for p in (3, 5, 7):
+        if N % p == 0:
+            continue
+        ms = ManinSystem(N, p)
+        try:
+            W = ms.solved_presentation().tail.W
+        except UnsupportedLevel:
+            continue
+        for k in (0, 2, 4):
+            for mlen in (4, 8, 12):
+                ctx = parahoric.ocsymbols._context(ms, [], k, mlen)
+                floors = solve_error_profile(
+                    integer_moment_matrix(W, k, mlen), p, [big - j for j in range(mlen)])
+                want = max([0] + [(big - j) - floors[j]
+                                  for j in range(mlen - 1) if floors[j] < big])
+                assert ctx.S_sol == want, (N, p, k, mlen)
+                deficits.add(want)
+    assert len(deficits) > 1
 
 
 def test_charpoly_up_known_polygon():
@@ -223,7 +255,7 @@ def test_up_monoid_checks_survive_python_O():
         "ctx = oc_context(11, 3, 0, 4)\n"
         "print('debug', __debug__)\n"
         "for cache in (MomentCache(ctx, 8), MomentCache(ctx, 8, T=2)):\n"
-        "    bun = ColumnBundles(ctx, cache, 3**8, cache.T * ctx.mlen)\n"
+        "    bun = ColumnBundles(cache, cache.T * ctx.mlen)\n"
         "    for get in (cache.up, lambda m: cache.up_columns(m, bun)):\n"
         "        try:\n"
         "            get((1, 0, 3, 1))\n"
@@ -254,11 +286,11 @@ def test_tail_consistency_check_survives_python_O():
         "print('debug', __debug__)\n"
         "free = {e: [rng.randrange(3**12) for _ in range(5)] for e in ctx.sp.free_edges}\n"
         "try:\n"
-        "    build_tables_mod(ctx, cache, free, 0, 3**12)\n"
+        "    build_tables_mod(cache, free, 0)\n"
         "except ArithmeticError as exc:\n"
         "    print('raised', exc)\n"
         "try:\n"
-        "    build_tables_mod(ctx, cache, {e: [0] * 4 for e in ctx.sp.free_edges}, 0, 3**12)\n"
+        "    build_tables_mod(cache, {e: [0] * 4 for e in ctx.sp.free_edges}, 0)\n"
         "except ValueError:\n"
         "    print('rejected length')\n"
     )
@@ -417,8 +449,9 @@ def test_corrupted_series_fails_where_the_reference_does_under_python_O():
     ]
 
 
-def _model_matrix_per_column(ctx, cache, mod):
+def _model_matrix_per_column(cache):
     """up_model_matrix as one table build and one U_p apply per unit column."""
+    ctx = cache.ctx
     T, mlen = cache.T, ctx.mlen
     free = list(ctx.sp.free_edges)
     cosets = free + [ctx.sp.tail.x0]
@@ -429,8 +462,8 @@ def _model_matrix_per_column(ctx, cache, mod):
         fv = {e: [0] * (T * mlen) for e in free}
         if r0 < len(free):
             fv[free[r0]][i0] = 1
-        tables = build_tables_mod(ctx, cache, fv, int(r0 == len(free)), mod, defect_out=sink)
-        img = up_apply_mod(ctx, cache, tables, mod, cosets=cosets)
+        tables = build_tables_mod(cache, fv, int(r0 == len(free)), defect_out=sink)
+        img = up_apply_mod(cache, tables, cosets=cosets)
         cols.append([[img[r][t * mlen + i] for r, i in coords] for t in range(T)])
     return [[list(row) for row in zip(*(col[t] for col in cols))] for t in range(T)]
 
@@ -444,11 +477,11 @@ def test_model_matrix_bundles_match_per_column_builds(N, p, k, T):
     ctx = oc_context(N, p, k, 6)
     K = ctx.mlen + 4 * (ctx.D + 1) + 16
     cache = MomentCache(ctx, K, T)
-    got = up_model_matrix(ctx, cache, p**K)
+    got = up_model_matrix(cache)
     assert len(got) == T and all(len(plane) == ctx.n_model
                                  and all(len(row) == ctx.n_model for row in plane)
                                  for plane in got)
-    assert got == _model_matrix_per_column(ctx, cache, p**K)
+    assert got == _model_matrix_per_column(cache)
 
 
 @pytest.mark.parametrize("N, p, k, T", [
@@ -462,9 +495,9 @@ def test_model_matrix_mod_K_matches_the_Kbig_build(N, p, k, T):
     ctx = oc_context(N, p, k, 6)
     D = ctx.D
     Kbig = ctx.mlen + 4 * (D + 1) + 16
-    ref = up_model_matrix(ctx, MomentCache(ctx, Kbig, T), p**Kbig)
+    ref = up_model_matrix(MomentCache(ctx, Kbig, T))
     for K in sorted({ctx.mlen, ctx.mlen - ctx.S_sol + 2 * D, ctx.mlen + 2 * D + 3}):
-        got = up_model_matrix(ctx, MomentCache(ctx, K, T), p**K)
+        got = up_model_matrix(MomentCache(ctx, K, T))
         low = p ** (K - D)
         assert [[[c % low for c in row] for row in plane] for plane in got] \
             == [[[c % low for c in row] for row in plane] for plane in ref]
@@ -482,8 +515,8 @@ def test_model_build_skips_only_unread_partners(N, p, k, skipped, twisted):
     read = {y for x in rows for y, _, _ in ctx.up_plan[x]}
     rng = random.Random(N + p + k)
     free = {e: [rng.randrange(p**K) for _ in range(ctx.mlen)] for e in ctx.sp.free_edges}
-    full = build_tables_mod(ctx, cache, free, 7, p**K, defect_out=[])
-    part = build_tables_mod(ctx, cache, free, 7, p**K, defect_out=[], read=read)
+    full = build_tables_mod(cache, free, 7, defect_out=[])
+    part = build_tables_mod(cache, free, 7, defect_out=[], read=read)
     twist = [x for x in range(ctx.ms.index) if ctx.ms.value_resolution(x)[2] is not None]
     assert len(twist) == twisted
     assert [x for x, t in enumerate(part) if t is None] == [x for x in twist if x not in read]
@@ -520,7 +553,7 @@ def test_packed_reduction_matches_per_slot_reduction(cols, p, K, pos_kind, neg_k
     is (pos_s - neg_s) % mod."""
     ctx = _bundle_context(p)
     mod = p**K
-    bun = ColumnBundles(ctx, MomentCache(ctx, K), mod, cols)
+    bun = ColumnBundles(MomentCache(ctx, K), cols)
     pos = _slot_values(pos_kind, cols, bun.lim, rng)
     neg = _slot_values(neg_kind, cols, bun.lim, rng)
     want = [(a - b) % mod for a, b in zip(pos, neg)]
@@ -541,7 +574,7 @@ def test_combine_merges_terms_by_source(cols, p, K, kind, rng):
     With bundles, one term more than fan raises."""
     ctx = _bundle_context(p)
     mod = p**K
-    bun = ColumnBundles(ctx, MomentCache(ctx, K), mod, cols)
+    bun = ColumnBundles(MomentCache(ctx, K), cols)
     width = bun.width
 
     def entry():
@@ -758,10 +791,11 @@ def test_hecke_plans_are_built_once_per_lift(monkeypatch):
     assert sorted(calls) == sorted({*calls}) and len(calls) == 3
 
 
-def _up_apply_per_term(ctx, cache, tables, mod):
+def _up_apply_per_term(cache, tables):
     """The one-table up_apply_mod without packing: each term's matrix-vector
     product into a positive or a negative accumulator, each coordinate
     reduced once."""
+    ctx, mod = cache.ctx, cache.mod
     out = []
     for terms in ctx.up_plan:
         acc = {1: [0] * ctx.mlen, -1: [0] * ctx.mlen}
@@ -782,7 +816,7 @@ def test_one_table_up_apply_matches_per_term_products(N, p, k):
     rng = random.Random(N * p + k)
     for _ in range(2):
         tables = [[rng.randrange(mod) for _ in range(ctx.mlen)] for _ in range(ctx.ms.index)]
-        assert up_apply_mod(ctx, cache, tables, mod) == _up_apply_per_term(ctx, cache, tables, mod)
+        assert up_apply_mod(cache, tables) == _up_apply_per_term(cache, tables)
 
 
 def _sha256(value) -> str:

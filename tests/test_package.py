@@ -1,6 +1,7 @@
 """Repository-wide checks: invariants raise instead of asserting, no memo
-outlives a run, BGG output depends on no seed, the environment is read only
-at the CLI boundary, and the example scripts run."""
+outlives a run, BGG output depends on no seed, engine calls take the model
+handle alone, the environment is read only at the CLI boundary, and the
+example scripts run."""
 import ast
 import os
 import subprocess
@@ -106,6 +107,20 @@ def test_no_unreferenced_private_function_in_src():
         found += [f"{path.name}:{node.lineno} {node.name}" for node in defs
                   if node.name.startswith("_") and not node.name.endswith("__")
                   and node.name not in used]
+    assert found == []
+
+
+def test_engine_calls_take_the_model_handle():
+    """A MomentCache fixes its model's context and modulus, so no function
+    or method in ocsymbols.py takes a cache together with a ctx or mod."""
+    tree = ast.parse((ROOT / "src" / "parahoric" / "ocsymbols.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "cache" in names and names & {"ctx", "mod"}:
+                found.append(f"{node.lineno} {node.name}")
     assert found == []
 
 

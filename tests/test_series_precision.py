@@ -122,10 +122,10 @@ def test_model_build_moduli(monkeypatch):
     builds = []
     build = ocsymbols.up_model_matrix
 
-    def recorded(ctx, cache, mod):
+    def recorded(cache):
         builds.append(cache.K)
-        assert mod == ctx.p**cache.K
-        return build(ctx, cache, mod)
+        assert cache.mod == cache.ctx.p**cache.K
+        return build(cache)
 
     monkeypatch.setattr(ocsymbols, "up_model_matrix", recorded)
     counts = set()
