@@ -39,8 +39,10 @@ def integer_moment_matrix(
 
     Row j holds the coefficients of (a + c z)^(k-j) (b + d z)^j below z^mlen
     (mlen defaults to k + 1). A row j > k has a negative power of a + c z,
-    which is integral only when c = 0 and a = +-1, as for the tail twist;
-    any other gamma raises CertificationError when mlen > k + 1.
+    which is an integral series whenever a = +-1; but the closed-form factor
+    [a**-e] used for it is right only when c = 0. So rows past the weight
+    need c = 0 and a = +-1, as for the tail twist, and any other gamma
+    raises CertificationError when mlen > k + 1.
     """
     _check_monoid(gamma, None)
     a, b, c, d = gamma

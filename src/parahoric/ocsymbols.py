@@ -309,12 +309,6 @@ class Eigensymbol:
     slope: int
 
 
-def _kernel_of(mat: Sequence[Sequence[Fraction]], shift: Fraction) -> list[list[int]]:
-    n = len(mat)
-    rows = [[mat[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)]
-    return nullspace(rows)
-
-
 def _restrict(mat: Sequence[Sequence[Fraction]], sub: list[list[int]]) -> list[list[Fraction]]:
     n = len(mat)
     m = len(sub)
@@ -332,22 +326,22 @@ def _restrict(mat: Sequence[Sequence[Fraction]], sub: list[list[int]]) -> list[l
 def ordinary_eigensymbol(
     space: ClassicalSpace, probe_ell: int, probe_a: int, B: int, slope: int = 0
 ) -> Eigensymbol:
-    """Cut the newform block with one prime-to-level Hecke probe, split off the
-    plus part, and return the slope-0 (or requested-slope) p-stabilization.
+    """Cut the plus part of the newform block with one prime-to-level Hecke
+    probe and return the slope-0 (or requested-slope) p-stabilization.
+
+    The plus block is one kernel: the vectors on which T_ell = probe_a and
+    iota = 1 both hold. A probe_a that is no T_ell eigenvalue leaves it
+    empty, and the two-dimensional-block check rejects it.
     """
     p = space.ms.p
     k = space.k
+    n = space.dimension
     Tl = space.hecke_matrix(probe_ell)
-    W = _kernel_of(Tl, Fraction(probe_a))
-    if not W:
-        raise ValueError(f"no block with T_{probe_ell} eigenvalue {probe_a}")
     iota = space.involution_matrix()
-    iota_W = _restrict(iota, W)
-    plus = _kernel_of(iota_W, Fraction(1))
-    Wplus = [
-        [sum(c[j] * W[j][i] for j in range(len(W))) for i in range(space.dimension)]
-        for c in plus
-    ]
+    Wplus = nullspace(
+        [[Tl[i][j] - (probe_a if i == j else 0) for j in range(n)] for i in range(n)]
+        + [[iota[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    )
     UW = _restrict(space.up_matrix(), Wplus)
     if len(UW) != 2:
         raise ValueError(f"expected a two-dimensional stabilization block, got {len(UW)}")
@@ -802,6 +796,8 @@ def check_relations_mod(cache: MomentCache, tables: Sequence[Sequence[int]]) -> 
 # classical coordinate not copied from the eigensymbol is moment k of the
 # tail coset, which the difference-equation solve produces; one free
 # moment-(k+1) coordinate is tuned so it lands on the eigensymbol exactly.
+# The tuning reads that coordinate's response to every free edge from the
+# same bundled table build as the untuned table, so it costs one build.
 
 
 @dataclass
@@ -851,41 +847,40 @@ def _tuned_initial_tables(
 
     higher supplies moments k+1..mlen-1 for each free edge; a single free
     moment-(k+1) coordinate is then adjusted so the solved tail moment k
-    matches the eigensymbol.
+    matches the eigensymbol. One bundled build gives both: column 0 is the
+    table of the given data, and column 1 + r the response to a unit at
+    moment k+1 of free edge r. The build is linear mod p^K except for the
+    exact division of nu by p^D, so column 0 plus t times a response agrees
+    with a rebuild from the tuned data mod p^(K-D), the modulus of every
+    check below.
     """
     ctx, mod = cache.ctx, cache.mod
     p, k, D = ctx.p, sym.k, ctx.D
     sD = p**D
     free = ctx.sp.free_edges
-
-    def assemble(tune: dict[int, int]) -> list[list[int]]:
-        fv = {}
-        for e in free:
-            fv[e] = list(sym.table[e]) + list(higher[e])
-        for e, t in tune.items():
-            fv[e][k + 1] = (fv[e][k + 1] + t) % mod
-        return build_tables_mod(cache, fv, top)
-
-    base = assemble({})
+    bun = ColumnBundles(cache, 1 + len(free))
+    fv = {}
+    for r, e in enumerate(free):
+        # sym.table holds residues mod p^B, B > K: reduce them to fit slot 0
+        fv[e] = [c % mod for c in [*sym.table[e], *higher[e]]]
+        fv[e][k + 1] += bun.unit(1 + r)
+    tables = build_tables_mod(cache, fv, top % mod, cols=bun.cols)
+    cols = [[bun.slots(c) for c in row] for row in tables]
+    base = [[s[0] for s in row] for row in cols]
     x0 = ctx.sp.tail.x0
     target = sym.table[x0][k] * sD % mod
     delta = (target - base[x0][k]) % mod
     if delta:
-        # best knob = smallest response valuation; the reachable deltas form
-        # exactly that lattice (an honest lift with these classical moments
-        # exists), so the divisibility check below is a consistency check
-        best_e, best_coef, best_v = None, None, VAL_INF
-        for e in free:
-            probe = assemble({e: 1})
-            coef = (probe[x0][k] - base[x0][k]) % mod
-            v = valuation(coef, p)
-            if v < best_v:
-                best_e, best_coef, best_v = e, coef, v
-        vd = valuation(delta, p)
-        if vd < best_v:
+        # best knob = first edge of smallest response valuation; the reachable
+        # deltas form exactly that lattice (an honest lift with these
+        # classical moments exists), so the divisibility check below is a
+        # consistency check
+        response = cols[x0][k][1:]
+        best_v, best_r = min((valuation(c, p), r) for r, c in enumerate(response))
+        if valuation(delta, p) < best_v:
             raise CertificationError("tuning target is outside the reachable lattice")
-        t = (delta // p**best_v) * pow(best_coef // p**best_v, -1, mod) % mod
-        base = assemble({best_e: t})
+        t = (delta // p**best_v) * pow(response[best_r] // p**best_v, -1, mod) % mod
+        base = [[(s[0] + t * s[1 + best_r]) % mod for s in row] for row in cols]
         if (base[x0][k] - target) % (mod // p**D):
             raise CertificationError("tuning failed to pin the tail moment")
     # classical layer must now match the eigensymbol on every coset, up to
@@ -1403,8 +1398,7 @@ class FamilySpectralData:
     model_dim: int
     coefficients: list[list[CoefficientReading]]   # [r][t] readings of w^t part
     center_polygon: "object"
-    column_floors: list[int]        # sorted valuation floors of model columns
-    trunc_floor: int                # mlen - S, the omitted-tail column floor
+    column_floors: list[int]        # sorted floors of all model columns, each <= mlen - S
 
     def center_readings(self) -> list[CoefficientReading]:
         return [row[0] for row in self.coefficients]
@@ -1461,9 +1455,10 @@ class FamilySpectralData:
 
         In-window points carry measured heights (uncertified ones already sit
         at their precision floor). Past the window, coefficient r of the model
-        series clears the sum of the r smallest column floors, and the omitted
-        tail columns clear trunc_floor each; both must stay strictly above the
-        slope-h line through the breakpoint.
+        series clears the sum of the r smallest column floors, which must stay
+        strictly above the slope-h line through the breakpoint. Each floor is
+        capped at mlen - S, the floor of the omitted tail, so the floors
+        already account for it.
         """
         ystar = None
         for pt in points:
@@ -1476,14 +1471,13 @@ class FamilySpectralData:
                 return False
         run = sum(self.column_floors[: self.xdeg])
         for r in range(self.xdeg + 1, self.model_dim + 1):
-            step = self.column_floors[r - 1] if r - 1 < len(self.column_floors) else self.trunc_floor
-            bound = run + min(step, self.trunc_floor)
-            if bound <= ystar + h * (r - count):
-                return False
+            step = self.column_floors[r - 1]
             run += step
-            if min(step, self.trunc_floor) > h and bound > ystar + h * (r - count):
+            if run <= ystar + h * (r - count):
+                return False
+            if step > h:
                 break
-        return min(self.column_floors[-1], self.trunc_floor) > h
+        return self.column_floors[-1] > h
 
     def breakpoint_constancy(self, h: int, w_probe: int | None = None) -> str:
         """'constant' / 'varies' / 'inconclusive' for the x-coordinate of the
@@ -1535,8 +1529,8 @@ def family_charpoly(
 ) -> FamilySpectralData:
     """U_p characteristic series over the weight disc, coefficients in
     Z_p[w]/(w^T) with per-coefficient certified precision."""
-    xdeg, n, floors, trunc, readings, poly = _certified_series(N, p, k0, M, T, xdeg, pad)
+    xdeg, n, floors, _, readings, poly = _certified_series(N, p, k0, M, T, xdeg, pad)
     return FamilySpectralData(
         N=N, p=p, k0=k0, M=M, T=T, mlen=M + pad, xdeg=xdeg, model_dim=n,
-        coefficients=readings, center_polygon=poly, column_floors=floors, trunc_floor=trunc,
+        coefficients=readings, center_polygon=poly, column_floors=floors,
     )

@@ -262,7 +262,9 @@ def test_integer_moment_matrix_rejects_singular():
 
 @pytest.mark.parametrize("gamma", [(1, 2, 3, 7), (-1, 0, 5, 1), (2, 1, 0, 1), (3, 1, 0, -1)])
 def test_integer_moment_matrix_rejects_rational_rows(gamma):
-    """Rows past the weight need c = 0 and a = +-1 to be integral."""
+    """Rows past the weight need a = +-1 to be integral and c = 0 for their
+    closed form, so (-1, 0, 5, 1) is rejected too, though its rows are
+    integral."""
     assert len(integer_moment_matrix(gamma, 2, 3)) == 3
     with pytest.raises(CertificationError, match="not integral"):
         integer_moment_matrix(gamma, 2, 4)

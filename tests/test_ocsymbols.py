@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import parahoric
 from moment_reference import moment_matrix
+from tuning_reference import tuned_initial_tables
 from parahoric.distributions import (
     family_moment_matrix,
     integer_moment_matrix,
@@ -135,6 +136,42 @@ def test_independent_initial_lifts_agree():
     agree, worst = random_initial_lift_pair(space, sym, 5, seed=123)
     assert agree
     assert worst > 0
+
+
+@pytest.mark.parametrize("N, p, k, M", [(11, 3, 0, 20), (11, 5, 0, 10), (5, 3, 2, 8), (5, 7, 2, 6)])
+def test_tuned_tables_match_the_per_edge_probe_builds(N, p, k, M):
+    """The tuned initial table from one bundled build agrees with the
+    reference's probe builds and rebuild mod p^(K-D), the modulus of every
+    tuning check and lift reading, on three random (higher, top) draws."""
+    space = classical_space(N, p, k)
+    sym = auto_eigensymbol(space, B=M + 24)
+    cache, _ = parahoric.ocsymbols._lift_setup(space, sym, M)
+    ctx, mod = cache.ctx, cache.mod
+    low = mod // p**ctx.D
+    rng = random.Random(N * p + k + M)
+    for _ in range(3):
+        higher = {e: [rng.randrange(mod) for _ in range(M - k - 1)] for e in ctx.sp.free_edges}
+        top = rng.randrange(mod)
+        got = parahoric.ocsymbols._tuned_initial_tables(cache, sym, higher, top)
+        want = tuned_initial_tables(cache, sym, higher, top)
+        assert [[c % low for c in row] for row in got] == [[c % low for c in row] for row in want]
+
+
+def test_lift_builds_its_initial_table_once(monkeypatch):
+    """Tuning the initial table reads every free edge's response from one
+    table build; the lift iterations build none."""
+    calls = []
+    build = parahoric.ocsymbols.build_tables_mod
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(parahoric.ocsymbols, "build_tables_mod", counted)
+    space = classical_space(11, 3, 0)
+    sym = auto_eigensymbol(space, B=30)
+    assert lift_symbol(space, sym, 6).converged
+    assert len(calls) == 1
 
 
 def test_tail_consistency_identity_at_weight_zero():
