@@ -4,12 +4,14 @@ Each newform below is prod_d eta(dz)^r_d with sum d r_d = 24, so its
 q-expansion is q prod_d prod_n (1 - q^(dn))^r_d, with a_1 = 1. The expansion
 uses integers and no code of the package. Each case first checks that the
 expansion is a Hecke eigenform of weight k + 2, then that the engine's
-classical T_ell spectrum contains a_ell.
+classical T_ell spectrum contains a_ell and its classical U_p the roots of
+x^2 - a_p x + p^(k+1).
 """
 import math
 
 import pytest
 
+from parahoric.linalg import charpoly_berkowitz
 from parahoric.ocsymbols import (
     auto_eigensymbol,
     classical_space,
@@ -62,9 +64,21 @@ def test_classical_spectrum_contains_the_eta_product(level, exps, a_ell, trace):
     space = classical_space(N, p, k)
     for ell, value in a_ell.items():
         assert value in integer_eigenvalues(space.hecke_matrix(ell), ell ** (k + 1) + 1), ell
+    # p does not divide N: the p-stabilization polynomial x^2 - a_p x + p^(k+1)
+    # divides the characteristic polynomial of the classical U_p
+    rem = list(charpoly_berkowitz(space.up_matrix()))
+    for top in range(len(rem) - 1, 1, -1):
+        c = rem[top]
+        rem[top] -= c
+        rem[top - 1] += c * a[p]
+        rem[top - 2] -= c * p ** (k + 1)
+    assert rem[:2] == [0, 0]
     if trace is not None:
         assert trace == a[p]
-        assert auto_eigensymbol(space, B=20).trace == trace
+        sym = auto_eigensymbol(space, B=20)
+        assert sym.trace == trace
+        # its alpha is the unit root of the stabilization polynomial
+        assert sym.alpha % p and (sym.alpha**2 - trace * sym.alpha + p ** (k + 1)) % p**sym.B == 0
 
 
 def test_weight_two_lift_reaches_the_eta_unit_root():
