@@ -28,10 +28,14 @@ go through a single table build and a single U_p apply as column bundles
 n columns side by side in fixed-width slots, so one integer dot product per
 matrix row serves every column, and each output coordinate is reduced mod
 p^K once, every slot in a few whole-int operations. A single table, as in
-the lift, packs the other axis: each column of a U_p composite is one int
-holding the output moments in slots, so a term costs one big-int
-multiply-add per input moment instead of one small product per matrix
-entry, and each coset is reduced once.
+the lift, packs the other axis through one merged U_p operator per cache
+(MomentCache.up_operator): for each coset and each source coset its plan
+terms read, one int per input moment holds the output moments of the
+signed sum of those terms' matrices in slots. A source then costs one
+big-int multiply-add per input moment instead of one small product per
+matrix entry and term, and each coset is reduced once: 479 dot products
+for 891 terms at (11, 3, 0), mlen = 20. Every moment matrix is kept once
+per sign class +-m, since E(-m) = (-1)^k E(m).
 
 Classical symbols (ClassicalSpace) are exact: integer basis vectors, integer
 moment matrices, and operator matrices over Q read off free columns.
@@ -246,24 +250,35 @@ def _squarefree_part(f: list[int]) -> list[int]:
     return primitive(quot)
 
 
-def integer_eigenvalues(mat: Sequence[Sequence[Fraction]], bound: int) -> list[int]:
-    """Integer roots of the characteristic polynomial within [-bound, bound].
+def integer_charpoly(mat: Sequence[Sequence[Fraction]]) -> list[int]:
+    """det(X I - mat) as ascending ints, for a rational matrix whose
+    characteristic polynomial is integral (raises otherwise).
 
-    The polynomial comes from the integer matrix L * mat, L the lcm of the
-    denominators: its coefficient i is L^(n-i) times that of mat. It must be
-    integral (raises otherwise). Its nonzero roots are those of the
-    squarefree part g of the polynomial without its x-power. At the least
-    prime q where every root of g mod q is simple, each such root has one
-    lift mod q^e, q^e > 2 * bound, by Hensel's lemma, and an integer root in
-    range is the symmetric residue of the lift of its own reduction; the
-    residues that are exact roots within range are kept.
+    Berkowitz runs on the integer matrix L * mat, L the lcm of the
+    denominators, so no Fraction arithmetic happens: coefficient i of its
+    polynomial is L^(n-i) times that of mat.
     """
     n = len(mat)
     L = math.lcm(*(c.denominator for row in mat for c in row))
     cp = charpoly_berkowitz([[int(c * L) for c in row] for row in mat])
     if any(c % L ** (n - i) for i, c in enumerate(cp)):
         raise CertificationError("characteristic polynomial is not integral")
-    cp = [c // L ** (n - i) for i, c in enumerate(cp)]
+    return [c // L ** (n - i) for i, c in enumerate(cp)]
+
+
+def integer_eigenvalues(mat: Sequence[Sequence[Fraction]], bound: int) -> list[int]:
+    """Integer roots of the characteristic polynomial within [-bound, bound].
+
+    The polynomial (integer_charpoly) must be integral. Its nonzero roots
+    are those of the squarefree part g of the polynomial without its
+    x-power. At the least prime q where every root of g mod q is simple,
+    each such root has one lift mod q^e, q^e > 2 * bound, by Hensel's
+    lemma, and an integer root in range is the symmetric residue of the
+    lift of its own reduction; the residues that are exact roots within
+    range are kept.
+    """
+    n = len(mat)
+    cp = integer_charpoly(mat)
     z = next(i for i, c in enumerate(cp) if c)
     roots = [0] if z and bound >= 0 else []
     if z == n or bound < 1:
@@ -490,6 +505,14 @@ def _context(
     )
 
 
+def sign_class(sgn: int, m: Mat2, k: int) -> tuple[int, Mat2]:
+    """The weight-k term sgn * E(m) as sgn' * E(r), r the representative of
+    +-m with a > 0: E(-m) = (-1)^k E(m) (MomentCache)."""
+    if m[0] > 0:
+        return sgn, m
+    return (-sgn if k % 2 else sgn), (-m[0], -m[1], -m[2], -m[3])
+
+
 def _check_up_monoid(m: Mat2, p: int) -> None:
     if m[0] % p == 0 or m[2] % p or m[3] % p:
         raise ValueError(f"U_p plan matrix {m} needs a unit upper-left entry and p | c, p | d")
@@ -506,12 +529,20 @@ class MomentCache:
     plane t stops after block t: the blocks above the diagonal are left out,
     and a product zips the row with the vector, stopping at the shorter.
 
+    One matrix serves m and -m: E(-m) = (-1)^k E(m) on every w-plane,
+    because (-a - c z)^(k-j) (-b - d z)^j = (-1)^k (a + c z)^(k-j) (b + d z)^j
+    and <-a - c z> = <a + c z>. sign_class rewrites a term onto the
+    representative of +-m with a > 0 (a is a unit mod p, never 0), with
+    (-1)^k folded into the sign, and the engine asks for matrices of
+    representatives only (ColumnBundles.combine, up_operator), so each
+    sign class is built and kept once.
+
     up(m) is the same matrix for a U_p plan composite, after the U_p monoid
     check and the compactness bound v_p(E[j][i]) >= i on the w^0 plane:
     moments below the filtration floor cannot influence stored output
     digits. The higher w-planes do not satisfy that bound, so it is not
-    checked there. up_columns(m, bun) is the same matrix after the same
-    checks, packed by columns for the one-table U_p apply (ColumnBundles).
+    checked there. up_operator() is U_p for the one-table apply, merged by
+    source coset and packed by columns, built once after the same checks.
     solve is the p^D-scaled tail-solve matrix mod p^K, applied to each
     plane alike. Every matrix, at every T, comes from family_moment_matrix.
     """
@@ -524,7 +555,7 @@ class MomentCache:
         self.solve = [[frac_mod(c * ctx.p**ctx.D, self.mod) for c in row] for row in ctx.solve_mat]
         self._gm: dict[Mat2, list[list[int]]] = {}
         self._up: dict[Mat2, list[list[int]]] = {}
-        self._up_cols: dict[tuple[Mat2, int], list[int]] = {}
+        self._op: tuple[ColumnBundles, list[list[tuple[int, int, list[int]]]]] | None = None
         self._col_floor = [math.gcd(ctx.p**i, self.mod) for i in range(ctx.mlen)]
 
     def gamma(self, m: Mat2) -> list[list[int]]:
@@ -551,16 +582,52 @@ class MomentCache:
             self._up[m] = self._checked_up(m)
         return self._up[m]
 
-    def up_columns(self, m: Mat2, bun: ColumnBundles) -> list[int]:
-        """Column i of up(m) as one bundle of bun, output coordinate j in
-        slot j; packed after the checks of up(m), once per slot size. Only
-        the packed form is kept."""
-        key = (m, bun.sb)
-        if key not in self._up_cols:
-            E = self._checked_up(m)
-            self._up_cols[key] = [bun.pack([row[i] if i < len(row) else 0 for row in E])
-                                  for i in range(len(E))]
-        return self._up_cols[key]
+    def up_operator(self) -> tuple[ColumnBundles, list[list[tuple[int, int, list[int]]]]]:
+        """(bun, rows): U_p on one table, bun = ColumnBundles(self, T * mlen).
+
+        rows[x] holds one (y, sgn, cols) per source coset y of the plan terms
+        of coset x: sgn * cols[i] is column i of the signed sum of the up
+        matrices of those terms, one bundle with output coordinate j in slot
+        j. Each sign class is checked and packed once. A source that one
+        term reads keeps that class's columns and the term's sign; the
+        sources that several terms read hold the signed sum, one list per
+        distinct set of signed terms, with sign 1. The columns of a class
+        that only such sums read are dropped once the build ends, so the
+        operator keeps fewer bundles than one per composite: 165 lists of
+        columns for the 172 composites at (11, 3, 0), mlen = 20, and 456 for
+        501 at (11, 5, 0), mlen = 10. Built on first use.
+        """
+        if self._op is None:
+            bun = ColumnBundles(self, self.T * self.ctx.mlen)
+            packed: dict[Mat2, list[int]] = {}
+            sums: dict[tuple[tuple[int, Mat2], ...], list[int]] = {}
+            rows = []
+            for terms in self.ctx.up_plan:
+                by_source: dict[int, list[tuple[int, Mat2]]] = {}
+                for y, sgn, m in terms:
+                    sgn, r = sign_class(sgn, m, self.ctx.k)
+                    if r not in packed:
+                        E = self._checked_up(r)
+                        packed[r] = [bun.pack([row[i] if i < len(row) else 0 for row in E])
+                                     for i in range(bun.width)]
+                    by_source.setdefault(y, []).append((sgn, r))
+                row = []
+                for y, group in by_source.items():
+                    if len(group) == 1:
+                        sgn, r = group[0]
+                        row.append((y, sgn, packed[r]))
+                        continue
+                    key = tuple(sorted(group))
+                    if key not in sums:
+                        cols = [0] * bun.width
+                        for sgn, r in key:
+                            cols = list(map(operator.add if sgn > 0 else operator.sub,
+                                            cols, packed[r]))
+                        sums[key] = cols
+                    row.append((y, 1, sums[key]))
+                rows.append(row)
+            self._op = (bun, rows)
+        return self._op
 
 
 class ColumnBundles:
@@ -573,9 +640,10 @@ class ColumnBundles:
     unit columns, so a matrix-vector product over all of them is one integer
     dot product per row. A single table, as in the lift, bundles the other
     way: with cols = width, slot j holds output coordinate j, the columns of
-    each U_p composite are bundles (MomentCache.up_columns), and the product
-    is one dot product of the input coordinates with those columns. With one
-    column the slot is the int itself and reduction is a plain % mod.
+    the merged U_p operator are bundles (MomentCache.up_operator), and each
+    source coset costs one dot product of its input coordinates with those
+    columns. With one column the slot is the int itself and reduction is a
+    plain % mod.
 
     Slot size: matrix and vector entries are residues below mod. A slot of
     pos or neg sums at most fan = ctx.fan dot products of width = T * mlen
@@ -583,7 +651,9 @@ class ColumnBundles:
     lim = (fan * width + 1) * (mod - 1)^2, which also covers a residue plus
     one product (the tail top moment, the p^D scaling). combine may hold
     both signs in one int: its slots are then signed sums whose absolute
-    values add up to at most lim, the same bound. reduce adds off, the
+    values add up to at most lim, the same bound, and so may the merged U_p
+    operator of one table (MomentCache.up_operator), whose sources only
+    regroup the plan terms of a coset. reduce adds off, the
     multiple of mod at or just above lim, to every slot of pos - neg, so
     each slot x_s lies in [0, 2 * lim + mod) and no borrow or carry crosses
     a slot boundary; sb is the byte length of that bound. Unpacking a
@@ -595,6 +665,10 @@ class ColumnBundles:
 
     def __init__(self, cache: MomentCache, cols: int = 1):
         self.cols = cols
+        # k, not the cache: the cache keeps its operator's bundles, and a
+        # reference back would be a cycle that keeps every matrix alive
+        # until the cycle collector runs
+        self.k = cache.ctx.k
         self.mod = mod = cache.mod
         self.width = cache.T * cache.ctx.mlen
         self.fan = cache.ctx.fan
@@ -643,7 +717,9 @@ class ColumnBundles:
         """The sum of sign * matrix(m) vals[y] over terms (y, sign, m), each
         coordinate reduced once at the end.
 
-        The terms that read the same source y are merged first: their signed
+        Each term reads the matrix of its sign class (sign_class), so
+        matrix is only called on representatives with a > 0. The terms that
+        read the same source y are merged first: their signed
         matrices are summed entry by entry, and vals[y] meets the sum in one
         matrix-vector product. Merging only regroups the same products, so
         with at most fan terms (checked when bundled) the absolute values in
@@ -653,7 +729,8 @@ class ColumnBundles:
             raise CertificationError("more terms than the slot bound allows")
         by_source: dict[int, list[tuple[int, Sequence[Sequence[int]]]]] = {}
         for y, sgn, m in terms:
-            by_source.setdefault(y, []).append((sgn, matrix(m)))
+            sgn, r = sign_class(sgn, m, self.k)
+            by_source.setdefault(y, []).append((sgn, matrix(r)))
         acc = [0] * self.width
         for y, group in by_source.items():
             # sgn * mat is the signed sum of the group's matrices
@@ -745,27 +822,31 @@ def up_apply_mod(
     """U_p of a value table, or of cols tables held as column bundles: one
     row per coset, or per listed coset.
 
-    Column bundles go through ColumnBundles.combine, which sums the matrices
-    of the terms that read one source coset before its one matrix-vector
-    product: 87 products for the 159 terms of the model rows at
-    (11, 3, 0), mlen = 16. A single table of residues packs the output
-    moments instead, term by term: with the columns of each U_p composite
-    stored as bundles of T * mlen slots (MomentCache.up_columns), a term
-    adds one bundle per input coordinate, and each coset is reduced once,
-    slot by slot.
+    Both ways sum the terms that read one source coset before they meet
+    its values. Column bundles go through ColumnBundles.combine, which adds
+    the matrices of those terms before its one matrix-vector product: 87
+    products for the 159 terms of the model rows at (11, 3, 0), mlen = 16.
+    A single table of residues packs the output moments instead: the merged
+    operator (MomentCache.up_operator) holds, per source, the columns of
+    the summed matrix as bundles of T * mlen slots, so a source adds one
+    bundle per input coordinate into one signed accumulator, and each
+    coset is reduced once, slot by slot. That is 479 dot products for 891
+    terms at (11, 3, 0), mlen = 20, and 1408 for 2765 at (11, 5, 0),
+    mlen = 10.
     """
     ctx = cache.ctx
     rows = range(ctx.ms.index) if cosets is None else cosets
     if cols > 1:
         bun = ColumnBundles(cache, cols)
         return [bun.combine(ctx.up_plan[x], cache.up, tables) for x in rows]
-    bun = ColumnBundles(cache, cache.T * ctx.mlen)
+    bun, op = cache.up_operator()
     out = []
     for x in rows:
-        acc = {1: 0, -1: 0}
-        for y, sgn, m in ctx.up_plan[x]:
-            acc[sgn] += sum(map(operator.mul, tables[y], cache.up_columns(m, bun)))
-        out.append(bun.slots(bun.reduce(acc[1], acc[-1])))
+        acc = 0
+        for y, sgn, packed in op[x]:
+            dot = sum(map(operator.mul, tables[y], packed))
+            acc = acc + dot if sgn > 0 else acc - dot
+        out.append(bun.slots(bun.reduce(acc)))
     return out
 
 

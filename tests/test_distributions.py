@@ -203,6 +203,30 @@ def test_family_matrix_w_layer_scales_like_log():
         assert fam[1][j][j] == fam[0][j][j] * kappa % mod
 
 
+@pytest.mark.parametrize("T", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_family_matrix_of_minus_gamma_is_the_weight_sign(p, k, T):
+    """E(-gamma) = (-1)^k E(gamma) mod p^K on every w-plane: the weight
+    rows pick up (-1)^k and <-a - c z> = <a + c z>, so one matrix serves
+    both signs of a."""
+    rng = random.Random(100 * p + 10 * k + T)
+    mlen, K = 6, 9
+    mod = p**K
+    for sign in (1, -1, 1, -1):
+        while True:
+            a = sign * (rng.randrange(0, 20) * p + rng.randrange(1, p))
+            gamma = (a, rng.randrange(-30, 30), rng.randrange(-6, 6) * p, rng.randrange(-30, 30))
+            if gamma[0] * gamma[3] != gamma[1] * gamma[2]:
+                break
+        fam = family_moment_matrix(gamma, k, mlen, T, p, K)
+        neg = family_moment_matrix(tuple(-x for x in gamma), k, mlen, T, p, K)
+        assert len(neg) == len(fam) == T
+        for plane, minus in zip(fam, neg):
+            for row, mrow in zip(plane, minus):
+                assert [((-1) ** k * x - y) % mod for x, y in zip(row, mrow)] == [0] * mlen
+
+
 def _outcome(build):
     try:
         return [list(row) for row in build()]

@@ -11,10 +11,10 @@ import math
 
 import pytest
 
-from parahoric.linalg import charpoly_berkowitz
 from parahoric.ocsymbols import (
     auto_eigensymbol,
     classical_space,
+    integer_charpoly,
     integer_eigenvalues,
     lift_symbol,
 )
@@ -44,6 +44,7 @@ CASES = [
     ((5, 3, 2), {1: 4, 5: 4}, {2: -4, 7: 6, 11: 32, 13: -38}, 2),
     ((4, 3, 4), {2: 12}, {5: 54, 7: -88, 11: 540, 13: -418}, None),
     ((2, 3, 6), {1: 8, 2: 8}, {5: -210, 7: 1016, 11: 1092, 13: 1382}, None),
+    ((6, 5, 2), {1: 2, 2: 2, 3: 2, 6: 2}, {7: -16, 11: 12, 13: 38}, 6),
 ]
 
 
@@ -66,7 +67,7 @@ def test_classical_spectrum_contains_the_eta_product(level, exps, a_ell, trace):
         assert value in integer_eigenvalues(space.hecke_matrix(ell), ell ** (k + 1) + 1), ell
     # p does not divide N: the p-stabilization polynomial x^2 - a_p x + p^(k+1)
     # divides the characteristic polynomial of the classical U_p
-    rem = list(charpoly_berkowitz(space.up_matrix()))
+    rem = integer_charpoly(space.up_matrix())
     for top in range(len(rem) - 1, 1, -1):
         c = rem[top]
         rem[top] -= c

@@ -1,11 +1,14 @@
 import functools
+import gc
 import hashlib
 import math
+import operator
 import os
 import random
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from parahoric.ocsymbols import (
     auto_eigensymbol,
     build_tables_mod,
     charpoly_up,
+    check_relations_mod,
     classical_space,
     family_charpoly,
     hecke_deltas,
@@ -286,22 +290,26 @@ def test_family_csv_rows_carry_layers():
 
 def test_up_monoid_checks_survive_python_O():
     """The U_p plan precondition raises under python -O, which strips assert,
-    for the matrices of the model and for the packed columns of the lift."""
+    for the matrices of the model and for the merged operator of the lift,
+    also for a composite with a < 0 that its sign class would rewrite."""
     script = (
-        "from parahoric.ocsymbols import ColumnBundles, MomentCache, oc_context\n"
+        "import dataclasses\n"
+        "from parahoric.ocsymbols import MomentCache, oc_context\n"
         "ctx = oc_context(11, 3, 0, 4)\n"
         "print('debug', __debug__)\n"
-        "for cache in (MomentCache(ctx, 8), MomentCache(ctx, 8, T=2)):\n"
-        "    bun = ColumnBundles(cache, cache.T * ctx.mlen)\n"
-        "    for get in (cache.up, lambda m: cache.up_columns(m, bun)):\n"
-        "        try:\n"
-        "            get((1, 0, 3, 1))\n"
-        "        except ValueError:\n"
-        "            print('rejected')\n"
+        "for bad in ((1, 0, 3, 1), (-1, 0, 3, -1)):\n"
+        "    planted = dataclasses.replace(ctx, up_plan=[[(0, 1, bad)]] + ctx.up_plan[1:])\n"
+        "    for T in (1, 2):\n"
+        "        for get in (lambda: MomentCache(ctx, 8, T).up(bad),\n"
+        "                    lambda: MomentCache(planted, 8, T).up_operator()):\n"
+        "            try:\n"
+        "                get()\n"
+        "            except ValueError:\n"
+        "                print('rejected')\n"
     )
     proc = _run_optimized(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["debug False"] + ["rejected"] * 4 + [""]
+    assert proc.stdout.split("\n") == ["debug False"] + ["rejected"] * 8 + [""]
 
 
 def _run_optimized(script: str) -> subprocess.CompletedProcess:
@@ -829,31 +837,72 @@ def test_hecke_plans_are_built_once_per_lift(monkeypatch):
 
 
 def _up_apply_per_term(cache, tables):
-    """The one-table up_apply_mod without packing: each term's matrix-vector
-    product into a positive or a negative accumulator, each coordinate
-    reduced once."""
-    ctx, mod = cache.ctx, cache.mod
+    """The one-table up_apply_mod without the cache: each term's ring
+    product with the family_moment_matrix planes of its own composite, into
+    a positive or a negative accumulator, each coordinate reduced once. No
+    sign class and no merging."""
+    ctx, T, mod = cache.ctx, cache.T, cache.mod
+    mlen = ctx.mlen
     out = []
     for terms in ctx.up_plan:
-        acc = {1: [0] * ctx.mlen, -1: [0] * ctx.mlen}
+        acc = {1: [0] * (T * mlen), -1: [0] * (T * mlen)}
         for y, sgn, m in terms:
-            acc[sgn] = [a + b for a, b in zip(acc[sgn], matvec(cache.up(m), tables[y]))]
+            planes = family_moment_matrix(m, ctx.k, mlen, T, ctx.p, cache.K)
+            for t in range(T):
+                for u in range(t + 1):
+                    img = matvec(planes[t - u], tables[y][u * mlen:(u + 1) * mlen])
+                    acc[sgn][t * mlen:(t + 1) * mlen] = map(
+                        operator.add, acc[sgn][t * mlen:(t + 1) * mlen], img)
         out.append([(a - b) % mod for a, b in zip(acc[1], acc[-1])])
     return out
 
 
-@pytest.mark.parametrize("N, p, k", [(11, 3, 0), (11, 5, 2), (11, 3, 2), (3, 2, 0)])
-def test_one_table_up_apply_matches_per_term_products(N, p, k):
-    """Moments packed into slots give the U_p image of per-term products, on
-    random residue tables, with the packed columns built once and reused."""
+@pytest.mark.parametrize(
+    "N, p, k, T",
+    [(11, 3, 0, 1), (11, 5, 2, 1), (11, 3, 2, 1), (3, 2, 0, 1), (11, 3, 1, 1), (11, 3, 1, 2)],
+    ids=["11-3-0", "11-5-2", "11-3-2", "3-2-0", "11-3-1", "11-3-1-T2"],
+)
+def test_one_table_up_apply_matches_per_term_products(N, p, k, T, monkeypatch):
+    """The merged, packed U_p operator gives the U_p image of per-term ring
+    products on random residue tables, odd k and T = 2 included. The cache
+    builds one moment matrix per sign class +-m, once, and reuses it."""
+    built = []
+
+    def counted(m, *args):
+        built.append(m)
+        return family_moment_matrix(m, *args)
+
+    monkeypatch.setattr(parahoric.ocsymbols, "family_moment_matrix", counted)
     ctx = oc_context(N, p, k, 8)
     K = ctx.mlen + 2 * ctx.D + 4
     mod = p**K
-    cache = MomentCache(ctx, K)
-    rng = random.Random(N * p + k)
+    cache = MomentCache(ctx, K, T)
+    rng = random.Random(N * p + k + 100 * (T - 1))
     for _ in range(2):
-        tables = [[rng.randrange(mod) for _ in range(ctx.mlen)] for _ in range(ctx.ms.index)]
+        tables = [[rng.randrange(mod) for _ in range(T * ctx.mlen)]
+                  for _ in range(ctx.ms.index)]
         assert up_apply_mod(cache, tables) == _up_apply_per_term(cache, tables)
+    classes = {m if m[0] > 0 else tuple(-x for x in m)
+               for terms in ctx.up_plan for _, _, m in terms}
+    assert sorted(built) == sorted(classes)
+
+
+def test_model_caches_free_without_the_cycle_collector():
+    """The merged operator and the bundles it keeps hold no reference back
+    to their cache, so a lift's cache, with its operator and moment
+    matrices, is freed when its last name goes, not at a later collection."""
+    ctx = oc_context(11, 3, 1, 6)
+    cache = MomentCache(ctx, ctx.mlen + 2 * ctx.D + 4)
+    tables = [[1] * ctx.mlen for _ in range(ctx.ms.index)]
+    up_apply_mod(cache, tables)
+    check_relations_mod(cache, tables)
+    gone = weakref.ref(cache)
+    gc.disable()
+    try:
+        del cache
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def _sha256(value) -> str:
