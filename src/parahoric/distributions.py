@@ -75,7 +75,7 @@ def moment_matrix_mod(
     (Z/mod)[z]/(z^mlen): O(mlen) work per row. Division by a + c z needs a
     invertible mod p, which the monoid condition gives. The filtration bound
     v_p(E[j][i]) >= i - j is checked on the residues, as divisibility by
-    gcd(p^(i-j), mod).
+    gcd(p^(i-j), mod), one floor per offset i - j.
     """
     _check_monoid(gamma, p)
     a, b, c, d = gamma
@@ -99,56 +99,41 @@ def moment_matrix_mod(
     for _ in range(1, mlen):
         row = div_lin([b * x + d * y for x, y in zip(row, [0] + row)])
         rows.append(row)
+    floors = [gcd(p**o, mod) for o in range(mlen)]
     for j in range(mlen):
         for i in range(j + 1, mlen):
-            if rows[j][i] % gcd(p ** (i - j), mod):
+            if rows[j][i] % floors[i - j]:
                 raise CertificationError("filtration bound violated")
     return rows
-
-
-def tail_solve(
-    E: Sequence[Sequence[int]],
-    nu: Sequence[Fraction],
-    top: Fraction,
-) -> list[Fraction]:
-    """Solve m|(W-1) = nu for the first mlen-1 moments, with free top moment.
-
-    E is the moment matrix of the tail twist W; it must be unipotent in the
-    moment filtration. Row j reads sum_{i<=j-1} E[j][i] m_i = nu_j, so the
-    moments come out in order, at the cost of dividing by E[j][j-1].
-    """
-    mlen = len(nu)
-    if nu[0] != 0:
-        raise ValueError("tail relation is inconsistent: nu must kill constants")
-    for j in range(mlen):
-        if E[j][j] != 1 or any(E[j][j + 1:]):
-            raise CertificationError("tail twist is not unipotent on moments")
-    m: list[Fraction] = [Fraction(0)] * mlen
-    m[mlen - 1] = Fraction(top)
-    for j in range(1, mlen):
-        acc = Fraction(nu[j])
-        for i in range(j - 1):
-            acc -= E[j][i] * m[i]
-        piv = E[j][j - 1]
-        if piv == 0:
-            raise CertificationError("tail solve pivot vanished")
-        m[j - 1] = acc / piv
-    return m
 
 
 def tail_solve_matrix(
     E: Sequence[Sequence[int]], mlen: int
 ) -> list[list[Fraction]]:
-    """Matrix Sol with (tail_solve(E, nu, 0))_j = sum_l Sol[j][l] nu_l."""
-    cols = []
-    for l in range(mlen):
-        nu = [Fraction(0)] * mlen
-        nu[l] = Fraction(1)
-        if l == 0:
-            cols.append([Fraction(0)] * mlen)
-            continue
-        cols.append(tail_solve(E, nu, Fraction(0)))
-    return [[cols[l][j] for l in range(mlen)] for j in range(mlen)]
+    """Matrix Sol of the tail solve: for nu with nu_0 = 0, m = Sol nu solves
+    m|(W-1) = nu in the first mlen-1 moments, with top moment 0.
+
+    E is the moment matrix of the tail twist W; it must be unipotent in the
+    moment filtration. Row j of the relation reads
+    sum_{i<=j-1} E[j][i] m_i = nu_j, so by forward substitution row j-1 of
+    Sol is (e_j - sum_{i<j-1} E[j][i] Sol[i]) / E[j][j-1]; column 0 and the
+    top row stay zero.
+    """
+    for j in range(mlen):
+        if E[j][j] != 1 or any(E[j][j + 1:]):
+            raise CertificationError("tail twist is not unipotent on moments")
+    sol = [[Fraction(0)] * mlen for _ in range(mlen)]
+    for j in range(1, mlen):
+        piv = E[j][j - 1]
+        if piv == 0:
+            raise CertificationError("tail solve pivot vanished")
+        # Sol[i] is zero past column i + 1, so row j - 1 past column j
+        row = [Fraction(int(l == j)) for l in range(j + 1)]
+        for i in range(j - 1):
+            if E[j][i]:
+                row[:i + 2] = [r - E[j][i] * s for r, s in zip(row, sol[i][:i + 2])]
+        sol[j - 1][:j + 1] = [r / piv for r in row]
+    return sol
 
 
 def solve_error_profile(

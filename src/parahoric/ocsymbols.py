@@ -38,7 +38,10 @@ for 891 terms at (11, 3, 0), mlen = 20. Every moment matrix is kept once
 per sign class +-m, since E(-m) = (-1)^k E(m).
 
 Classical symbols (ClassicalSpace) are exact: integer basis vectors, integer
-moment matrices, and operator matrices over Q read off free columns.
+moment matrices, and operator matrices over Q read off free columns. The
+p-stabilization block of an eigensymbol is read the same way, off the free
+columns of its two block symbols after one two-column U_p apply, so the
+search never builds U_p on the whole space.
 """
 from __future__ import annotations
 
@@ -56,7 +59,6 @@ from .linalg import (
     power_traces_mod,
     primitive,
     slot_reducer,
-    solve,
 )
 from .manin import ManinSystem, Mat2, SolvedPresentation, is_prime
 from .distributions import (
@@ -149,33 +151,15 @@ class ClassicalSpace:
 
     def operator_matrix(self, deltas: Sequence[Mat2]) -> tuple[tuple[Fraction, ...], ...]:
         """Matrix of the double-coset operator on the normalized basis
-        basis[f] / basis[f][free[f]], which is 1 at its own free column.
-
-        With img_f the image of basis[f], entry (g, f) is the coordinate
-        img_f[free[g]] / basis[f][free[f]] of the image of normalized vector
-        f on normalized vector g. The image lies in the space iff it equals
-        the combination of the basis those coordinates give, checked in
-        integers. Computed once per delta tuple and kept on the space; rows
-        are tuples, so no caller can change the kept copy.
+        basis[f] / basis[f][free[f]], which is 1 at its own free column,
+        read off the free columns of the images (_read_coordinates).
+        Computed once per delta tuple and kept on the space; rows are
+        tuples, so no caller can change the kept copy.
         """
         key = tuple(deltas)
         if key not in self._operators:
-            n, free = self.dimension, self.free
-            img = self.apply(key, [[v[q] for v in self.basis]
-                                   for q in range(self.ms.index * (self.k + 1))])
-            dens = [v[f] for v, f in zip(self.basis, free)]
-            L = math.lcm(*dens)
-            # with S_g = (L / den_g) basis_g, image f is in the space iff
-            # L * img_f = sum_g img_f[free_g] S_g
-            S = [[L // den * c for c in v] for v, den in zip(self.basis, dens)]
-            coords = [img[f] for f in free]
-            per_image = list(zip(*coords))
-            for q, row in enumerate(img):
-                if [L * c for c in row] != matvec(per_image, [s[q] for s in S]):
-                    raise CertificationError("operator left the symbol space")
-            self._operators[key] = tuple(
-                tuple(Fraction(coords[g][f], dens[f]) for f in range(n)) for g in range(n)
-            )
+            cols = [[v[q] for v in self.basis] for q in range(self.ms.index * (self.k + 1))]
+            self._operators[key] = _read_coordinates(cols, self.free, self.apply(key, cols))
         return self._operators[key]
 
     def hecke_matrix(self, ell: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -186,6 +170,31 @@ class ClassicalSpace:
 
     def involution_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.operator_matrix([IOTA])
+
+
+def _read_coordinates(
+    cols: Sequence[Sequence[int]], free: Sequence[int], img: Sequence[Sequence[int]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix of an operator on the normalized vectors v_f / v_f[free[f]].
+
+    cols[q] lists flat coordinate q of the integer vectors v_f, each zero
+    at the free columns of the others, and img[q] that of their images.
+    Entry (g, f) is img_f[free[g]] / v_f[free[f]], the coordinate of the
+    image of normalized vector f on normalized vector g. The image lies in
+    the span iff it equals the combination those coordinates give, checked
+    in integers: with L the lcm of the v_f[free[f]] and S_g = (L /
+    v_g[free[g]]) v_g, L * img_f = sum_g img_f[free[g]] S_g.
+    """
+    n = len(free)
+    dens = [cols[q][f] for f, q in enumerate(free)]
+    L = math.lcm(*dens)
+    scale = [L // den for den in dens]
+    coords = [img[q] for q in free]
+    per_image = list(zip(*coords))
+    for v, row in zip(cols, img):
+        if [L * c for c in row] != matvec(per_image, list(map(operator.mul, scale, v))):
+            raise CertificationError("operator left the span")
+    return tuple(tuple(Fraction(coords[g][f], dens[f]) for f in range(n)) for g in range(n))
 
 
 def classical_space(N: int, p: int, k: int) -> ClassicalSpace:
@@ -324,20 +333,6 @@ class Eigensymbol:
     slope: int
 
 
-def _restrict(mat: Sequence[Sequence[Fraction]], sub: list[list[int]]) -> list[list[Fraction]]:
-    n = len(mat)
-    m = len(sub)
-    A = [[sub[j][i] for j in range(m)] for i in range(n)]
-    cols = []
-    for v in sub:
-        img = [sum(mat[i][j] * v[j] for j in range(n)) for i in range(n)]
-        x = solve(A, img)
-        if x is None:
-            raise CertificationError("subspace is not stable")
-        cols.append(x)
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
-
-
 def ordinary_eigensymbol(
     space: ClassicalSpace, probe_ell: int, probe_a: int, B: int, slope: int = 0
 ) -> Eigensymbol:
@@ -346,7 +341,9 @@ def ordinary_eigensymbol(
 
     The plus block is one kernel: the vectors on which T_ell = probe_a and
     iota = 1 both hold. A probe_a that is no T_ell eigenvalue leaves it
-    empty, and the two-dimensional-block check rejects it.
+    empty, and the two-dimensional-block check rejects it. One U_p apply on
+    the two block symbols gives both the block's matrix, read off their free
+    columns, and the stabilized symbol.
     """
     p = space.ms.p
     k = space.k
@@ -357,15 +354,21 @@ def ordinary_eigensymbol(
         [[Tl[i][j] - (probe_a if i == j else 0) for j in range(n)] for i in range(n)]
         + [[iota[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     )
-    UW = _restrict(space.up_matrix(), Wplus)
-    if len(UW) != 2:
-        raise ValueError(f"expected a two-dimensional stabilization block, got {len(UW)}")
-    cp = charpoly_berkowitz(UW)  # x^2 - trace x + norm
-    trace = -cp[1]
-    norm = cp[0]
-    if trace.denominator != 1 or norm.denominator != 1:
-        raise CertificationError("stabilization polynomial is not integral")
-    trace, norm = int(trace), int(norm)
+    if len(Wplus) != 2:
+        raise ValueError(f"expected a two-dimensional stabilization block, got {len(Wplus)}")
+    # block symbol j is W_j = L w_j on the normalized basis, integral for L
+    # the lcm of the basis denominators; w_j, a nullspace vector, is zero at
+    # the other's free coordinate and its own is its last nonzero one, so
+    # W_j is zero at the free column of the other block symbol. One U_p
+    # apply on both gives the block matrix and, from column 0, psi
+    dens = [v[f] for v, f in zip(space.basis, space.free)]
+    L = math.lcm(*dens)
+    coefs = [[c * (L // dl) for c, dl in zip(w, dens)] for w in Wplus]
+    cols = [[sum(map(operator.mul, coef, q)) for coef in coefs] for q in zip(*space.basis)]
+    img = space.apply(up_deltas(p), cols)
+    free = [space.free[max(g for g, c in enumerate(w) if c)] for w in Wplus]
+    cp = integer_charpoly(_read_coordinates(cols, free, img))  # x^2 - trace x + norm
+    trace, norm = -cp[1], cp[0]
     if valuation(norm, p) != k + 1:
         raise ValueError("stabilization norm is not p^(k+1) times a unit")
     # slope-0 root exists iff the trace is a unit
@@ -380,17 +383,11 @@ def ordinary_eigensymbol(
         alpha = (trace - r) % mod
     else:
         raise ValueError("stabilization roots have slope 0 or k + 1")
-    # psi = (U - beta) w with beta = trace - alpha, applied to the primitive
-    # multiple of w and cleared of denominators by the least scale: with L
-    # the lcm of the basis denominators, W = L * primitive(w) is integral,
-    # and that scale is L / gcd(L, content of U W - beta W)
+    # psi = (U - beta) W_0 with beta = trace - alpha, cleared of denominators
+    # by the least scale: W_0 = L w_0 with w_0 primitive, so that scale is
+    # L / gcd(L, content of U W_0 - beta W_0)
     beta = (trace - alpha) % mod
-    dens = [v[f] for v, f in zip(space.basis, space.free)]
-    L = math.lcm(*dens)
-    coef = [c * (L // dl) for c, dl in zip(primitive(Wplus[0]), dens)]
-    W = [sum(map(operator.mul, coef, q)) for q in zip(*space.basis)]
-    UW = space.apply(up_deltas(p), [[c] for c in W])
-    psi = [u[0] - beta * c for u, c in zip(UW, W)]
+    psi = [u[0] - beta * c[0] for u, c in zip(img, cols)]
     g = math.gcd(L, *psi)
     if (L // g) % p == 0:
         raise CertificationError("stabilization produced p in the denominator")

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import comb
@@ -12,11 +13,10 @@ from parahoric.distributions import (
     integer_moment_matrix,
     iwasawa_log,
     moment_matrix_mod,
-    tail_solve,
     tail_solve_matrix,
     teichmuller,
 )
-from parahoric.linalg import frac_mod
+from parahoric.linalg import frac_mod, solve
 from parahoric.manin import ManinSystem, UnsupportedLevel
 from parahoric.padics import CertificationError
 from parahoric.padics import valuation as padic_val
@@ -106,32 +106,46 @@ def test_composition_is_graded_not_exact():
             assert v is None or v >= mlen - j - 2
 
 
+def _tail_solution(W, k, mlen, rng):
+    """Random nu with nu_0 = 0 and top moment, and m = Sol nu + top e_{mlen-1}."""
+    nu = [Fraction(0)] + [Fraction(rng.randint(-50, 50)) for _ in range(1, mlen)]
+    top = Fraction(rng.randint(-50, 50))
+    S = tail_solve_matrix(integer_moment_matrix(W, k, mlen), mlen)
+    m = [sum(S[j][i] * nu[i] for i in range(mlen)) for j in range(mlen)]
+    m[mlen - 1] += top
+    return nu, top, m
+
+
 def test_tail_solve_reproduces_relation():
-    ms = ManinSystem(11, 3)
-    sp = ms.solved_presentation()
-    mlen = 6
-    E = moment_matrix(sp.tail.W, 0, mlen)
-    nu = [Fraction(0)] + [Fraction(i - 2) for i in range(1, mlen)]
-    m = tail_solve(E, nu, Fraction(7))
-    out = apply_moments(E, m)
-    # relation rows: (m|W)_j - m_j = nu_j for all but the top moment
-    for j in range(mlen - 1):
-        assert out[j] - m[j] == nu[j]
-    assert m[mlen - 1] == 7
-    with pytest.raises(ValueError):
-        tail_solve(E, [Fraction(1)] * mlen, Fraction(0))
+    """For every supported tail twist W, Sol nu plus a top moment satisfies
+    the relation rows (m|W)_j - m_j = nu_j below the top moment, read with
+    the Fraction moment matrix."""
+    rng = random.Random(11)
+    for N, p, W in _supported_tails():
+        for k in (0, 2):
+            mlen = rng.randint(k + 2, 12)
+            nu, top, m = _tail_solution(W, k, mlen, rng)
+            out = apply_moments(moment_matrix(W, k, mlen), m)
+            for j in range(mlen - 1):
+                assert out[j] - m[j] == nu[j], (N, p, k, mlen, j)
+            assert m[mlen - 1] == top
 
 
 def test_tail_solve_matrix_agrees_with_solver():
-    ms = ManinSystem(11, 3)
-    sp = ms.solved_presentation()
-    mlen = 5
-    E = moment_matrix(sp.tail.W, 0, mlen)
-    S = tail_solve_matrix(E, mlen)
-    nu = [Fraction(0), Fraction(3), Fraction(-1), Fraction(2), Fraction(5)]
-    direct = tail_solve(E, nu, Fraction(0))
-    via = [sum(S[j][i] * nu[i] for i in range(mlen)) for j in range(mlen)]
-    assert via[: mlen - 1] == direct[: mlen - 1]
+    """Sol nu plus a top moment is the solution linalg.solve finds for the
+    relation rows (m|W)_j - m_j = nu_j, j >= 1, with that top moment, at
+    every supported tail; row 0 reads 0 = nu_0."""
+    rng = random.Random(12)
+    for N, p, W in _supported_tails():
+        k = 2
+        mlen = rng.randint(k + 2, 10)
+        nu, top, m = _tail_solution(W, k, mlen, rng)
+        E = moment_matrix(W, k, mlen)
+        rows = [[E[j][i] - (i == j) for i in range(mlen)] for j in range(1, mlen)]
+        rows.append([0] * (mlen - 1) + [1])
+        assert solve(rows, nu[1:] + [top]) == m, (N, p, mlen)
+        out = apply_moments(E, m)
+        assert [out[j] - m[j] for j in range(mlen - 1)] == nu[:mlen - 1]
 
 
 def test_teichmuller_character():
@@ -294,18 +308,26 @@ def test_integer_moment_matrix_rejects_rational_rows(gamma):
         integer_moment_matrix(gamma, 2, 4)
 
 
-def test_every_supported_tail_is_unipotent_up_to_sign():
-    """The tail twist W of every supported level has c = 0 and |a| = |d| = 1,
-    so its moment matrix is integral at every length."""
+@functools.lru_cache(maxsize=None)
+def _supported_tails():
+    """(N, p, W) for the tail twist W of every supported level N < 38 and
+    p in (2, 3, 5, 7, 11) prime to N."""
     tails = []
     for N in range(1, 38):
         for p in (2, 3, 5, 7, 11):
             if N % p == 0:
                 continue
             try:
-                a, _, c, d = ManinSystem(N, p).solved_presentation().tail.W
+                tails.append((N, p, ManinSystem(N, p).solved_presentation().tail.W))
             except UnsupportedLevel:
                 continue
-            tails.append((N, p))
-            assert c == 0 and abs(a) == abs(d) == 1, (N, p)
+    return tails
+
+
+def test_every_supported_tail_is_unipotent_up_to_sign():
+    """The tail twist W of every supported level has c = 0 and |a| = |d| = 1,
+    so its moment matrix is integral at every length."""
+    tails = _supported_tails()
+    for N, p, (a, _, c, d) in tails:
+        assert c == 0 and abs(a) == abs(d) == 1, (N, p)
     assert len(tails) == 68

@@ -24,10 +24,12 @@ from parahoric.distributions import (
     integer_moment_matrix,
     solve_error_profile,
 )
-from parahoric.linalg import charpoly_berkowitz, matvec, solve
+from parahoric.linalg import charpoly_berkowitz, matvec, nullspace, solve
 from parahoric.manin import ManinSystem, UnsupportedLevel
+from parahoric import ocsymbols
 from parahoric.ocsymbols import (
     IOTA,
+    ClassicalSpace,
     ColumnBundles,
     DivergenceError,
     MomentCache,
@@ -938,3 +940,73 @@ def test_classical_bases_and_eigensymbols_are_pinned(level, basis_digest, symbol
     if symbol_digest is not None:
         sym = auto_eigensymbol(space, B=30)
         assert _sha256((sym.alpha, sym.B, sym.table)) == symbol_digest
+
+
+def _block_charpoly_via_up_matrix(space, ell, a):
+    """(trace, norm) of U_p on the plus block of T_ell = a: the whole-space
+    up_matrix() restricted by one linalg.solve per block vector, then the
+    Fraction Berkowitz charpoly x^2 - trace x + norm."""
+    n = space.dimension
+    Tl, iota, U = space.hecke_matrix(ell), space.involution_matrix(), space.up_matrix()
+    block = nullspace(
+        [[Tl[i][j] - (a if i == j else 0) for j in range(n)] for i in range(n)]
+        + [[iota[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    )
+    A = [list(row) for row in zip(*block)]
+    cols = [solve(A, matvec(U, w)) for w in block]
+    assert None not in cols
+    cp = charpoly_berkowitz([list(row) for row in zip(*cols)])
+    return -cp[1], cp[0]
+
+
+@pytest.mark.parametrize("level", [level for level, _, digest in CLASSICAL_DIGESTS if digest]
+                         + [(14, 3, 0), (6, 5, 2)], ids=str)
+def test_eigensymbol_search_reads_only_the_block(level, monkeypatch):
+    """The search never builds the whole-space U_p matrix: the block's
+    (trace, norm) comes from one two-column apply and equals the old route
+    through up_matrix()."""
+    space = _space(*level)
+    probes = []
+    search = ocsymbols.ordinary_eigensymbol
+
+    def record(space, probe_ell, probe_a, *args, **kwargs):
+        probes.append((probe_ell, probe_a))
+        return search(space, probe_ell, probe_a, *args, **kwargs)
+
+    def refuse(self):
+        raise AssertionError("the search built up_matrix()")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ocsymbols, "ordinary_eigensymbol", record)
+        patch.setattr(ClassicalSpace, "up_matrix", refuse)
+        sym = auto_eigensymbol(space, B=30)
+    assert (sym.trace, sym.norm) == _block_charpoly_via_up_matrix(space, *probes[-1])
+
+
+def test_block_check_survives_python_O():
+    """A U_p image pushed off the block at a column that is no free column
+    fails the block's coordinate check under python -O as well."""
+    script = (
+        "from parahoric.ocsymbols import ClassicalSpace, classical_space,"
+        " ordinary_eigensymbol, up_deltas\n"
+        "space = classical_space(11, 3, 0)\n"
+        "print('clean', ordinary_eigensymbol(space, 2, -2, B=20).slope)\n"
+        "q = next(q for q in range(space.ms.index) if q not in space.free)\n"
+        "apply = ClassicalSpace.apply\n"
+        "def corrupted(self, deltas, cols):\n"
+        "    img = apply(self, deltas, cols)\n"
+        "    if list(deltas) == up_deltas(self.ms.p):\n"
+        "        img[q] = [c + 1 for c in img[q]]\n"
+        "    return img\n"
+        "ClassicalSpace.apply = corrupted\n"
+        "print('debug', __debug__)\n"
+        "try:\n"
+        "    ordinary_eigensymbol(space, 2, -2, B=20)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', type(exc).__name__, exc)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "clean 0", "debug False", "raised CertificationError operator left the span", "",
+    ]

@@ -156,6 +156,33 @@ def test_environment_is_read_at_the_cli_boundary():
     assert readers == {"padics.default_precision"}
 
 
+def test_traced_entry_points_stay_bound():
+    """Every entry point the benchmark tracer wraps (perfbench/tracer.py
+    STAGES) is defined, apart from the few already absent, so a change that
+    drops a traced layer cannot leave a stage of the benchmark silently
+    empty. The tracer module is loaded by path and never installed."""
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = set()
+    for entries in tracer.STAGES.values():
+        for module_name, attr in entries:
+            owner_name, _, name = attr.rpartition(".")
+            owner = importlib.import_module(module_name)
+            if owner_name:
+                owner = getattr(owner, owner_name, None)
+            if owner is None or name not in vars(owner):
+                unresolved.add(f"{module_name}:{attr}")
+    assert unresolved <= {
+        "parahoric.distributions:moment_matrix",
+        "parahoric.ocsymbols:build_family_tables",
+        "parahoric.ocsymbols:family_model_matrix",
+    }
+
+
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
 def test_script_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
