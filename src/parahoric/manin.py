@@ -63,7 +63,8 @@ def is_prime(n: int) -> bool:
 
 
 class P1List:
-    """Canonical representatives for P^1(Z/M). See Stein, Algorithm 8.32."""
+    """Canonical representatives for P^1(Z/M): each point is named by the
+    least pair in its orbit under the units of Z/M. See Stein, Algorithm 8.32."""
 
     def __init__(self, M: int):
         if M < 1:
@@ -76,12 +77,13 @@ class P1List:
             for v in range(M):
                 if gcd(gcd(u, v), M) == 1:
                     seen.add(self.normalize(u, v))
-        if M == 1:
-            seen = {(0, 0)}
         self.reps: list[tuple[int, int]] = sorted(seen)
         self._index = {uv: i for i, uv in enumerate(self.reps)}
 
     def normalize(self, u: int, v: int) -> tuple[int, int]:
+        """The least (s u, s v) mod M over the units s of Z/M: (0, 1) if u = 0,
+        else (g, least s v) for g = gcd(u, M) = x u + y M, since the units
+        with s u = g are the units among x + j A, A = M/g, j < g."""
         M = self.M
         if M == 1:
             return (0, 0)
@@ -91,38 +93,21 @@ class P1List:
             raise ValueError(f"({u}:{v}) is not a point of P^1(Z/{M})")
         if u == 0:
             return (0, 1)
-        g, s, _ = xgcd(u, M)
-        # make s a unit mod M without changing it mod M/g
+        g, x, _ = xgcd(u, M)
         A = M // g
-        s %= M
-        if s == 0:
-            s = A  # g == M would force u == 0, handled above
-        guard = 0
-        while gcd(s, M) != 1:
-            s = (s + A) % M
-            guard += 1
-            if guard > M:
-                raise CertificationError("unit lift failed")
-        u2 = g
-        v2 = (s * v) % M
-        best = v2
-        t = 1
-        for _ in range(1, g):
-            t = (t + A) % M
-            if gcd(t, M) == 1:
-                w = (t * v2) % M
-                if w < best:
-                    best = w
-        return (u2, best)
+        best = M
+        for s in range(x % A, M, A):
+            if gcd(s, M) == 1 and s * v % M < best:
+                best = s * v % M
+        if best == M:
+            raise CertificationError("no unit sends u to gcd(u, M)")
+        return (g, best)
 
     def index(self, u: int, v: int) -> int:
         return self._index[self.normalize(u, v)]
 
     def __len__(self) -> int:
         return len(self.reps)
-
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        return self.reps[i]
 
 
 def lift_to_sl2(u: int, v: int, M: int) -> Mat2:
@@ -233,9 +218,9 @@ class ManinSystem:
         k = 0, 1, 2."""
         g = self.lifts[x]
         slots = []
-        for k in range(3):
-            gk = g if k == 0 else mat_mul(g, U_MAT if k == 1 else mat_mul(U_MAT, U_MAT))
-            slots.append(TriangleSlot(*self.transport(gk)))
+        for _ in range(3):
+            slots.append(TriangleSlot(*self.transport(g)))
+            g = mat_mul(g, U_MAT)
         return slots
 
     def _build_orbits(self) -> None:
@@ -410,36 +395,24 @@ class ManinSystem:
 
     # path decomposition
 
-    def path_terms(
-        self, r: tuple[int, int], s: tuple[int, int]
-    ) -> list[tuple[int, Mat2, int]]:
-        """Terms (coset, gamma_inv, sign) with {r -> s} = sum sign * gamma path(g_coset).
-
-        The cusps are integer pairs (num, den), den = 0 for infinity. The
-        value of a symbol on {r -> s} is sum sign * (v_coset | gamma_inv).
-        """
-        out = []
-        for q, sgn in ((s, 1), (r, -1)):
-            for g in unimodular_pieces(*q):
-                y, gamma = self.transport(g)
-                out.append((y, mat_inv(gamma), sgn))
-        return out
-
     def hecke_plan(self, deltas: Sequence[Mat2]) -> list[list[tuple[int, int, Mat2]]]:
         """For each coset x: terms (y, sign, m) with the operator value at path x
         equal to sum sign * (v_y | m).
 
-        m = gamma^{-1} delta stays in the Sigma_0 monoid when the deltas do.
-        The path of x is {g 0 -> g oo} for g = delta g_x = (a, b, c, d), whose
-        cusps are its columns (b, d) and (a, c).
+        The path of x is {g 0 -> g oo} = {oo -> a/c} - {oo -> b/d} for
+        g = delta g_x = (a, b, c, d). Each piece of the cusp (a, c), sign +1,
+        then of (b, d), sign -1, transports to gamma g_y and gives the term
+        (y, sign, gamma^{-1} delta), in the Sigma_0 monoid when the deltas are.
         """
         plan: list[list[tuple[int, int, Mat2]]] = []
         for x in range(self.index):
             terms: list[tuple[int, int, Mat2]] = []
             for delta in deltas:
                 a, b, c, d = mat_mul(delta, self.lifts[x])
-                for y, ginv, sgn in self.path_terms((b, d), (a, c)):
-                    terms.append((y, sgn, mat_mul(ginv, delta)))
+                for cusp, sign in (((a, c), 1), ((b, d), -1)):
+                    for piece in unimodular_pieces(*cusp):
+                        y, gamma = self.transport(piece)
+                        terms.append((y, sign, mat_mul(mat_inv(gamma), delta)))
             plan.append(terms)
         return plan
 
@@ -452,27 +425,18 @@ def unimodular_pieces(num: int, den: int) -> list[Mat2]:
     (k num, k den) for every nonzero k, negative k included, so the pair
     need not be reduced.
     """
-    if den == 0:
-        return []
-    # continued fraction convergents, floor variant
-    a = []
-    while True:
-        fl = num // den
-        a.append(fl)
-        num, den = den, num - fl * den
-        if den == 0:
-            break
-    ps: list[int] = [1]
-    qs: list[int] = [0]
+    # convergents p_i/q_i of the floor continued fraction, two at a time from
+    # (p_-2, q_-2, p_-1, q_-1) = (0, 1, 1, 0); piece i has the columns
+    # (p_i, q_i) and (p_{i-1}, q_{i-1}), signed to determinant one
+    p0, q0, p1, q1 = 0, 1, 1, 0
     pieces = []
-    for i, ai in enumerate(a):
-        pnew = ai * ps[-1] + (ps[-2] if len(ps) >= 2 else 0)
-        qnew = ai * qs[-1] + (qs[-2] if len(qs) >= 2 else 1)
-        ps.append(pnew)
-        qs.append(qnew)
-        m = (pnew, ps[-2], qnew, qs[-2])
+    while den:
+        a = num // den
+        num, den = den, num - a * den
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        m = (p1, p0, q1, q0)
         if mat_det(m) == -1:
-            m = (-pnew, ps[-2], -qnew, qs[-2])
+            m = (-p1, p0, -q1, q0)
         if mat_det(m) != 1:
             raise CertificationError("continued-fraction piece is not unimodular")
         pieces.append(m)

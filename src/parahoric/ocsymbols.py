@@ -418,12 +418,10 @@ def _assert_eigen(space: ClassicalSpace, sym: Eigensymbol) -> None:
         raise CertificationError("stabilized symbol is not a U_p eigenvector mod p^B")
 
 
-def auto_eigensymbol(
-    space: ClassicalSpace, B: int, slope: int = 0, max_ell: int = 50
-) -> Eigensymbol:
+def auto_eigensymbol(space: ClassicalSpace, B: int, slope: int = 0) -> Eigensymbol:
     """First rational eigensymbol found by probing T_ell for small ell.
 
-    Probes primes ell coprime to Np in increasing order and, within each,
+    Probes primes ell <= 50 coprime to Np in increasing order and, within each,
     integer eigenvalues by absolute value, so the choice is deterministic.
     Blocks whose plus part is not two-dimensional or whose stabilization
     norm is not p^(k+1) times a unit are skipped.
@@ -431,7 +429,7 @@ def auto_eigensymbol(
     N, p, k = space.ms.N, space.ms.p, space.k
     if space.dimension == 0:
         raise ValueError(f"the weight-{k} symbol space of level {N * p} is zero")
-    for ell in range(2, max_ell + 1):
+    for ell in range(2, 51):
         if not is_prime(ell) or (N * p) % ell == 0:
             continue
         mat = space.hecke_matrix(ell)
@@ -441,7 +439,7 @@ def auto_eigensymbol(
                 return ordinary_eigensymbol(space, ell, a, B, slope=slope)
             except ValueError:
                 continue
-    raise ValueError(f"no rational eigensymbol of slope {slope} found below ell = {max_ell}")
+    raise ValueError(f"no rational eigensymbol of slope {slope} found below ell = 50")
 
 
 # ---------------------------------------------------------------------------
@@ -1442,14 +1440,12 @@ def _certified_series(N: int, p: int, k: int, M: int, T: int, xdeg: int, pad: in
     return xdeg, n, floors, trunc, readings, polygon
 
 
-def charpoly_up(
-    N: int, p: int, k: int, M: int, xdeg: int = 14, pad: int = 4
-) -> UpSpectralData:
+def charpoly_up(N: int, p: int, k: int, M: int, xdeg: int = 14) -> UpSpectralData:
     """Certified initial segment of the U_p characteristic series det(1 - X U_p):
     the single-weight (T = 1) case of the series over R_T."""
-    xdeg, n, _, _, readings, poly = _certified_series(N, p, k, M, 1, xdeg, pad)
+    xdeg, n, _, _, readings, poly = _certified_series(N, p, k, M, 1, xdeg, pad=4)
     return UpSpectralData(
-        N=N, p=p, k=k, M=M, mlen=M + pad, xdeg=xdeg, model_dim=n,
+        N=N, p=p, k=k, M=M, mlen=M + 4, xdeg=xdeg, model_dim=n,
         coefficients=[row[0] for row in readings], polygon=poly,
     )
 
@@ -1557,17 +1553,16 @@ class FamilySpectralData:
                 break
         return self.column_floors[-1] > h
 
-    def breakpoint_constancy(self, h: int, w_probe: int | None = None) -> str:
+    def breakpoint_constancy(self, h: int) -> str:
         """'constant' / 'varies' / 'inconclusive' for the x-coordinate of the
         slope-h breakpoint between the center and a probe point of the disc.
 
-        The default probe w = p^2 trades disc radius for truncation accuracy:
+        The probe w = p^2 trades disc radius for truncation accuracy:
         vertices up to height T v_p(w) stay readable there. 'constant' is only
         reported when both windows provably contain their breakpoints.
         """
-        wp = self.p**2 if w_probe is None else w_probe
         pts_a = self.specialized_points(0)
-        pts_b = self.specialized_points(wp)
+        pts_b = self.specialized_points(self.p**2)
         try:
             a = NewtonPolygon(pts_a).slope_le_count(h)
             b = NewtonPolygon(pts_b).slope_le_count(h)
@@ -1603,12 +1598,12 @@ class FamilySpectralData:
 
 
 def family_charpoly(
-    N: int, p: int, k0: int, M: int, T: int = 3, xdeg: int = 8, pad: int = 2
+    N: int, p: int, k0: int, M: int, T: int = 3, xdeg: int = 8
 ) -> FamilySpectralData:
     """U_p characteristic series over the weight disc, coefficients in
     Z_p[w]/(w^T) with per-coefficient certified precision."""
-    xdeg, n, floors, _, readings, poly = _certified_series(N, p, k0, M, T, xdeg, pad)
+    xdeg, n, floors, _, readings, poly = _certified_series(N, p, k0, M, T, xdeg, pad=2)
     return FamilySpectralData(
-        N=N, p=p, k0=k0, M=M, T=T, mlen=M + pad, xdeg=xdeg, model_dim=n,
+        N=N, p=p, k0=k0, M=M, T=T, mlen=M + 2, xdeg=xdeg, model_dim=n,
         coefficients=readings, center_polygon=poly, column_floors=floors,
     )

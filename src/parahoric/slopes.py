@@ -255,7 +255,6 @@ def q_noncritical(
     lam: Sequence[int],
     valuations: Sequence,
     p: int,
-    order: Sequence[int] | None = None,
 ) -> SlopeReport:
     """Small-slope verdict along a factorized controlling operator.
 
@@ -266,7 +265,7 @@ def q_noncritical(
     q = datum.check_levi(levi)
     if not datum.is_dominant(lam):
         raise ValueError("weight must be dominant")
-    cd = greedy_factorization(datum, q, p, order=order)
+    cd = greedy_factorization(datum, q, p)
     if len(valuations) != len(cd.steps):
         raise ValueError(
             f"expected {len(cd.steps)} valuations (one per non-Levi simple root), "

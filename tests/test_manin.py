@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -30,6 +31,19 @@ def test_p1_reps_match_normalizing_every_pair():
         every = {p1.normalize(u, v) for u in range(M) for v in range(M) if gcd(gcd(u, v), M) == 1}
         assert p1.reps == sorted(every), M
     assert P1List(1).reps == [(0, 0)]
+
+
+def test_p1_normal_form_is_the_least_point_of_the_unit_orbit():
+    """normalize(u, v) is the least (s u mod M, s v mod M) over the units s
+    of Z/M, found by brute force at every point for M <= 40."""
+    for M in range(1, 41):
+        p1 = P1List(M)
+        units = [s for s in range(M) if gcd(s, M) == 1]
+        for u in range(M):
+            for v in range(M):
+                if gcd(gcd(u, v), M) == 1:
+                    least = min((s * u % M, s * v % M) for s in units)
+                    assert p1.normalize(u, v) == least, (M, u, v)
 
 
 def test_p1_normalization_is_orbit_invariant():
@@ -148,3 +162,20 @@ def test_hecke_plan_terms_stay_in_sigma0():
             assert sgn in (1, -1)
             assert mat_det(m) == 3
             assert m[2] % 3 == 0 and m[0] % 3 != 0
+
+
+# sha256 of repr of (reps, lifts, relations, U_p, T_ell and iota plans) at the
+# six levels below. It pins the term order of every plan, which no output
+# digest sees because the sums commute; a change that alters the plans on
+# purpose re-records it.
+COSET_LAYER_DIGEST = "60bef64732101f3e770043c57f4e04d3b69b97f5c3cdf7d4702f1f74f6c80b1f"
+
+
+def test_coset_layer_is_pinned():
+    from parahoric.ocsymbols import IOTA, hecke_deltas, up_deltas
+    blobs = []
+    for N, p, ell in ((11, 3, 2), (11, 5, 2), (5, 3, 2), (14, 3, 5), (2, 3, 5), (17, 7, 2)):
+        ms = ManinSystem(N, p)
+        blobs.append((ms.p1.reps, ms.lifts, ms.relations, ms.hecke_plan(up_deltas(p)),
+                      ms.hecke_plan(hecke_deltas(ell)), ms.hecke_plan([IOTA])))
+    assert hashlib.sha256(repr(blobs).encode()).hexdigest() == COSET_LAYER_DIGEST

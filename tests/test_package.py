@@ -1,5 +1,5 @@
 """Repository-wide checks: invariants raise instead of asserting, no memo
-outlives a run, BGG output depends on no seed, engine calls take the model
+outlives a run, every public function has a user, BGG output depends on no seed, engine calls take the model
 handle alone, the environment is read only at the CLI boundary, and the
 example scripts run."""
 import ast
@@ -107,6 +107,32 @@ def test_no_unreferenced_private_function_in_src():
         found += [f"{path.name}:{node.lineno} {node.name}" for node in defs
                   if node.name.startswith("_") and not node.name.endswith("__")
                   and node.name not in used]
+    assert found == []
+
+
+def test_no_unreferenced_public_function_in_src():
+    """Every public top-level function, and every public method of a
+    top-level class, in the package is referenced by name somewhere in src,
+    tests, scripts or perfbench, so no entry point outlives its last user."""
+    used = set()
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+    found = []
+    for path in sorted((ROOT / "src" / "parahoric").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defs += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        found += [f"{path.name}:{node.lineno} {node.name}" for node in defs
+                  if not node.name.startswith("_") and node.name not in used]
     assert found == []
 
 
