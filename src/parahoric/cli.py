@@ -24,6 +24,7 @@ from .ocsymbols import (
     classical_space,
     family_charpoly,
     lift_symbol,
+    require_noncritical,
 )
 from .padics import default_precision
 from .rootdata import (
@@ -168,7 +169,10 @@ def cmd_lift(args) -> int:
         # and then its roots have slopes 0 and k + 1
         raise ValueError(f"slope must be 0 or k + 1 = {args.k + 1}, got {slope}")
     space = classical_space(args.N, args.p, args.k)
+    # an unsupported level is a usage error, found before the search
+    space.ms.solved_presentation()
     try:
+        require_noncritical(slope, args.k)
         sym = auto_eigensymbol(space, B=M + 24, slope=slope)
         report = lift_symbol(space, sym, M)
     except (ValueError, DivergenceError) as e:

@@ -176,8 +176,8 @@ def slot_reducer(mod: int, bound: int, sb: int, slots: int) -> Callable[[int], i
     r = x - q * mod then holds r_s in [0, 2 * mod) in every slot, without
     borrows, and one conditional subtraction ends it: with h the bit length
     of 2 * mod, bit h of r_s + 2^h - mod is set exactly when r_s >= mod, and
-    that sum stays below 2^(h + 1) <= 2^W, inside its slot. The caller picks
-    sb with t <= W and h < W.
+    that sum stays below 2^(h + 1) <= 2^W, inside its slot. Slots picks sb
+    with t <= W and h < W.
     """
     W = 8 * sb
     t = bound.bit_length()
@@ -193,6 +193,36 @@ def slot_reducer(mod: int, bound: int, sb: int, slots: int) -> Callable[[int], i
         return r - ((r + fix) >> h & ones) * mod
 
     return reduce
+
+
+class Slots:
+    """The layout of count values side by side in one int: value j in slot
+    j, bytes j*sb .. (j+1)*sb - 1 (little-endian).
+
+    Sums of packed ints and products with one integer act on every slot at
+    once while no slot exceeds bound. sb is the fewest whole bytes that hold
+    bound and leave slot_reducer room for 2 * mod, so reduce, which takes
+    every slot in [0, bound] to its residue mod mod, needs no further check.
+    This is the one packed layout of the package: ocsymbols.ColumnBundles
+    and power_traces_mod both read and write their slots through it.
+    """
+
+    def __init__(self, mod: int, bound: int, count: int):
+        self.count = count
+        self.sb = sb = max(bound.bit_length(), (2 * mod).bit_length() + 1) + 7 >> 3
+        self.reduce = slot_reducer(mod, bound, sb, count)
+        self._starts = range(0, sb * count, sb)
+
+    def pack(self, values: Sequence[int]) -> int:
+        """The int holding values[j] in slot j; each value in [0, 2^(8 sb))."""
+        sb = self.sb
+        return int.from_bytes(b"".join([x.to_bytes(sb, "little") for x in values]), "little")
+
+    def unpack(self, x: int) -> list[int]:
+        """The count slots of x, whose slots are all nonnegative."""
+        sb = self.sb
+        buf = x.to_bytes(sb * self.count, "little")
+        return [int.from_bytes(buf[o:o + sb], "little") for o in self._starts]
 
 
 def power_schedule(count: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
@@ -260,21 +290,15 @@ def power_traces_mod(
     packed right factor is freed after the last product or trace that reads
     it.
 
-    Each power is held the same way, as T planes x_0 .. x_(T-1) of residues
-    mod mod. Products use Kronecker substitution: row l of the right factor
-    y is one Python int, with coefficient b of cell j at slot T*j + b of W
-    bits. Row i of x*y is the sum over u < T of
-    (sum_l x_u[i][l] * row_l) << W*u, each inner sum keeping only its slots
-    b < T - u, so the shifted slot u + b stays inside block j and no w^T
-    term survives. Slot (j, t) then
-    holds the exact w^t coefficient of (x*y)[i][j]: a sum of at most n*T
-    products of residues, below lim = n*T*(mod - 1)^2. W is that bound's bit
-    length (or that of 2 * mod, if longer) rounded up to whole bytes, so no
-    slot carries into the next (nor does an inner sum, which is smaller).
-    slot_reducer reduces every slot of the row mod mod at once, and the
-    reduced row is row i of x*y packed as a right factor, so a power packs
-    its rows only if it is a itself. Unpacking a row is one to_bytes and a
-    from_bytes per slot.
+    Each power is held as T planes x_0 .. x_(T-1) of residues mod mod, and
+    a right factor y as T planes of n packed rows (Slots): row l of plane v
+    holds y_v[l][j] in slot j. Plane t of x*y is the R_T product
+    sum_{u <= t} x_u y_(t-u), so row i of it is one reduced sum of integer
+    dot products of x_u[i] with the packed rows of y_(t-u). A slot sums at
+    most n*T products of residues, so Slots is sized for
+    lim = n*T*(mod - 1)^2. The reduced int is already row i of plane t of
+    x*y packed as a right factor, so a power packs its rows only if it is a
+    itself.
 
     The slot width follows mod, so a smaller modulus makes every product
     cheaper: the U_p series calls this on U/p^E mod p^Kt, only the digits
@@ -286,34 +310,13 @@ def power_traces_mod(
         return []
     products, reads = power_schedule(count)
     lim = n * T * (mod - 1) ** 2        # the largest slot of a product row
-    sb = max(lim.bit_length(), (2 * mod).bit_length() + 1) + 7 >> 3   # slot bytes
-    W = 8 * sb
-    slots = n * T
-    # keep[u]: the slots b < T - u of every block
-    keep = [int.from_bytes((b"\xff" * sb * (T - u) + bytes(sb * u)) * n, "little")
-            for u in range(T)]
-    reduce = slot_reducer(mod, lim, sb, slots)
+    slots = Slots(mod, lim, n)
 
-    def pack(y: list) -> list[int]:
-        return [int.from_bytes(b"".join(c.to_bytes(sb, "little")
-                                        for cells in zip(*(yt[l] for yt in y))
-                                        for c in cells), "little")
-                for l in range(n)]
-
-    def matmul(x: list, rows: list[int]) -> tuple[list, list[int]]:
-        out: list = [[] for _ in range(T)]
-        out_rows = []
-        for i in range(n):
-            acc = 0
-            for u in range(T):
-                acc += (sum(map(operator.mul, x[u][i], rows)) & keep[u]) << (W * u)
-            acc = reduce(acc)
-            out_rows.append(acc)
-            buf = acc.to_bytes(slots * sb, "little")
-            for t in range(T):
-                out[t].append([int.from_bytes(buf[o:o + sb], "little")
-                               for o in range(t * sb, slots * sb, T * sb)])
-        return out, out_rows
+    def matmul(x: list, rows: list[list[int]]) -> tuple[list, list[list[int]]]:
+        out_rows = [[slots.reduce(sum(sum(map(operator.mul, x[u][i], rows[t - u]))
+                                      for u in range(t + 1)))
+                     for i in range(n)] for t in range(T)]
+        return [list(map(slots.unpack, plane)) for plane in out_rows], out_rows
 
     def residue(c: int) -> int:
         # reduced entries keep the caller's int objects instead of a copy
@@ -326,7 +329,7 @@ def power_traces_mod(
     last_packed = {y: s for s, (_, _, y) in enumerate(products)}
     last_t = {y: s for s, (_, y) in enumerate(reads, len(products)) if y}
     powers = {1: [[[residue(c) for c in row] for row in plane] for plane in a]}
-    packed: dict[int, list[int]] = {}
+    packed: dict[int, list[list[int]]] = {}
     trans: dict[int, list] = {}
 
     def free(s: int, pair: tuple[int, int]) -> None:
@@ -337,7 +340,7 @@ def power_traces_mod(
 
     for s, (c, x, y) in enumerate(products):
         if y not in packed:
-            packed[y] = pack(powers[y])
+            packed[y] = [list(map(slots.pack, plane)) for plane in powers[y]]
         powers[c], rows = matmul(powers[x], packed[y])
         if c in last_packed:
             packed[c] = rows

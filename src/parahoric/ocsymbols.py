@@ -58,7 +58,7 @@ from .linalg import (
     nullspace,
     power_traces_mod,
     primitive,
-    slot_reducer,
+    Slots,
 )
 from .manin import ManinSystem, Mat2, SolvedPresentation, is_prime
 from .distributions import (
@@ -628,19 +628,18 @@ class MomentCache:
 class ColumnBundles:
     """Layout of cols values side by side, one int per coordinate.
 
-    Column c of a coordinate lives in slot c, bytes c*sb .. (c+1)*sb - 1 of
-    the int (little-endian), as a residue mod mod = cache.mod, the model's
-    one modulus. Sums of bundles and products with one integer act on every
-    slot at once while no slot overflows. The model matrix bundles its n
-    unit columns, so a matrix-vector product over all of them is one integer
-    dot product per row. A single table, as in the lift, bundles the other
-    way: with cols = width, slot j holds output coordinate j, the columns of
-    the merged U_p operator are bundles (MomentCache.up_operator), and each
+    Column c of a coordinate lives in slot c of a linalg.Slots layout, as a
+    residue mod mod = cache.mod, the model's one modulus; Slots picks the
+    slot width. The model matrix bundles its n unit columns, so a
+    matrix-vector product over all of them is one integer dot product per
+    row. A single table, as in the lift, bundles the other way: with
+    cols = width, slot j holds output coordinate j, the columns of the
+    merged U_p operator are bundles (MomentCache.up_operator), and each
     source coset costs one dot product of its input coordinates with those
     columns. With one column the slot is the int itself and reduction is a
     plain % mod.
 
-    Slot size: matrix and vector entries are residues below mod. A slot of
+    Slot bound: matrix and vector entries are residues below mod. A slot of
     pos or neg sums at most fan = ctx.fan dot products of width = T * mlen
     such pairs (combine, or the one-table U_p apply), so it stays at most
     lim = (fan * width + 1) * (mod - 1)^2, which also covers a residue plus
@@ -648,14 +647,10 @@ class ColumnBundles:
     both signs in one int: its slots are then signed sums whose absolute
     values add up to at most lim, the same bound, and so may the merged U_p
     operator of one table (MomentCache.up_operator), whose sources only
-    regroup the plan terms of a coset. reduce adds off, the
-    multiple of mod at or just above lim, to every slot of pos - neg, so
-    each slot x_s lies in [0, 2 * lim + mod) and no borrow or carry crosses
-    a slot boundary; sb is the byte length of that bound. Unpacking a
-    coordinate is one to_bytes and one from_bytes per slot. reduce then
-    works on whole ints, by Barrett reduction in every slot at once
-    (linalg.slot_reducer); construction raises CertificationError if the
-    slot cannot hold 2 * mod as well.
+    regroup the plan terms of a coset. reduce adds off, the multiple of mod
+    at or just above lim, to every slot of pos - neg, so each slot lies in
+    [0, 2 * lim + mod) and no borrow or carry crosses a slot boundary: the
+    layout is sized for that bound.
     """
 
     def __init__(self, cache: MomentCache, cols: int = 1):
@@ -667,41 +662,27 @@ class ColumnBundles:
         self.mod = mod = cache.mod
         self.width = cache.T * cache.ctx.mlen
         self.fan = cache.ctx.fan
-        self.sb = 0
         if cols > 1:
             self.lim = lim = (self.fan * self.width + 1) * (mod - 1) ** 2
-            bound = 2 * lim + mod
-            self.sb = sb = bound.bit_length() + 7 >> 3
-            if (2 * mod).bit_length() >= 8 * sb:
-                raise CertificationError("slot too narrow for the packed reduction")
-            ones = int.from_bytes((1).to_bytes(sb, "little") * cols, "little")
-            self.off = -(-lim // mod) * mod * ones
-            self._reduce = slot_reducer(mod, bound, sb, cols)
-            self.starts = range(0, sb * cols, sb)
+            self.layout = Slots(mod, 2 * lim + mod, cols)
+            self.off = -(-lim // mod) * mod * self.layout.pack([1] * cols)
 
     def unit(self, c: int) -> int:
         """The bundle holding 1 in column c and 0 elsewhere."""
-        return 1 << (8 * self.sb * c)
+        return 1 << (8 * self.layout.sb * c) if self.cols > 1 else 1
 
     def pack(self, residues: Sequence[int]) -> int:
         """The bundle holding residues[c] in column c."""
-        if self.cols == 1:
-            return residues[0]
-        return int.from_bytes(b"".join([x.to_bytes(self.sb, "little") for x in residues]),
-                              "little")
+        return self.layout.pack(residues) if self.cols > 1 else residues[0]
 
     def slots(self, x: int) -> list[int]:
-        if self.cols == 1:
-            return [x]
-        sb = self.sb
-        buf = x.to_bytes(sb * self.cols, "little")
-        return [int.from_bytes(buf[o:o + sb], "little") for o in self.starts]
+        return self.layout.unpack(x) if self.cols > 1 else [x]
 
     def reduce(self, pos: int, neg: int = 0) -> int:
         """pos - neg with every slot reduced mod mod."""
         if self.cols == 1:
             return (pos - neg) % self.mod
-        return self._reduce(pos + self.off - neg)
+        return self.layout.reduce(pos + self.off - neg)
 
     def combine(
         self,
@@ -988,6 +969,14 @@ def _lift_step(
     return [[c * ainv % mod for c in row] for row in up_apply_mod(cache, tables)]
 
 
+def require_noncritical(slope: int, k: int) -> None:
+    """Raise ValueError unless slope < k + 1, the lifting theorem's bound."""
+    if not slope < k + 1:
+        raise ValueError(
+            f"noncritical-slope precondition failed: v_p(a_p) = {slope} >= k + 1 = {k + 1}"
+        )
+
+
 def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
     """Lift a slope-0 eigensymbol to an overconvergent U_p eigensymbol.
 
@@ -998,10 +987,7 @@ def lift_symbol(space: ClassicalSpace, sym: Eigensymbol, M: int) -> LiftReport:
     """
     p, k = sym.p, sym.k
     v_alpha = valuation(sym.alpha, p)
-    if not v_alpha < k + 1:
-        raise ValueError(
-            f"noncritical-slope precondition failed: v_p(a_p) = {v_alpha} >= k + 1 = {k + 1}"
-        )
+    require_noncritical(v_alpha, k)
     if v_alpha != 0:
         raise ValueError("only the slope-0 iteration is implemented")
     cache, ainv = _lift_setup(space, sym, M)

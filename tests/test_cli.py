@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -158,6 +159,38 @@ def test_lift_failure_csv_parses_as_field_value_rows(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[:2] == [["field", "value"], ["converged", "False"]]
     assert len(rows) == 3 and rows[2][0] == "error" and "noncritical" in rows[2][1]
+
+
+@pytest.mark.parametrize("N, p, k, message", [
+    (8, 3, 2, "folded non-identity triangle"),
+    (7, 3, 2, "level 21 has elliptic points"),
+    (12, 7, 0, "folded non-identity triangle"),
+])
+def test_lift_unsupported_level_is_usage_error(capsys, N, p, k, message):
+    """A level the solved presentation does not cover is a usage error, as
+    for charpoly: exit 2 with empty stdout, found before the eigensymbol
+    search, so well within a second."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "lift", "--N", str(N), "--p", str(p), "--k", str(k),
+                         "--M", "6")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_lift_critical_slope_fails_before_the_search(capsys):
+    """slope:k+1 fails the noncritical precondition before any eigensymbol
+    search: exit 1 with the lift's error payload, well within a second."""
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "lift", "--N", "11", "--p", "3", "--k", "2", "--M", "6",
+                       "--eigenvalue-choice", "slope:3")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert json.loads(out) == {
+        "converged": False,
+        "error": "noncritical-slope precondition failed: v_p(a_p) = 3 >= k + 1 = 3",
+    }
 
 
 def test_lift_env_precision(capsys, monkeypatch):

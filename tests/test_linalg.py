@@ -17,6 +17,7 @@ from parahoric.linalg import (
     rref,
     same_span,
     solve,
+    Slots,
 )
 
 
@@ -84,6 +85,24 @@ def test_power_traces_reduce_their_input(data, count, shift):
     planes = [[[c[t] for c in row] for row in cells] for t in range(T)]
     far = [[[c + shift * mod**2 for c in row] for row in plane] for plane in planes]
     assert power_traces_mod(far, count, mod) == power_traces_mod(planes, count, mod)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 30), st.integers(1, 9),
+       st.integers(0, 7**90))
+@example(2, 8, 3, 0)  # bound 255 fits one byte, but the reduce needs room for 2 * mod
+def test_slots_round_trip_and_reduce_at_the_bound(p, K, count, extra):
+    """Slots packs and unpacks 0, mod - 1 and bound in every slot, alone and
+    mixed, and reduce takes each slot, bound included, to its residue. The
+    bound runs from mod - 1, where the room for 2 * mod sets the width, to
+    far past mod^2."""
+    mod = p**K
+    bound = mod - 1 + extra % (mod**3 + 1)
+    layout = Slots(mod, bound, count)
+    mixed = [(0, mod - 1, bound)[j % 3] for j in range(count)]
+    for values in ([0] * count, [mod - 1] * count, [bound] * count, mixed):
+        x = layout.pack(values)
+        assert layout.unpack(x) == values
+        assert layout.reduce(x) == layout.pack([v % mod for v in values])
 
 
 def test_power_schedule_reads_every_trace_with_few_products():

@@ -644,6 +644,33 @@ def test_combine_merges_terms_by_source(cols, p, K, kind, rng):
             bun.combine(terms + terms[:1], mats.__getitem__, {})
 
 
+def test_bundle_width_at_benchmark_model_sizes(monkeypatch):
+    """At the model sizes of the series, family and lift benchmark requests,
+    every bundle of several columns is exactly as wide as 2 * lim + mod needs
+    in whole bytes, which pins bundle memory and time."""
+    made = []
+    init = ColumnBundles.__init__
+
+    def spy(self, cache, cols=1):
+        init(self, cache, cols)
+        if cols > 1:
+            made.append(self)
+
+    def lift(p, M):
+        space = classical_space(11, p, 0)
+        lift_symbol(space, auto_eigensymbol(space, B=M + 24), M)
+
+    monkeypatch.setattr(ColumnBundles, "__init__", spy)
+    for request in (lambda: charpoly_up(11, 3, 0, M=12, xdeg=14),
+                    lambda: charpoly_up(11, 5, 2, M=8, xdeg=10),
+                    lambda: family_charpoly(11, 3, 0, M=12, T=3, xdeg=8),
+                    lambda: lift(3, 20), lambda: lift(5, 10)):
+        made.clear()
+        request()
+        assert made
+        assert all(b.layout.sb == (2 * b.lim + b.mod).bit_length() + 7 >> 3 for b in made)
+
+
 def test_charpoly_golden_digest_survives_python_O():
     """charpoly --N 11 --p 5 --k 2 --M 5 --xdeg 6 prints its golden digest
     under python -O as well, where assert is stripped."""

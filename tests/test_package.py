@@ -1,7 +1,7 @@
 """Repository-wide checks: invariants raise instead of asserting, no memo
 outlives a run, every public function has a user, BGG output depends on no seed, engine calls take the model
-handle alone, the environment is read only at the CLI boundary, and the
-example scripts run."""
+handle alone, the environment is read only at the CLI boundary, packed
+slots are written in one place, and the example scripts run."""
 import ast
 import os
 import subprocess
@@ -180,6 +180,22 @@ def test_environment_is_read_at_the_cli_boundary():
                 readers.add(f"{path.stem}: from os import")
     assert callers == {"cli.py"}
     assert readers == {"padics.default_precision"}
+
+
+def test_slot_bytes_only_in_the_slot_layout():
+    """Packed slots are read and written in one place: outside linalg.Slots
+    and linalg.slot_reducer, nothing in the package calls to_bytes or
+    from_bytes, so the slot code cannot fork again."""
+    found = []
+    for path in sorted((ROOT / "src" / "parahoric").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "")
+            if path.name == "linalg.py" and owner in ("Slots", "slot_reducer"):
+                continue
+            found += [f"{path.name}:{node.lineno} {owner}" for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in ("to_bytes", "from_bytes")]
+    assert found == []
 
 
 def test_traced_entry_points_stay_bound():
