@@ -8,9 +8,16 @@ detected through the Levi factorization g = l(y) n(c).
 The field l(X_{alpha_i}) has the closed form
 -d/dz_{i,i+1} - sum_{b > i+1} z_{i+1,b} d/dz_{i,b}, and one derivation,
 with integer coefficients, serves theta_apply on polynomials and the sparse
-matrix of theta_matrix and bgg_kernel alike. The Q-model of
-parahoric_truncation_basis is returned as primitive integer kernel rows, the
-form bgg_kernel and theta_preserves_parahoric compare directly.
+matrix of theta_matrix and bgg_kernel alike.
+
+Every matrix of a BGG check is block-diagonal by torus weight: z_{rc} has
+weight e_r - e_c, Theta_{alpha_i} = D^e maps weight mu to mu - e alpha_i,
+and the Levi module is spanned by weight vectors. So Theta, the Q-model's
+constraint rows, their kernels and each span or rank test are taken one
+weight block at a time, with CertificationError if an entry crosses blocks.
+theta_matrix and parahoric_truncation_basis (the model as primitive integer
+kernel rows) assemble whole-basis outputs from the blocks; reduced echelon
+forms are unique, so these equal the dense results.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ from .rootdata import gl_datum
 from .slopes import TorusElement
 
 Position = tuple[int, int]
+Weight = tuple[int, ...]
 
 
 def positions(n: int) -> list[Position]:
@@ -136,43 +144,68 @@ def truncation_threshold(n: int, i: int, lam: Sequence[int]) -> int:
     return theta_exponent(lam, i) + (1 if i + 2 < n else 0)
 
 
-def _theta_rows(n: int, i: int, e: int, basis: Sequence[Monomial]) -> list[list[int]]:
-    """Rows of D^e on basis, D the sparse integer matrix of l(X_{alpha_i}):
-    column j of D holds the images of the monomial basis[j]."""
+def _graded_basis(n: int, d: int) -> tuple[list[Monomial], dict[Weight, list[int]], dict]:
+    """The monomials of degree <= d, their indices grouped by torus weight
+    (z_{rc} has weight e_r - e_c; each group ascending), and the (weight,
+    position in its group) of each monomial."""
+    basis = NCoordinates(n).monomial_basis(d)
+    pos = positions(n)
+    blocks: dict[Weight, list[int]] = {}
+    where: dict[Monomial, tuple[Weight, int]] = {}
+    for j, m in enumerate(basis):
+        w = [0] * n
+        for (r, c), x in zip(pos, m):
+            w[r] += x
+            w[c] -= x
+        block = blocks.setdefault(tuple(w), [])
+        where[m] = (tuple(w), len(block))
+        block.append(j)
+    return basis, blocks, where
+
+
+def _theta_blocks(n: int, i: int, e: int, graded: tuple) -> dict[Weight, tuple[Weight, list]]:
+    """Theta = D^e, D = l(X_{alpha_i}), per weight block mu: (nu, rows), the
+    rows being the monomials of weight nu = mu - e alpha_i (maybe none) over
+    the columns of weight mu, each column e sparse passes over a monomial."""
+    basis, blocks, where = graded
     images = _derivation(n, i)
-    index = {m: k for k, m in enumerate(basis)}
-    dcols: list[dict[int, int]] = []
-    for m in basis:
-        col: dict[int, int] = {}
-        for mm, c in images(m).items():
-            k = index.get(mm)
-            if k is None:
-                raise CertificationError("the derivation leaves the degree-capped basis")
-            col[k] = c
-        dcols.append(col)
-    rows = [[0] * len(basis) for _ in basis]
-    for j in range(len(basis)):
-        vec = {j: 1}
-        for _ in range(e):
-            nxt: dict[int, int] = {}
-            for k, x in vec.items():
-                for r, c in dcols[k].items():
-                    nxt[r] = nxt.get(r, 0) + x * c
-            vec = {r: x for r, x in nxt.items() if x}
-        for r, x in vec.items():
-            rows[r][j] = x
-    return rows
+    out = {}
+    for mu, cols in blocks.items():
+        nu = tuple(x - e * ((t == i) - (t == i + 1)) for t, x in enumerate(mu))
+        rows = [[0] * len(cols) for _ in blocks.get(nu, ())]
+        for j, src in enumerate(cols):
+            vec = {basis[src]: 1}
+            for _ in range(e):
+                nxt: dict[Monomial, int] = {}
+                for m, x in vec.items():
+                    for mm, c in images(m).items():
+                        nxt[mm] = nxt.get(mm, 0) + x * c
+                vec = {m: x for m, x in nxt.items() if x}
+            for m, x in vec.items():
+                w, t = where.get(m, (None, 0))
+                if w != nu:
+                    raise CertificationError(f"Theta maps weight {mu} outside weight {nu}")
+                rows[t][j] = x
+        out[mu] = (nu, rows)
+    return out
+
+
+def _block_kernel(rows: list[list[int]], width: int) -> list[list[int]]:
+    """linalg.nullspace of rows, or the identity on width columns if there are none."""
+    if not rows:
+        return [[int(a == b) for b in range(width)] for a in range(width)]
+    return linalg.nullspace(rows)
 
 
 def theta_matrix(n: int, i: int, lam: Sequence[int], d: int) -> tuple[list[list[int]], list]:
-    """Integer matrix of Theta_{alpha_i} on the monomial basis of degree <= d.
-
-    l(X_{alpha_i}) is applied once to each basis monomial, which gives a
-    sparse integer matrix D (CertificationError if an image leaves the
-    basis); Theta = D^e, e = <lambda, alpha_i^vee> + 1, is then formed one
-    column at a time by e sparse passes over the unit vector."""
-    basis = NCoordinates(n).monomial_basis(d)
-    return _theta_rows(n, i, theta_exponent(lam, i), basis), basis
+    """Integer matrix of Theta_{alpha_i} on the monomials of degree <= d."""
+    basis, blocks, _ = graded = _graded_basis(n, d)
+    rows = [[0] * len(basis) for _ in basis]
+    for mu, (nu, block) in _theta_blocks(n, i, theta_exponent(lam, i), graded).items():
+        for r, row in zip(blocks.get(nu, ()), block):
+            for j, x in zip(blocks[mu], row):
+                rows[r][j] = x
+    return rows, basis
 
 
 # the star action of p-power torus points
@@ -431,72 +464,75 @@ def levi_module_basis(
     return vectors, final_monos
 
 
-def parahoric_truncation_basis(
-    n: int,
-    levi: Iterable[int],
-    lam: Sequence[int],
-    d: int,
-) -> tuple[list[list[int]], list[Monomial]]:
-    """Degree-<= d part of the parabolic induction model inside A = Q[z].
+def _model_kernels(n: int, levi: Iterable[int], lam: Sequence[int],
+                   graded: tuple) -> dict[Weight, list[list[int]]]:
+    """The Q-model per weight block: the kernel of its constraint rows.
 
     f belongs iff in R_n(f) = sum_m q_m(c) y^m, every c-coefficient column of
     the y-expansion lies in the span of the Levi module. That module comes
     from levi_module_basis, built by lowering operators from the highest-
     weight minor product, so the model depends on its span only and on no
     seed: the columns are tested against the integer kernel of its rows.
-    The constraint rows are filled sparsely: each c-monomial lists only the
-    basis columns whose restriction involves it, with their y-entries, and a
-    row entry is one integer dot product with a kernel vector.
-    Returns the model as rows over the z-monomial list, the primitive
-    integer kernel vectors of linalg.nullspace, and that list.
+    One row per (c-monomial, kernel vector) is filled sparsely: each
+    c-monomial lists the basis columns whose restriction involves it, with
+    their y-entries, and an entry is one integer dot product.
+    """
+    basis, blocks, where = graded
+    vecs, _ = levi_module_basis(n, levi, lam)
+    ny = len(split_positions(n, levi)[0])
+    y_monos = {(0,) * ny}
+    # the nonzero ((weight, position), {y-monomial: coefficient}) of each c-monomial
+    entries: dict[tuple[int, ...], list] = {}
+    for m, r in zip(basis, restrict_monomials(n, levi, basis)):
+        table: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for mono, coef in r.coeffs.items():
+            table.setdefault(mono[ny:], {})[mono[:ny]] = coef
+            y_monos.add(mono[:ny])
+        for cm, ycol in table.items():
+            entries.setdefault(cm, []).append((where[m], ycol))
+    for v in vecs:
+        y_monos.update(v.coeffs)
+    ylist = sorted(y_monos)
+    # integer y-vectors orthogonal to the module span
+    perp = [dict(zip(ylist, k))
+            for k in linalg.nullspace([[v.coeffs.get(m, 0) for m in ylist] for v in vecs])]
+    rows: dict[Weight, list[list[int]]] = {mu: [] for mu in blocks}
+    for cols in entries.values():
+        for k in perp:
+            row = {at: x for at, ycol in cols
+                   if (x := sum(map(mul, ycol.values(), map(k.__getitem__, ycol))))}
+            if len({mu for mu, _ in row}) > 1:
+                raise CertificationError("a constraint row of the Q-model touches two weights")
+            if row:
+                mu = next(iter(row))[0]
+                rows[mu].append([row.get((mu, t), 0) for t in range(len(blocks[mu]))])
+    return {mu: _block_kernel(rows[mu], len(cols)) for mu, cols in blocks.items()}
+
+
+def parahoric_truncation_basis(
+    n: int,
+    levi: Iterable[int],
+    lam: Sequence[int],
+    d: int,
+) -> tuple[list[list[int]], list[Monomial]]:
+    """Degree-<= d part of the parabolic induction model inside A = Q[z], as
+    rows over the z-monomial list, and that list: the block kernels ordered
+    by free column (a nullspace vector's last nonzero entry), as
+    linalg.nullspace orders the kernel of the whole constraint matrix.
 
     For the Borel (empty Levi subset) the module is trivial and there is no
     condition: every f works. Then, as whenever no constraint arises, the
     rows are the identity rows.
     """
-    levi = frozenset(levi)
-    basis = NCoordinates(n).monomial_basis(d)
-    vecs, _ = levi_module_basis(n, levi, lam)
-    inside, _ = split_positions(n, levi)
-    ny = len(inside)
-
-    restricted = []
-    y_monos: set[tuple[int, ...]] = set()
-    c_monos: set[tuple[int, ...]] = set()
-    for r in restrict_monomials(n, levi, basis):
-        table: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for mono, coef in r.coeffs.items():
-            ym, cm = mono[:ny], mono[ny:]
-            table.setdefault(cm, {})[ym] = coef
-            y_monos.add(ym)
-            c_monos.add(cm)
-        restricted.append(table)
-    for v in vecs:
-        y_monos.update(v.coeffs)
-    ylist = sorted(y_monos | {(0,) * ny})
-    clist = sorted(c_monos)
-
-    vrows = [[v.coeffs.get(m, 0) for m in ylist] for v in vecs]
-    # integer y-vectors orthogonal to the module span
-    perp = linalg.nullspace(vrows)
-    yindex = {ym: t for t, ym in enumerate(ylist)}
-
-    # the nonzero (column, y-indices, coefficients) of each c-monomial
-    entries: dict[tuple[int, ...], list[tuple[int, list[int], list[int]]]] = {
-        cm: [] for cm in clist}
-    for j, table in enumerate(restricted):
-        for cm, ycol in table.items():
-            entries[cm].append((j, [yindex[ym] for ym in ycol], list(ycol.values())))
-    constraints: list[list[int]] = []
-    for cm in clist:
-        for k in perp:
+    basis, blocks, _ = graded = _graded_basis(n, d)
+    rows = []
+    for mu, vecs in _model_kernels(n, frozenset(levi), lam, graded).items():
+        for v in vecs:
             row = [0] * len(basis)
-            for j, ts, cs in entries[cm]:
-                row[j] = sum(map(mul, cs, map(k.__getitem__, ts)))
-            constraints.append(row)
-    if not constraints:
-        return [[int(i == j) for j in range(len(basis))] for i in range(len(basis))], basis
-    return linalg.nullspace(constraints), basis
+            for j, x in zip(blocks[mu], v):
+                row[j] = x
+            rows.append((blocks[mu][max(t for t, x in enumerate(v) if x)], row))
+    return [row for _, row in sorted(rows)], basis
 
 
 @dataclass(frozen=True)
@@ -526,6 +562,7 @@ class BGGReport:
 def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: object = None) -> BGGReport:
     """Exactness check: ker(Theta_{alpha_i}) on degree <= d equals the
     parabolic model for the sub-minimal parabolic generated by alpha_i.
+    Two block-diagonal sums have the same span iff every block pair does.
 
     rng is unused: the Levi module is built deterministically. It is
     accepted only so that existing callers that pass one keep working."""
@@ -535,20 +572,21 @@ def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: object = None) -
         raise ValueError(f"simple-root index i must lie in [0, {n - 2}], got {i}")
     if d < 0:
         raise ValueError(f"degree cap d must be >= 0, got {d}")
-    theta, basis = theta_matrix(n, i, lam, d)
-    kernel = linalg.nullspace(theta)
-    model, basis2 = parahoric_truncation_basis(n, frozenset({i}), lam, d)
-    if basis != basis2:
-        raise CertificationError("theta and parabolic model use different monomial bases")
-    equal = linalg.same_span(kernel, model)
+    graded = _graded_basis(n, d)
+    theta = _theta_blocks(n, i, theta_exponent(lam, i), graded)
+    kernel = {mu: _block_kernel(rows, len(graded[1][mu])) for mu, (_, rows) in theta.items()}
+    model = _model_kernels(n, frozenset({i}), lam, graded)
+    # a block subspace of dimension 0 or the block's width is fixed by its dimension
+    equal = all(len(kernel[mu]) == len(model[mu]) in (0, len(cols))
+                or linalg.same_span(kernel[mu], model[mu]) for mu, cols in graded[1].items())
     return BGGReport(
         group=f"GL{n}",
         simple_index=i,
         weight=tuple(int(x) for x in lam),
         degree_cap=d,
         threshold=truncation_threshold(n, i, lam),
-        dim_kernel=len(kernel),
-        dim_parabolic_model=len(model),
+        dim_kernel=sum(map(len, kernel.values())),
+        dim_parabolic_model=sum(map(len, model.values())),
         spaces_equal=equal,
     )
 
@@ -562,18 +600,13 @@ def theta_preserves_parahoric(
 ) -> bool:
     """Does Theta_{alpha_i} send the Q-model at lambda into the Q-model at
     s_i * lambda? Requires alpha_i outside the Levi and a Levi-dominant
-    image weight."""
+    image weight. One rank test per weight block mu and its image block nu."""
     levi = frozenset(levi)
     if i in levi:
         raise ValueError("alpha_i must lie outside the Levi")
-    datum = gl_datum(n)
-    star = datum.weyl_star(lam, i)
-    src, basis = parahoric_truncation_basis(n, levi, lam, d)
-    dst, basis2 = parahoric_truncation_basis(n, levi, star, d)
-    if basis != basis2:
-        raise CertificationError("source and target models use different monomial bases")
-    theta, _ = theta_matrix(n, i, lam, d)
-    # echelon the target once; an image lies in it iff the rank stays put
-    dst_red, pivots = linalg.rref(dst)
-    return all(linalg.rank([*dst_red, linalg.matvec(theta, row)]) == len(pivots)
-               for row in src)
+    graded = _graded_basis(n, d)
+    src = _model_kernels(n, levi, lam, graded)
+    dst = _model_kernels(n, levi, gl_datum(n).weyl_star(lam, i), graded)
+    theta = _theta_blocks(n, i, theta_exponent(lam, i), graded)
+    return all(linalg.rank([*dst[nu], *(linalg.matvec(rows, v) for v in src[mu])]) == len(dst[nu])
+               for mu, (nu, rows) in theta.items() if rows)

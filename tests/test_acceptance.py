@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 
+from bgg_reference import theta_kernel_dim_mod
 from moment_reference import apply_moments, moment_matrix
 from parahoric.induction import (
     NCoordinates,
@@ -137,6 +138,13 @@ def test_criterion_4_bgg_exactness_truncated():
     vecs, _ = levi_module_basis(3, {0, 1}, (4, 2, 0))
     assert len(vecs) == 27
     assert time.monotonic() - t1 < 1.0
+    # GL(5) at d = 4: 1001 monomials in 375 weight blocks, on its own wall
+    # bound; the kernel dimension is checked against a rank mod a prime
+    t1 = time.monotonic()
+    rep = bgg_kernel(5, 0, (1, 0, 0, 0, 0), 4)
+    assert time.monotonic() - t1 < 0.5
+    assert rep.spaces_equal
+    assert rep.dim_kernel == theta_kernel_dim_mod(5, 0, (1, 0, 0, 0, 0), 4) == 671
     report(4, "theta kernels match parabolic models at truncation", t0, 120.0)
 
 

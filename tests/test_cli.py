@@ -2,7 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +389,9 @@ GOLDEN_JSON_BGG = [
      "c641473b391a61ff51305ca4b748804ec7e60f78e70d05526a99ca71258bf99e"),
     (("bgg-check", "--group", "GL3", "--weight", "2,1,0", "--i", "0", "--d", "10"),
      "2f0d1fefb147defde1f6c77c6cd8f684e5da99c8e9eafd9993fed2b258aacf7f"),
+    # recorded from the whole-basis route, before the check ran by weight block
+    (("bgg-check", "--group", "GL4", "--weight", "2,1,0,0", "--i", "0", "--d", "7"),
+     "c28e14642049b22716d2124e85d67e837a2b92b290833f1cd35736ebde0b8245"),
 ]
 
 
@@ -397,6 +404,21 @@ def test_cli_json_matches_golden_digest(capsys, argv, digest, fmt):
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gl4_bgg_check_at_degree_7_takes_under_a_second():
+    """1716 monomials in 428 weight blocks of at most 19: as a CLI process
+    the check takes well under a second (the whole-basis route took over 2 s)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["bgg-check", "--group", "GL4", "--weight", "2,1,0,0", "--i", "0", "--d", "7"]
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "parahoric.cli", *argv, "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim_kernel"] == 734
+    assert elapsed < 1.0, elapsed
 
 
 def test_catalog_lists_builtins(capsys):

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from levi_reference import coefficient_rows, sampled_levi_basis
-from parahoric import linalg
+from parahoric import induction, linalg
 from parahoric.induction import (
     NCoordinates,
     apply_field,
@@ -135,6 +135,27 @@ def test_levi_weyl_dimension():
 def test_theta_preserves_parahoric_truncation():
     ok = theta_preserves_parahoric(3, {0}, 1, (2, 1, 0), 5)
     assert ok
+
+
+def test_theta_preserves_parahoric_on_gl4():
+    """GL(4), Levi {0, 2}, alpha_2 outside it: s_2 * (2, 1, 0, 0) = (2, -1, 2, 0).
+    The answer was recorded from the whole-basis rank test."""
+    assert theta_preserves_parahoric(4, {0, 2}, 1, (2, 1, 0, 0), 4)
+
+
+def test_theta_preserves_parahoric_rejects_the_unshifted_target(monkeypatch):
+    """Against the model at lambda itself, not at s_i * lambda, some image
+    leaves the target, and the per-block rank test says so."""
+    class Unshifted:
+        def __init__(self, n):
+            pass
+
+        def weyl_star(self, lam, i):
+            return tuple(lam)
+
+    monkeypatch.setattr(induction, "gl_datum", Unshifted)
+    assert not theta_preserves_parahoric(3, {0}, 1, (2, 1, 0), 5)
+    assert not theta_preserves_parahoric(4, {0, 2}, 1, (2, 1, 0, 0), 4)
 
 
 def test_borel_model_is_every_polynomial():
