@@ -22,10 +22,9 @@ forms are unique, so these equal the dense results.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .padics import CertificationError
@@ -45,8 +44,7 @@ def var_name(pos: Position, prefix: str = "z") -> str:
     return f"{prefix}{pos[0] + 1}{pos[1] + 1}"
 
 
-@dataclass(frozen=True)
-class NCoordinates:
+class NCoordinates(NamedTuple):
     """Coordinates z_{ij} on the unipotent radical of the GL(n) Borel."""
 
     n: int
@@ -464,8 +462,26 @@ def levi_module_basis(
     return vectors, final_monos
 
 
-def _model_kernels(n: int, levi: Iterable[int], lam: Sequence[int],
-                   graded: tuple) -> dict[Weight, list[list[int]]]:
+def _restriction_entries(n: int, levi: frozenset[int], graded: tuple) -> tuple[dict, set]:
+    """R_n of the basis by c-monomial, which depends on the Levi and not on
+    the weight: the nonzero ((weight, position), {y-monomial: coefficient})
+    of each c-monomial, and every y-monomial that occurs, 1 included."""
+    basis, _, where = graded
+    ny = len(split_positions(n, levi)[0])
+    y_monos = {(0,) * ny}
+    entries: dict[tuple[int, ...], list] = {}
+    for m, r in zip(basis, restrict_monomials(n, levi, basis)):
+        table: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for mono, coef in r.coeffs.items():
+            table.setdefault(mono[ny:], {})[mono[:ny]] = coef
+            y_monos.add(mono[:ny])
+        for cm, ycol in table.items():
+            entries.setdefault(cm, []).append((where[m], ycol))
+    return entries, y_monos
+
+
+def _model_kernels(n: int, levi: frozenset[int], lam: Sequence[int], graded: tuple,
+                   restricted: tuple[dict, set]) -> dict[Weight, list[list[int]]]:
     """The Q-model per weight block: the kernel of its constraint rows.
 
     f belongs iff in R_n(f) = sum_m q_m(c) y^m, every c-coefficient column of
@@ -475,24 +491,13 @@ def _model_kernels(n: int, levi: Iterable[int], lam: Sequence[int],
     seed: the columns are tested against the integer kernel of its rows.
     One row per (c-monomial, kernel vector) is filled sparsely: each
     c-monomial lists the basis columns whose restriction involves it, with
-    their y-entries, and an entry is one integer dot product.
+    their y-entries (restricted, from _restriction_entries), and an entry is
+    one integer dot product.
     """
-    basis, blocks, where = graded
+    blocks = graded[1]
+    entries, y_monos = restricted
     vecs, _ = levi_module_basis(n, levi, lam)
-    ny = len(split_positions(n, levi)[0])
-    y_monos = {(0,) * ny}
-    # the nonzero ((weight, position), {y-monomial: coefficient}) of each c-monomial
-    entries: dict[tuple[int, ...], list] = {}
-    for m, r in zip(basis, restrict_monomials(n, levi, basis)):
-        table: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for mono, coef in r.coeffs.items():
-            table.setdefault(mono[ny:], {})[mono[:ny]] = coef
-            y_monos.add(mono[:ny])
-        for cm, ycol in table.items():
-            entries.setdefault(cm, []).append((where[m], ycol))
-    for v in vecs:
-        y_monos.update(v.coeffs)
-    ylist = sorted(y_monos)
+    ylist = sorted(y_monos.union(*(v.coeffs for v in vecs)))
     # integer y-vectors orthogonal to the module span
     perp = [dict(zip(ylist, k))
             for k in linalg.nullspace([[v.coeffs.get(m, 0) for m in ylist] for v in vecs])]
@@ -524,9 +529,11 @@ def parahoric_truncation_basis(
     condition: every f works. Then, as whenever no constraint arises, the
     rows are the identity rows.
     """
+    levi = frozenset(levi)
     basis, blocks, _ = graded = _graded_basis(n, d)
     rows = []
-    for mu, vecs in _model_kernels(n, frozenset(levi), lam, graded).items():
+    restricted = _restriction_entries(n, levi, graded)
+    for mu, vecs in _model_kernels(n, levi, lam, graded, restricted).items():
         for v in vecs:
             row = [0] * len(basis)
             for j, x in zip(blocks[mu], v):
@@ -535,8 +542,7 @@ def parahoric_truncation_basis(
     return [row for _, row in sorted(rows)], basis
 
 
-@dataclass(frozen=True)
-class BGGReport:
+class BGGReport(NamedTuple):
     group: str
     simple_index: int
     weight: tuple[int, ...]
@@ -575,7 +581,8 @@ def bgg_kernel(n: int, i: int, lam: Sequence[int], d: int, rng: object = None) -
     graded = _graded_basis(n, d)
     theta = _theta_blocks(n, i, theta_exponent(lam, i), graded)
     kernel = {mu: _block_kernel(rows, len(graded[1][mu])) for mu, (_, rows) in theta.items()}
-    model = _model_kernels(n, frozenset({i}), lam, graded)
+    levi = frozenset({i})
+    model = _model_kernels(n, levi, lam, graded, _restriction_entries(n, levi, graded))
     # a block subspace of dimension 0 or the block's width is fixed by its dimension
     equal = all(len(kernel[mu]) == len(model[mu]) in (0, len(cols))
                 or linalg.same_span(kernel[mu], model[mu]) for mu, cols in graded[1].items())
@@ -600,13 +607,15 @@ def theta_preserves_parahoric(
 ) -> bool:
     """Does Theta_{alpha_i} send the Q-model at lambda into the Q-model at
     s_i * lambda? Requires alpha_i outside the Levi and a Levi-dominant
-    image weight. One rank test per weight block mu and its image block nu."""
+    image weight. One rank test per weight block mu and its image block nu;
+    the restriction table R_n serves both weights."""
     levi = frozenset(levi)
     if i in levi:
         raise ValueError("alpha_i must lie outside the Levi")
     graded = _graded_basis(n, d)
-    src = _model_kernels(n, levi, lam, graded)
-    dst = _model_kernels(n, levi, gl_datum(n).weyl_star(lam, i), graded)
+    restricted = _restriction_entries(n, levi, graded)
+    src = _model_kernels(n, levi, lam, graded, restricted)
+    dst = _model_kernels(n, levi, gl_datum(n).weyl_star(lam, i), graded, restricted)
     theta = _theta_blocks(n, i, theta_exponent(lam, i), graded)
     return all(linalg.rank([*dst[nu], *(linalg.matvec(rows, v) for v in src[mu])]) == len(dst[nu])
                for mu, (nu, rows) in theta.items() if rows)

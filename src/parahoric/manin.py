@@ -6,9 +6,8 @@ Gamma_0(M) twists only, so every transport stays in the Hecke monoid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .padics import CertificationError
 
@@ -141,27 +140,23 @@ def lift_to_sl2(u: int, v: int, M: int) -> Mat2:
 U_MAT: Mat2 = mat_mul(S_MAT, (1, 1, 0, 1))  # order three up to sign
 
 
-@dataclass(frozen=True)
-class TriangleSlot:
+class TriangleSlot(NamedTuple):
     coset: int
     gamma: Mat2      # g_x U^k g_y^{-1}, an element of Gamma_0(M)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     slots: tuple[TriangleSlot, TriangleSlot, TriangleSlot]
 
 
-@dataclass(frozen=True)
-class ProgramStep:
+class ProgramStep(NamedTuple):
     """v_target = sum of sign * (v_source | matrix) over the listed terms."""
 
     target: int
     terms: tuple[tuple[int, int, Mat2], ...]  # (source leader coset, sign, matrix)
 
 
-@dataclass(frozen=True)
-class IdentityTail:
+class IdentityTail(NamedTuple):
     """Data of the folded identity triangle: v0 | (W - 1) = v_w | gamma_w_inv."""
 
     x0: int
@@ -171,8 +166,7 @@ class IdentityTail:
     W: Mat2
 
 
-@dataclass
-class SolvedPresentation:
+class SolvedPresentation(NamedTuple):
     free_edges: list[int]            # leader cosets carrying free values
     steps: list[ProgramStep]         # topologically ordered eliminations
     tail: IdentityTail

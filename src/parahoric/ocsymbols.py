@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .linalg import (
     charpoly_berkowitz,
@@ -93,7 +92,6 @@ IOTA: Mat2 = (-1, 0, 0, 1)
 # classical symbols (finite-dimensional coefficients, exact rationals)
 
 
-@dataclass
 class ClassicalSpace:
     """Weight-k modular symbols with values in the dual of degree-k forms.
 
@@ -103,22 +101,22 @@ class ClassicalSpace:
     one, so the coordinates of a symbol in the space are read off the free
     columns. The weight-k moment matrices are integral for k >= 0, so
     operators apply in integers to all basis vectors at once. Hecke plans,
-    integer moment matrices and operator matrices are built once per space.
+    integer moment matrices and operator matrices are built once per space,
+    in caches that equality does not compare.
     """
 
-    ms: ManinSystem
-    k: int
-    basis: list[list[int]]
-    free: list[int]
-    _plans: dict[tuple[Mat2, ...], list[list[tuple[int, int, Mat2]]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _moments: dict[Mat2, tuple[tuple[int, ...], ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _operators: dict[tuple[Mat2, ...], tuple[tuple[Fraction, ...], ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    def __init__(self, ms: ManinSystem, k: int, basis: list[list[int]], free: list[int]):
+        self.ms, self.k, self.basis, self.free = ms, k, basis, free
+        self._plans: dict[tuple[Mat2, ...], list[list[tuple[int, int, Mat2]]]] = {}
+        self._moments: dict[Mat2, tuple[tuple[int, ...], ...]] = {}
+        self._operators: dict[tuple[Mat2, ...], tuple[tuple[Fraction, ...], ...]] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ms, self.k, self.basis, self.free) == (other.ms, other.k, other.basis, other.free)
+
+    __hash__ = None  # its basis and caches are mutable lists and dicts
 
     @property
     def dimension(self) -> int:
@@ -318,8 +316,7 @@ def integer_eigenvalues(mat: Sequence[Sequence[Fraction]], bound: int) -> list[i
 # eigensymbol extraction
 
 
-@dataclass
-class Eigensymbol:
+class Eigensymbol(NamedTuple):
     """p-stabilized eigensymbol with integer values mod p^B."""
 
     N: int
@@ -446,8 +443,7 @@ def auto_eigensymbol(space: ClassicalSpace, B: int, slope: int = 0) -> Eigensymb
 # overconvergent engine
 
 
-@dataclass
-class OCContext:
+class OCContext(NamedTuple):
     """Shared machinery for one (N, p, k, mlen) overconvergent model."""
 
     ms: ManinSystem
@@ -857,8 +853,7 @@ def check_relations_mod(cache: MomentCache, tables: Sequence[Sequence[int]]) -> 
 # same bundled table build as the untuned table, so it costs one build.
 
 
-@dataclass
-class LiftReport:
+class LiftReport(NamedTuple):
     converged: bool
     iterations: int
     N: int
@@ -872,7 +867,12 @@ class LiftReport:
     moment_precision: list[int]
     solve_loss_ledger: list[int]
     relation_valuation: int
-    tables: list[list[int]] = field(repr=False)
+    tables: list[list[int]]
+
+    def __repr__(self) -> str:
+        """Every field but the tables, which can run to thousands of digits."""
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"LiftReport({shown})"
 
     def as_dict(self) -> dict:
         return {
@@ -1121,8 +1121,7 @@ def random_initial_lift_pair(
 # reached mlen - S_sol, which no reading needs (_settled_columns).
 
 
-@dataclass
-class CoefficientReading:
+class CoefficientReading(NamedTuple):
     index: int
     valuation: int | None       # None when the residue is 0 at full precision
     precision: int              # certified p-adic digits of the coefficient
@@ -1158,8 +1157,7 @@ def _csv_rows(
     return rows
 
 
-@dataclass
-class UpSpectralData:
+class UpSpectralData(NamedTuple):
     N: int
     p: int
     k: int
@@ -1446,8 +1444,7 @@ def charpoly_up(N: int, p: int, k: int, M: int, xdeg: int = 14) -> UpSpectralDat
 # shortcut can recover ring coefficients beyond the first two digits.
 
 
-@dataclass
-class FamilySpectralData:
+class FamilySpectralData(NamedTuple):
     N: int
     p: int
     k0: int

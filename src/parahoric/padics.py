@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 INF = math.inf          # height of a zero coefficient in a Newton polygon
 VAL_INF = 10**9         # valuation(0): an int, so residue arithmetic stays in ints
@@ -55,15 +54,13 @@ def valuation(x: int | Fraction, p: int) -> int:
 
 # Newton polygons
 
-@dataclass(frozen=True)
-class PolygonPoint:
+class PolygonPoint(NamedTuple):
     index: int
     height: object          # int/Fraction, or a lower bound if not certified
     certified: bool
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     start: tuple[int, object]
     end: tuple[int, object]
     slope: Fraction

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -19,14 +18,10 @@ from .padics import CertificationError
 
 Vector = tuple[int, ...]
 
-@dataclass(frozen=True)
 class RootDatum:
-    name: str
-    rank: int
-    simple_roots: tuple[Vector, ...]
-    coroots: tuple[Vector, ...]
-
-    def __post_init__(self):
+    def __init__(self, name: str, rank: int, simple_roots: tuple[Vector, ...],
+                 coroots: tuple[Vector, ...]):
+        self.name, self.rank, self.simple_roots, self.coroots = name, rank, simple_roots, coroots
         if len(self.simple_roots) != len(self.coroots):
             raise ValueError("need one coroot per simple root")
         for v in self.simple_roots + self.coroots:
@@ -44,6 +39,18 @@ class RootDatum:
         cartan = [[self.pairing(a, cv) for cv in self.coroots] for a in self.simple_roots]
         if not _finite_type(cartan):
             raise ValueError(f"the Cartan matrix {cartan} is not of finite type")
+
+    def _key(self) -> tuple:
+        return self.name, self.rank, self.simple_roots, self.coroots
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "RootDatum(name=%r, rank=%r, simple_roots=%r, coroots=%r)" % self._key()
 
     # basic pairings and actions
 

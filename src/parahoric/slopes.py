@@ -7,8 +7,7 @@ alpha(t) is the pairing <alpha, mu>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .padics import CertificationError
@@ -19,19 +18,27 @@ class FactorizationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class TorusElement:
     """The point mu(p) of a split maximal torus."""
 
-    datum: RootDatum
-    mu: Vector
-    p: int
-
-    def __post_init__(self):
+    def __init__(self, datum: RootDatum, mu: Vector, p: int):
+        self.datum, self.mu, self.p = datum, mu, p
         if len(self.mu) != self.datum.rank:
             raise ValueError("cocharacter length must equal rank")
         if self.p < 2:
             raise ValueError("p must be at least 2")
+
+    def _key(self) -> tuple:
+        return self.datum, self.mu, self.p
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "TorusElement(datum=%r, mu=%r, p=%r)" % self._key()
 
     def root_valuation(self, beta: Sequence[int]) -> int:
         """v_p(beta(t)) = <beta, mu>."""
@@ -126,14 +133,12 @@ def step_element(datum: RootDatum, simple_index: int, p: int) -> TorusElement:
     return TorusElement(datum, tuple(int(c * den) for c in x), p)
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     simple_index: int
     t: TorusElement
 
 
-@dataclass(frozen=True)
-class ControllingDatum:
+class ControllingDatum(NamedTuple):
     """A factorized controlling operator along a parabolic chain.
 
     chain[i] is the Levi subset before step i; chain[-1] is the full set.
@@ -209,8 +214,7 @@ def verify_factorization(cd: ControllingDatum) -> tuple[bool, str]:
     return True, "ok"
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     simple_index: int
     root: Vector
     mu: Vector
@@ -229,8 +233,7 @@ class StepReport:
         }
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(NamedTuple):
     group: str
     levi: tuple[int, ...]
     weight: Vector

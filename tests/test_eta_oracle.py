@@ -82,6 +82,17 @@ def test_classical_spectrum_contains_the_eta_product(level, exps, a_ell, trace):
         assert sym.alpha % p and (sym.alpha**2 - trace * sym.alpha + p ** (k + 1)) % p**sym.B == 0
 
 
+def _unit_root(a_p: int, p: int, k: int, prec: int) -> int:
+    """The unit root of X^2 - a_p X + p^(k+1) mod p^prec, by Newton's method
+    from a_p mod p."""
+    mod = p**prec
+    r = a_p % p
+    for _ in range(prec):
+        r = (r - (r * r - a_p * r + p ** (k + 1)) * pow(2 * r - a_p, -1, mod)) % mod
+    assert (r * r - a_p * r + p ** (k + 1)) % mod == 0
+    return r
+
+
 def test_weight_two_lift_reaches_the_eta_unit_root():
     """At (5, 3, 2) the lift tunes a moment above the classical layer (k > 0)
     and its eigenvalue is the unit root of X^2 - a_3 X + 3^3, a_3 from the
@@ -95,10 +106,23 @@ def test_weight_two_lift_reaches_the_eta_unit_root():
     assert rep.converged and rep.specialization_ok
     prec = rep.eigenvalue_precision
     assert prec >= M - 2
-    mod = p**prec
-    # the unit root by Newton's method from a_p mod p
-    r = a_p % p
-    for _ in range(prec):
-        r = (r - (r * r - a_p * r + p ** (k + 1)) * pow(2 * r - a_p, -1, mod)) % mod
-    assert (r * r - a_p * r + p ** (k + 1)) % mod == 0
-    assert rep.eigenvalue % mod == r
+    assert rep.eigenvalue % p**prec == _unit_root(a_p, p, k, prec)
+
+
+def test_delta_lift_at_eleven_reaches_the_unit_root():
+    """Delta = eta(z)^24 at p = 11, k = 10: level 11 has no elliptic points,
+    the search picks the stabilization of trace tau(11), and the lift at
+    M = 14 (the CLI's B = M + 24) converges to the unit root of
+    X^2 - tau(11) X + 11^11 mod 11^14."""
+    N, p, k, M = 1, 11, 10, 14
+    tau = eta_product({1: 24}, p + 1)
+    assert tau[:4] == [0, 1, -24, 252] and tau[p] == 534612
+    space = classical_space(N, p, k)
+    sym = auto_eigensymbol(space, B=M + 24)
+    assert sym.trace == tau[p]
+    rep = lift_symbol(space, sym, M)
+    assert rep.converged and rep.specialization_ok
+    assert rep.eigenvalue_precision == M
+    alpha = _unit_root(tau[p], p, k, M)
+    assert alpha == 319834383289543
+    assert rep.eigenvalue % p**M == alpha

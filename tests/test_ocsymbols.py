@@ -295,12 +295,11 @@ def test_up_monoid_checks_survive_python_O():
     for the matrices of the model and for the merged operator of the lift,
     also for a composite with a < 0 that its sign class would rewrite."""
     script = (
-        "import dataclasses\n"
         "from parahoric.ocsymbols import MomentCache, oc_context\n"
         "ctx = oc_context(11, 3, 0, 4)\n"
         "print('debug', __debug__)\n"
         "for bad in ((1, 0, 3, 1), (-1, 0, 3, -1)):\n"
-        "    planted = dataclasses.replace(ctx, up_plan=[[(0, 1, bad)]] + ctx.up_plan[1:])\n"
+        "    planted = ctx._replace(up_plan=[[(0, 1, bad)]] + ctx.up_plan[1:])\n"
         "    for T in (1, 2):\n"
         "        for get in (lambda: MomentCache(ctx, 8, T).up(bad),\n"
         "                    lambda: MomentCache(planted, 8, T).up_operator()):\n"

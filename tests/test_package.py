@@ -1,7 +1,8 @@
 """Repository-wide checks: invariants raise instead of asserting, no memo
-outlives a run, every public function has a user, BGG output depends on no seed, engine calls take the model
-handle alone, the environment is read only at the CLI boundary, packed
-slots are written in one place, and the example scripts run."""
+outlives a run, every public function has a user, BGG output depends on no
+seed, the package imports no dataclasses, engine calls take the model handle
+alone, the environment is read only at the CLI boundary, packed slots are
+written in one place, and the example scripts run."""
 import ast
 import os
 import subprocess
@@ -134,6 +135,37 @@ def test_no_unreferenced_public_function_in_src():
         found += [f"{path.name}:{node.lineno} {node.name}" for node in defs
                   if not node.name.startswith("_") and node.name not in used]
     assert found == []
+
+
+def test_no_dataclasses_in_src():
+    """Records are typing.NamedTuple or plain classes: a dataclass writes and
+    compiles its methods at import, and every CLI call pays for it."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "parahoric").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """import parahoric and import parahoric.cli add neither module to
+    sys.modules in a fresh interpreter; the set is compared before and after,
+    so a module that site start-up already loaded does not count."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import parahoric, parahoric.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_engine_calls_take_the_model_handle():
